@@ -32,14 +32,13 @@ from .exactnum import (
     det_fraction_free,
     format_rational,
     parse_rational,
-    poly_shift_scale,
 )
 from .interp import (
     DETECTION_MODES,
     MODE_CLOSED_FORM,
     EquidistantProblem,
     detect_degree,
-    interpolate_direct,
+    interpolate_eq14,
 )
 from .vandermonde import AffineData, build_B, det_B_expansion
 from .verify import DEFAULT_SEED, SUITE_NAMES, SUITES, run_all, run_suite
@@ -141,8 +140,9 @@ def cmd_degree(args: argparse.Namespace) -> int:
     problem_file = load_problem_file(args.input)
     problem = problem_file.to_problem()
     detection = detect_degree(problem, args.mode)
-    interpolant = interpolate_direct(problem)
-    centered = poly_shift_scale(interpolant, problem.xi, 1)
+    # eq. 14 gives the coefficients c[k] of t**k with t = (x - xi)/h, so the
+    # coefficient of (x - xi)**k is c[k] / h**k.
+    normalized = interpolate_eq14(problem)
 
     out = sys.stdout
     print(f"input: {args.input}", file=out)
@@ -156,7 +156,7 @@ def cmd_degree(args: argparse.Namespace) -> int:
     for s, value in enumerate(detection.determinants):
         print(f"det[{s}]: {format_rational(value)}", file=out)
     for k in range(problem.ell + 1):
-        print(f"b[{k}]: {format_rational(centered.coefficient(k))}", file=out)
+        print(f"b[{k}]: {format_rational(normalized.coefficient(k) / problem.h**k)}", file=out)
     return 0
 
 

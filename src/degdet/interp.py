@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .combinat import binomial, tau
 from .degreematrix import DegreeMatrixSpec, alternating_weighted_sum, build_A, sigma_ell
@@ -201,11 +201,14 @@ class DegreeDetection:
     determinants: tuple[Rational, ...]
 
 
-def _determinant_for(problem: EquidistantProblem, s: int, mode: str) -> Rational:
+def _determinant_route(problem: EquidistantProblem, mode: str) -> Callable[[int], Rational]:
+    """The map s -> determinant for one detection; sigma_ell is evaluated here, once."""
+    ell, a = problem.ell, problem.a
     if mode == MODE_CLOSED_FORM:
-        return sigma_ell(problem.ell) * alternating_weighted_sum(problem.ell, s, problem.a)
+        sigma = sigma_ell(ell)
+        return lambda s: sigma * alternating_weighted_sum(ell, s, a)
     if mode == MODE_MATRIX:
-        return det_fraction_free(build_A(DegreeMatrixSpec(problem.ell, s, problem.a)))
+        return lambda s: det_fraction_free(build_A(DegreeMatrixSpec(ell, s, a)))
     raise ValueError(f"unknown detection mode {mode!r}; choose one of {DETECTION_MODES}")
 
 
@@ -214,18 +217,20 @@ def detect_degree(problem: EquidistantProblem, mode: str = MODE_CLOSED_FORM) -> 
     is ell - m for the smallest m with a nonzero determinant.
 
     The closed-form mode evaluates each determinant as sigma_ell times an
-    alternating binomial sum (O(ell) per step and independent of xi and h);
-    the matrix mode rebuilds the full matrices and runs the fraction-free
-    determinant as a cross-check.  The all-zero value vector makes every
+    alternating binomial sum (O(ell) per step and independent of xi and h),
+    computing sigma_ell once per detection; the matrix mode rebuilds the full
+    matrices and runs the fraction-free determinant as a cross-check, and
+    never computes sigma_ell.  The all-zero value vector makes every
     determinant vanish, so it short-circuits to the zero interpolant.
     """
     ell = problem.ell
+    determinant = _determinant_route(problem, mode)
     if all(x == 0 for x in problem.a):
-        dets = tuple(_determinant_for(problem, s, mode) for s in range(ell + 1))
+        dets = tuple(determinant(s) for s in range(ell + 1))
         return DegreeDetection(NEG_INF, None, dets)
     dets: list[Rational] = []
     for s in range(ell + 1):
-        value = _determinant_for(problem, s, mode)
+        value = determinant(s)
         dets.append(value)
         if value != 0:
             return DegreeDetection(ell - s, s, tuple(dets))

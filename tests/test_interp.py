@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from degdet.combinat import tau
-from degdet.degreematrix import alternating_weighted_sum
+from degdet.degreematrix import alternating_weighted_sum, sigma_ell
 from degdet.exactnum import NEG_INF, Poly, poly_divide_linear, poly_shift_scale
 from degdet.interp import (
     MODE_CLOSED_FORM,
@@ -151,6 +151,15 @@ class TestCoefficientFormula:
                 shifted = poly_shift_scale(interpolate_direct(p), p.xi, p.h)
                 assert interpolate_eq14(p) == shifted
 
+    @pytest.mark.parametrize("ell", [13, 24, 40])
+    def test_matches_shifted_direct_interpolant_past_subset_limit(self, ell):
+        # tau switches from subset enumeration to the product expansion above
+        # ell = 12, and the degree report takes its b[k] from this formula
+        rng = SplitMix64(100 + ell)
+        for _ in range(2):
+            p = random_problem(rng, ell)
+            assert interpolate_eq14(p) == poly_shift_scale(interpolate_direct(p), p.xi, p.h)
+
 
 class TestDerivativeWeights:
     @pytest.mark.parametrize(
@@ -251,6 +260,19 @@ class TestDegreeDetection:
                 closed = detect_degree(p, MODE_CLOSED_FORM)
                 matrix = detect_degree(p, MODE_MATRIX)
                 assert closed == matrix
+
+    @pytest.mark.parametrize("mode,expected_calls", [(MODE_CLOSED_FORM, 1), (MODE_MATRIX, 0)])
+    def test_sigma_ell_once_per_detection(self, monkeypatch, mode, expected_calls):
+        calls = []
+
+        def counting_sigma_ell(ell):
+            calls.append(ell)
+            return sigma_ell(ell)
+
+        monkeypatch.setattr("degdet.interp.sigma_ell", counting_sigma_ell)
+        detection = detect_degree(EquidistantProblem(10, 0, 1, [3] * 11), mode)
+        assert detection.witness_m == 10
+        assert len(calls) == expected_calls
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from degdet.cli import ProblemFileError, main, parse_problem_file
-from degdet.exactnum import parse_rational
+from degdet.exactnum import Poly, degree_to_str, format_rational, parse_rational, poly_shift_scale
+from degdet.interp import EquidistantProblem, interpolate_direct
+from degdet.rng import SplitMix64
 from degdet.verify import DEFAULT_SEED, SUITES, run_suite
 
 
@@ -19,6 +22,50 @@ def out_fields(text):
         key, _, value = line.partition(":")
         fields[key.strip()] = value.strip()
     return fields
+
+
+def problem_text(p):
+    return (
+        f"ell: {p.ell}\nxi: {format_rational(p.xi)}\nh: {format_rational(p.h)}\n"
+        f"values: {', '.join(map(format_rational, p.a))}\n"
+    )
+
+
+# degree-7 data on an ell = 10 grid: q(x) = 1/3 - 2x + 5/4x^2 - 7/2x^4 + x^5 + 2/9x^6 - 1/5x^7
+GOLDEN_PROBLEM = """\
+ell: 10
+xi: -3/2
+h: 2/3
+values: -25379/1920, 762991/839808, 2933303/4199040, -3109/5760, -19523089/4199040, -98446693/4199040, \
+-119501/1152, -1854004717/4199040, -6905195041/4199040, -9986687/1920, -59702631913/4199040
+"""
+
+GOLDEN_REPORT = """\
+ell: 10
+xi: -3/2
+h: 2/3
+values: -25379/1920, 762991/839808, 2933303/4199040, -3109/5760, -19523089/4199040, -98446693/4199040, \
+-119501/1152, -1854004717/4199040, -6905195041/4199040, -9986687/1920, -59702631913/4199040
+mode: closed-form
+degree: 7
+witness_m: 3
+det[0]: 0
+det[1]: 0
+det[2]: 0
+det[3]: 1225900934312606149341923844924278460187450474951909008075789850188838516527101786308485165613056\
+00000000000
+b[0]: -25379/1920
+b[1]: 13037/320
+b[2]: -4957/160
+b[3]: -111/16
+b[4]: 161/8
+b[5]: -209/20
+b[6]: 209/90
+b[7]: -1/5
+b[8]: 0
+b[9]: 0
+b[10]: 0
+"""
 
 
 class TestProblemFile:
@@ -92,8 +139,6 @@ class TestDegreeCommand:
         assert closed == matrix
 
     def test_rationals_round_trip(self, capsys, tmp_path):
-        from degdet.exactnum import format_rational
-
         path = self.write(tmp_path, "ell: 2\nxi: 1/3\nh: -5/7\nvalues: 2/9, -1, 4\n")
         _, out, _ = run_cli(capsys, "degree", "--input", path)
         fields = out_fields(out)
@@ -105,6 +150,32 @@ class TestDegreeCommand:
             parse_rational("-1"),
             parse_rational("4"),
         ]
+
+    def test_b_k_match_lagrange_oracle(self, capsys, tmp_path):
+        rng = SplitMix64(31)
+        problems = []
+        for ell in range(1, 13):
+            xi = Fraction(rng.int_between(-9, 9), 2 * rng.int_between(1, 4) + 1)
+            h = -rng.positive_rational() if ell % 2 else rng.positive_rational()
+            problems.append(EquidistantProblem(ell, xi, h, [rng.rational() for _ in range(ell + 1)]))
+            drop = Poly([rng.rational() for _ in range(ell // 2)] + [rng.nonzero_rational()])
+            problems.append(EquidistantProblem(ell, xi, h, [drop(node) for node in problems[-1].nodes()]))
+            problems.append(EquidistantProblem(ell, xi, h, [0] * (ell + 1)))
+        for p in problems:
+            path = self.write(tmp_path, problem_text(p))
+            code, out, _ = run_cli(capsys, "degree", "--input", path)
+            fields = out_fields(out)
+            oracle = poly_shift_scale(interpolate_direct(p), p.xi, 1)
+            assert code == 0
+            assert fields["degree"] == degree_to_str(oracle.degree)
+            for k in range(p.ell + 1):
+                assert parse_rational(fields[f"b[{k}]"]) == oracle.coefficient(k)
+
+    def test_golden_report(self, capsys, tmp_path):
+        path = self.write(tmp_path, GOLDEN_PROBLEM)
+        code, out, _ = run_cli(capsys, "degree", "--input", path)
+        assert code == 0
+        assert out == f"input: {path}\n" + GOLDEN_REPORT
 
     def test_bad_file_exits_2(self, capsys, tmp_path):
         path = self.write(tmp_path, "ell: 2\nxi: 0\nh: 0\nvalues: 1, 2, 3\n")
