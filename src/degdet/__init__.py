@@ -44,7 +44,6 @@ from .interp import (
     compare_general_expansion,
     derivative_at_left_node,
     detect_degree,
-    detect_degree_via_determinants,
     general_expansion,
     interpolate_direct,
     interpolate_eq14,

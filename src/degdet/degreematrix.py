@@ -37,17 +37,23 @@ class DegreeMatrixSpec:
         object.__setattr__(self, "a", values)
 
 
+def weighted_value_row(s: int, a) -> list[Rational]:
+    """The last row of the degree matrix: j^s * a_j for j = 0..ell, with the
+    0^0 = 1 convention."""
+    return [j**s * aj for j, aj in enumerate(a)]
+
+
 def build_A(spec: DegreeMatrixSpec) -> ExactMatrix:
     """The (ell+1)x(ell+1) matrix: row i in 1..ell holds the (ell-1)-th powers
-    of the consecutive integers (i-1)(ell+1)+1 .. i(ell+1); the last row holds
-    (j-1)^s * a_{j-1} with the 0^0 = 1 convention."""
+    of the consecutive integers (i-1)(ell+1)+1 .. i(ell+1); the last row is
+    weighted_value_row(s, a)."""
     ell, s, a = spec.ell, spec.s, spec.a
     power = ell - 1
     rows: list[list[RationalLike]] = []
     for i in range(1, ell + 1):
         base = (i - 1) * (ell + 1)
         rows.append([(base + j) ** power for j in range(1, ell + 2)])
-    rows.append([j**s * a[j] for j in range(ell + 1)])
+    rows.append(weighted_value_row(s, a))
     return ExactMatrix.from_rows(rows)
 
 
@@ -109,11 +115,13 @@ def alternating_weighted_sum(ell: int, s: int, a) -> Rational:
     values = [rat(x) for x in a]
     if len(values) != ell + 1:
         raise ValueError(f"value vector must have ell+1 = {ell + 1} entries, got {len(values)}")
-    total = Fraction(0)
+    # Clear denominators once, so the sum runs in plain ints.
+    common = math.lcm(*(v.denominator for v in values))
+    total = 0
     for j, aj in enumerate(values):
-        term = binomial(ell, j) * j**s * aj
+        term = binomial(ell, j) * j**s * (aj.numerator * (common // aj.denominator))
         total += -term if j % 2 else term
-    return total
+    return Fraction(total, common)
 
 
 def det_A_closed_form(spec: DegreeMatrixSpec) -> Rational:

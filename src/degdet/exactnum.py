@@ -378,6 +378,61 @@ def det_fraction_free(m: ExactMatrix) -> Rational:
     return Fraction(sign * rows[n - 1][n - 1], scale)
 
 
+def last_row_cofactors(m: ExactMatrix) -> tuple[Rational, ...]:
+    """The cofactors c_j of the last row, so that det(m) = sum_j c_j r_j for
+    every last row r (Laplace expansion); the last row of m is ignored.
+
+    One fraction-free (Bareiss) elimination runs on the first n-1 rows,
+    scaled to integers, with column pivoting inside those rows.  With the
+    last pivot D (the leading minor of the permuted head), the cofactor
+    vector in permuted columns is the null vector of the head whose last
+    entry is D; it is integral, so the back substitution divides exactly.
+    A head row with no nonzero entry left means the head rows are
+    dependent, and every cofactor is 0.
+    """
+    if not m.is_square:
+        raise ValueError(f"cofactors require a square matrix, got {m.rows}x{m.cols}")
+    n = m.rows
+    scale = 1
+    rows: list[list[int]] = []
+    for i in range(n - 1):
+        row = m.row(i)
+        d = math.lcm(*(e.denominator for e in row))
+        scale *= d
+        rows.append([int(e * d) for e in row])
+
+    perm = list(range(n))
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            for j in range(k + 1, n):
+                if rows[k][j] != 0:
+                    for r in rows:
+                        r[k], r[j] = r[j], r[k]
+                    perm[k], perm[j] = perm[j], perm[k]
+                    sign = -sign
+                    break
+            else:
+                return (Fraction(0),) * n
+        pivot = rows[k][k]
+        for i in range(k + 1, n - 1):
+            head = rows[i][k]
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * pivot - head * rows[k][j]) // prev
+            rows[i][k] = 0
+        prev = pivot
+
+    x = [0] * n
+    x[n - 1] = prev
+    for k in range(n - 2, -1, -1):
+        x[k] = -sum(rows[k][j] * x[j] for j in range(k + 1, n)) // rows[k][k]
+    cofactors = [Fraction(0)] * n
+    for k, j in enumerate(perm):
+        cofactors[j] = Fraction(sign * x[k], scale)
+    return tuple(cofactors)
+
+
 def det_cofactor(m: ExactMatrix) -> Rational:
     """Determinant by first-row cofactor expansion.
 

@@ -6,20 +6,21 @@ with its structured comparison against the Lagrange oracle."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .combinat import binomial, tau
-from .degreematrix import DegreeMatrixSpec, alternating_weighted_sum, build_A, sigma_ell
+from .degreematrix import DegreeMatrixSpec, alternating_weighted_sum, build_A, sigma_ell, weighted_value_row
 from .exactnum import (
     NEG_INF,
     Degree,
     Poly,
     Rational,
     RationalLike,
-    det_fraction_free,
     format_rational,
+    last_row_cofactors,
     rat,
 )
 
@@ -202,13 +203,20 @@ class DegreeDetection:
 
 
 def _determinant_route(problem: EquidistantProblem, mode: str) -> Callable[[int], Rational]:
-    """The map s -> determinant for one detection; sigma_ell is evaluated here, once."""
+    """The map s -> determinant for one detection.
+
+    Closed-form mode evaluates sigma_ell here, once.  Matrix mode builds the
+    matrix once and eliminates its first ell rows, which every s shares,
+    once: each determinant is then the dot product of the last-row
+    cofactors with weighted_value_row(s, a) (Laplace expansion).
+    """
     ell, a = problem.ell, problem.a
     if mode == MODE_CLOSED_FORM:
         sigma = sigma_ell(ell)
         return lambda s: sigma * alternating_weighted_sum(ell, s, a)
     if mode == MODE_MATRIX:
-        return lambda s: det_fraction_free(build_A(DegreeMatrixSpec(ell, s, a)))
+        cofactors = last_row_cofactors(build_A(DegreeMatrixSpec(ell, 0, a)))
+        return lambda s: sum(map(operator.mul, cofactors, weighted_value_row(s, a)), Fraction(0))
     raise ValueError(f"unknown detection mode {mode!r}; choose one of {DETECTION_MODES}")
 
 
@@ -218,10 +226,13 @@ def detect_degree(problem: EquidistantProblem, mode: str = MODE_CLOSED_FORM) -> 
 
     The closed-form mode evaluates each determinant as sigma_ell times an
     alternating binomial sum (O(ell) per step and independent of xi and h),
-    computing sigma_ell once per detection; the matrix mode rebuilds the full
-    matrices and runs the fraction-free determinant as a cross-check, and
-    never computes sigma_ell.  The all-zero value vector makes every
-    determinant vanish, so it short-circuits to the zero interpolant.
+    computing sigma_ell once per detection.  The matrix mode is the
+    cross-check on the explicit matrices: one fraction-free elimination of
+    the ell rows that every matrix in the family shares gives the last-row
+    cofactors, and each determinant is then a dot product with the last row
+    (O(ell) per step); it never computes sigma_ell.  The all-zero value
+    vector makes every determinant vanish, so it short-circuits to the zero
+    interpolant.
     """
     ell = problem.ell
     determinant = _determinant_route(problem, mode)
@@ -235,10 +246,6 @@ def detect_degree(problem: EquidistantProblem, mode: str = MODE_CLOSED_FORM) -> 
         if value != 0:
             return DegreeDetection(ell - s, s, tuple(dets))
     raise AssertionError("unreachable: a nonzero value vector always yields a nonzero determinant")
-
-
-def detect_degree_via_determinants(problem: EquidistantProblem, mode: str = MODE_CLOSED_FORM) -> Degree:
-    return detect_degree(problem, mode).degree
 
 
 def _elementary_symmetric(values: Sequence[Rational]) -> list[Rational]:

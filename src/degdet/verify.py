@@ -39,7 +39,7 @@ from .interp import (
     K_quotient_via_tau,
     compare_general_expansion,
     derivative_at_left_node,
-    detect_degree_via_determinants,
+    detect_degree,
     interpolate_direct,
     interpolate_eq14,
     poly_K,
@@ -311,7 +311,7 @@ def _suite_theorem1(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> No
                     f"constructed-degree ell={ell} target={degree_to_str(target)} trial={trial}"
                     f" xi={format_rational(xi)} h={format_rational(h)} a={_csv(problem.a)}",
                     target,
-                    detect_degree_via_determinants(problem),
+                    detect_degree(problem).degree,
                 )
     converse_trials = 20 * trials
     for ell in range(1, max_ell + 1):
@@ -320,7 +320,7 @@ def _suite_theorem1(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> No
             run.case(
                 f"detector-vs-interpolant ell={ell} trial={trial} a={_csv(problem.a)}",
                 interpolate_direct(problem).degree,
-                detect_degree_via_determinants(problem),
+                detect_degree(problem).degree,
             )
 
 

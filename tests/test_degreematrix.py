@@ -13,7 +13,7 @@ from degdet.degreematrix import (
     sigma_ell,
     sub_column_offsets,
 )
-from degdet.exactnum import det_cofactor, det_fraction_free
+from degdet.exactnum import det_cofactor, det_fraction_free, last_row_cofactors
 from degdet.rng import SplitMix64
 from degdet.vandermonde import vandermonde_product
 
@@ -145,6 +145,18 @@ class TestAlternatingWeightedSum:
                 a = [rng.rational() for _ in range(ell + 1)]
                 assert alternating_weighted_sum(ell, 0, a) == (-1) ** ell * forward_difference(a, ell)
 
+    def test_matches_term_by_term_fraction_sum(self):
+        # the common-denominator integer route against the plain Fraction sum,
+        # with unrelated denominators, integers and zeros among the values
+        rng = SplitMix64(2025)
+        for ell in (1, 2, 7, 20, 40):
+            a = [rng.rational() if j % 3 else Fraction(rng.below(5)) for j in range(ell + 1)]
+            for s in (0, 1, ell, ell + 3):
+                expected = sum(
+                    (Fraction((-1) ** j * binomial(ell, j) * j**s) * aj for j, aj in enumerate(a)), Fraction(0)
+                )
+                assert alternating_weighted_sum(ell, s, a) == expected
+
     def test_length_enforced(self):
         with pytest.raises(ValueError):
             alternating_weighted_sum(2, 0, [1, 2])
@@ -186,6 +198,12 @@ class TestFullDeterminant:
                     term = entry * det_fraction_free(build_A_sub(ell, j))
                     total += term if (ell + 1 + j) % 2 == 0 else -term
                 assert det_fraction_free(build_A(spec)) == total
+
+    def test_last_row_cofactors_are_signed_sub_determinants(self):
+        for ell in range(1, 7):
+            cofactors = last_row_cofactors(build_A(DegreeMatrixSpec(ell, 0, [1] * (ell + 1))))
+            expected = [(-1) ** (ell + 1 + j) * det_fraction_free(build_A_sub(ell, j)) for j in range(1, ell + 2)]
+            assert list(cofactors) == expected
 
     def test_linear_in_the_value_vector(self):
         rng = SplitMix64(13)

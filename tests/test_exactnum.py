@@ -12,12 +12,14 @@ from degdet.exactnum import (
     det_cofactor,
     det_fraction_free,
     format_rational,
+    last_row_cofactors,
     parse_rational,
     poly_derivative,
     poly_divide_linear,
     poly_shift_scale,
     rat,
 )
+from degdet.rng import SplitMix64
 
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 nonzero_rationals = small_rationals.filter(lambda q: q != 0)
@@ -206,8 +208,6 @@ class TestExactMatrix:
         assert det_fraction_free(m) == det_cofactor(m)
 
     def test_bareiss_matches_cofactor_on_seeded_sweep(self):
-        from degdet.rng import SplitMix64
-
         rng = SplitMix64(17)
         for n in range(1, 6):
             for _ in range(10):
@@ -217,3 +217,73 @@ class TestExactMatrix:
     def test_singular_via_elimination(self):
         m = ExactMatrix.from_rows([[1, 2], [2, 4]])
         assert det_fraction_free(m) == 0
+
+
+def expand_last_row(cofactors, last_row):
+    return sum((c * r for c, r in zip(cofactors, last_row)), Fraction(0))
+
+
+class TestLastRowCofactors:
+    """last_row_cofactors against both determinant oracles: det(m) must equal
+    the dot product of the cofactors with any last row."""
+
+    def assert_matches_oracles(self, head, last_rows):
+        n = len(head) + 1
+        cofactors = last_row_cofactors(ExactMatrix.from_rows(head + [[0] * n]))
+        assert len(cofactors) == n
+        for last_row in last_rows:
+            m = ExactMatrix.from_rows(head + [list(last_row)])
+            value = expand_last_row(cofactors, last_row)
+            assert value == det_fraction_free(m)
+            if n <= 6:
+                assert value == det_cofactor(m)
+        return cofactors
+
+    def test_2x2_example(self):
+        assert last_row_cofactors(ExactMatrix.from_rows([[2, 3], [5, 6]])) == (-3, 2)
+
+    def test_1x1_has_unit_cofactor(self):
+        assert last_row_cofactors(ExactMatrix.from_rows([[Fraction(7, 2)]])) == (1,)
+
+    def test_seeded_sweep_with_zero_entries(self):
+        rng = SplitMix64(33)
+
+        def entry():
+            # a third of the entries are 0, so pivots vanish and columns swap
+            return Fraction(0) if rng.below(3) == 0 else rng.rational()
+
+        for n in range(1, 9):
+            for _ in range(8):
+                head = [[entry() for _ in range(n)] for _ in range(n - 1)]
+                last_rows = [[entry() for _ in range(n)] for _ in range(3)]
+                self.assert_matches_oracles(head, last_rows)
+
+    def test_head_needing_a_column_swap(self):
+        head = [[0, 2, Fraction(1, 3)], [0, 5, -1]]
+        cofactors = self.assert_matches_oracles(head, [[1, 0, 0], [2, -3, Fraction(5, 7)]])
+        assert cofactors[0] != 0
+
+    def test_zero_leading_minor_with_full_rank(self):
+        # the leading 2x2 minor of the head is 0, the 2x2 minors on columns
+        # (0, 2) and (1, 2) are not
+        head = [[1, 2, 3], [2, 4, Fraction(13, 2)]]
+        cofactors = self.assert_matches_oracles(head, [[0, 0, 1], [1, 1, 1], [Fraction(-1, 2), 3, 4]])
+        assert cofactors[2] == 0
+        assert cofactors[0] != 0 and cofactors[1] != 0
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            [[1, 2, 3], [2, 4, 6]],
+            [[0, 0, 0], [1, 2, 3]],
+            [[1, 0, 2, 1], [0, 1, 1, 1], [1, 1, 3, 2]],
+            [[Fraction(1, 2), 1, 0, 0], [0, 0, 0, 0], [1, 1, 1, 1]],
+        ],
+    )
+    def test_rank_deficient_head_gives_zero_cofactors(self, head):
+        cofactors = self.assert_matches_oracles(head, [[1] * len(head[0]), list(range(len(head[0])))])
+        assert cofactors == (0,) * len(head[0])
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            last_row_cofactors(ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))

@@ -5,7 +5,14 @@ import pytest
 
 from degdet.combinat import tau
 from degdet.degreematrix import alternating_weighted_sum, sigma_ell
-from degdet.exactnum import NEG_INF, Poly, poly_divide_linear, poly_shift_scale
+from degdet.exactnum import (
+    NEG_INF,
+    Poly,
+    det_fraction_free,
+    last_row_cofactors,
+    poly_divide_linear,
+    poly_shift_scale,
+)
 from degdet.interp import (
     MODE_CLOSED_FORM,
     MODE_MATRIX,
@@ -15,7 +22,6 @@ from degdet.interp import (
     compare_general_expansion,
     derivative_at_left_node,
     detect_degree,
-    detect_degree_via_determinants,
     general_expansion,
     interpolate_direct,
     interpolate_eq14,
@@ -241,10 +247,10 @@ class TestDegreeDetection:
         assert detection.determinants == (0, 0, -3072)
 
     def test_constant_data(self):
-        assert detect_degree_via_determinants(EquidistantProblem(2, 0, 1, [5, 5, 5])) == 0
+        assert detect_degree(EquidistantProblem(2, 0, 1, [5, 5, 5])).degree == 0
 
     def test_full_degree_data(self):
-        assert detect_degree_via_determinants(EquidistantProblem(2, 0, 1, [0, 1, 4])) == 2
+        assert detect_degree(EquidistantProblem(2, 0, 1, [0, 1, 4])).degree == 2
 
     def test_zero_vector(self):
         detection = detect_degree(EquidistantProblem(2, 3, 2, [0, 0, 0]))
@@ -260,6 +266,49 @@ class TestDegreeDetection:
                 closed = detect_degree(p, MODE_CLOSED_FORM)
                 matrix = detect_degree(p, MODE_MATRIX)
                 assert closed == matrix
+
+    def test_modes_agree_up_to_ell_20(self):
+        rng = SplitMix64(34)
+        for ell in range(1, 21):
+            value = rng.nonzero_rational()
+            target = rng.below(ell + 1)
+            poly = Poly([rng.rational() for _ in range(target)] + [rng.nonzero_rational()])
+            xi, h = rng.rational(), rng.nonzero_rational()
+            problems = [
+                random_problem(rng, ell),
+                EquidistantProblem(ell, xi, h, [poly(xi + i * h) for i in range(ell + 1)]),
+                EquidistantProblem(ell, xi, h, [value] * (ell + 1)),
+            ]
+            for p in problems:
+                assert detect_degree(p, MODE_MATRIX) == detect_degree(p, MODE_CLOSED_FORM)
+
+    def test_modes_agree_on_all_equal_scan_at_ell_32(self):
+        p = EquidistantProblem(32, Fraction(-5, 3), Fraction(7, 4), [Fraction(-11, 6)] * 33)
+        matrix = detect_degree(p, MODE_MATRIX)
+        assert matrix.witness_m == 32
+        assert matrix == detect_degree(p, MODE_CLOSED_FORM)
+
+    @pytest.mark.parametrize("mode,expected_cofactor_calls", [(MODE_CLOSED_FORM, 0), (MODE_MATRIX, 1)])
+    def test_matrix_mode_eliminates_once_per_detection(self, monkeypatch, mode, expected_cofactor_calls):
+        det_calls = []
+        cofactor_calls = []
+
+        def counting_det(m):
+            det_calls.append(m)
+            return det_fraction_free(m)
+
+        def counting_cofactors(m):
+            cofactor_calls.append(m)
+            return last_row_cofactors(m)
+
+        for module in ("degdet.exactnum", "degdet.degreematrix", "degdet.interp"):
+            monkeypatch.setattr(f"{module}.det_fraction_free", counting_det, raising=False)
+        monkeypatch.setattr("degdet.interp.last_row_cofactors", counting_cofactors)
+        problems = [EquidistantProblem(10, 0, 1, [3] * 11), EquidistantProblem(6, 1, 2, [0, 1, 4, 9, 16, 25, 36])]
+        detections = [detect_degree(p, mode) for p in problems]
+        assert [d.witness_m for d in detections] == [10, 4]
+        assert det_calls == []
+        assert len(cofactor_calls) == expected_cofactor_calls * len(problems)
 
     @pytest.mark.parametrize("mode,expected_calls", [(MODE_CLOSED_FORM, 1), (MODE_MATRIX, 0)])
     def test_sigma_ell_once_per_detection(self, monkeypatch, mode, expected_calls):
@@ -284,7 +333,7 @@ class TestDegreeDetection:
             a = [rng.rational() for _ in range(ell + 1)]
             p1 = EquidistantProblem(ell, rng.rational(), rng.nonzero_rational(), a)
             p2 = EquidistantProblem(ell, rng.rational(), rng.nonzero_rational(), a)
-            assert detect_degree_via_determinants(p1) == detect_degree_via_determinants(p2)
+            assert detect_degree(p1).degree == detect_degree(p2).degree
 
     def test_round_trip_with_constructed_degrees(self):
         rng = SplitMix64(28)
@@ -296,14 +345,14 @@ class TestDegreeDetection:
                     poly = Poly([rng.rational() for _ in range(target)] + [rng.nonzero_rational()])
                 xi, h = rng.rational(), rng.nonzero_rational()
                 p = EquidistantProblem(ell, xi, h, [poly(xi + i * h) for i in range(ell + 1)])
-                assert detect_degree_via_determinants(p) == target
+                assert detect_degree(p).degree == target
 
     def test_matches_interpolant_degree(self):
         rng = SplitMix64(29)
         for ell in range(1, 6):
             for _ in range(10):
                 p = random_problem(rng, ell)
-                assert detect_degree_via_determinants(p) == interpolate_direct(p).degree
+                assert detect_degree(p).degree == interpolate_direct(p).degree
 
 
 class TestGeneralExpansion:

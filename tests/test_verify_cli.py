@@ -68,6 +68,48 @@ b[10]: 0
 """
 
 
+# all-equal data on an ell = 10 grid: degree 0, so matrix mode scans every s
+MATRIX_PROBLEM = """\
+ell: 10
+xi: 5/7
+h: -3/4
+values: -7/3, -7/3, -7/3, -7/3, -7/3, -7/3, -7/3, -7/3, -7/3, -7/3, -7/3
+"""
+
+MATRIX_REPORT = """\
+ell: 10
+xi: 5/7
+h: -3/4
+values: -7/3, -7/3, -7/3, -7/3, -7/3, -7/3, -7/3, -7/3, -7/3, -7/3, -7/3
+mode: matrix
+degree: 0
+witness_m: 10
+det[0]: 0
+det[1]: 0
+det[2]: 0
+det[3]: 0
+det[4]: 0
+det[5]: 0
+det[6]: 0
+det[7]: 0
+det[8]: 0
+det[9]: 0
+det[10]: 2443661120233292648473373976815856633725218661593590495394826408403766777280390787317265546\
+9232128000000000000
+b[0]: -7/3
+b[1]: 0
+b[2]: 0
+b[3]: 0
+b[4]: 0
+b[5]: 0
+b[6]: 0
+b[7]: 0
+b[8]: 0
+b[9]: 0
+b[10]: 0
+"""
+
+
 class TestProblemFile:
     def test_parses_canonical_file(self):
         pf = parse_problem_file("ell: 3\nxi: 0\nh: 1\nvalues: 0, 1, 2, 3\n")
@@ -176,6 +218,12 @@ class TestDegreeCommand:
         code, out, _ = run_cli(capsys, "degree", "--input", path)
         assert code == 0
         assert out == f"input: {path}\n" + GOLDEN_REPORT
+
+    def test_matrix_mode_report(self, capsys, tmp_path):
+        path = self.write(tmp_path, MATRIX_PROBLEM)
+        code, out, _ = run_cli(capsys, "degree", "--input", path, "--mode", "matrix")
+        assert code == 0
+        assert out == f"input: {path}\n" + MATRIX_REPORT
 
     def test_bad_file_exits_2(self, capsys, tmp_path):
         path = self.write(tmp_path, "ell: 2\nxi: 0\nh: 0\nvalues: 1, 2, 3\n")
