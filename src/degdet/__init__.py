@@ -49,6 +49,7 @@ from .interp import (
     interpolate_eq14,
     lagrange_basis_hat,
     lagrange_interpolate,
+    newton_interpolate,
     poly_K,
     sigma_lsk,
 )

@@ -8,10 +8,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-# Above this size the definitional subset enumeration gets expensive and the
-# O(ell^2) product expansion takes over.
-_SUBSET_SUM_LIMIT = 12
-
 
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient; 0 whenever k falls outside [0, n]."""
@@ -45,7 +41,8 @@ class TauKey:
 
 def _sym_sums_subset(ell: int, j: int) -> tuple[int, ...]:
     """Elementary symmetric sums of {1..ell} minus the value j, by definition:
-    entry m is the sum over all m-element subsets of the product of elements."""
+    entry m is the sum over all m-element subsets of the product of elements.
+    Exponential cost; kept as the oracle for _sym_sums_product, which tau uses."""
     values = [i for i in range(1, ell + 1) if i != j]
     sums = [0] * (ell + 1)
     sums[0] = 1
@@ -54,6 +51,7 @@ def _sym_sums_subset(ell: int, j: int) -> tuple[int, ...]:
     return tuple(sums)
 
 
+@lru_cache(maxsize=None)
 def _sym_sums_product(ell: int, j: int) -> tuple[int, ...]:
     """Same sums via expanding prod(t + i) over i in {1..ell} minus j, O(ell^2)."""
     sums = [0] * (ell + 1)
@@ -68,13 +66,6 @@ def _sym_sums_product(ell: int, j: int) -> tuple[int, ...]:
     return tuple(sums)
 
 
-@lru_cache(maxsize=None)
-def _sym_sums(ell: int, j: int) -> tuple[int, ...]:
-    if ell <= _SUBSET_SUM_LIMIT:
-        return _sym_sums_subset(ell, j)
-    return _sym_sums_product(ell, j)
-
-
 def tau(ell: int, m: int, j: int = 0) -> int:
     """Sum of products of m distinct values from {1..ell} with the value j excluded.
 
@@ -86,7 +77,7 @@ def tau(ell: int, m: int, j: int = 0) -> int:
         return 1
     if j > 0 and m == ell:
         return 0
-    return _sym_sums(ell, j)[m]
+    return _sym_sums_product(ell, j)[m]
 
 
 def tau_via_recurrence(ell: int, m: int, j: int) -> int:

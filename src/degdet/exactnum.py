@@ -338,6 +338,21 @@ class ExactMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
+def _rows_to_integers(m: ExactMatrix, count: int) -> tuple[int, list[list[int]]]:
+    """The first count rows of m, each multiplied by the lcm d of its
+    denominators, as plain ints, and the product of those lcms.  An entry
+    p/q becomes p * (d // q), exact because q divides d; an entry already
+    over d keeps its numerator, so integer entries are reused, not copied."""
+    scale = 1
+    rows: list[list[int]] = []
+    for i in range(count):
+        row = m.row(i)
+        d = math.lcm(*(e.denominator for e in row))
+        scale *= d
+        rows.append([e.numerator if e.denominator == d else e.numerator * (d // e.denominator) for e in row])
+    return scale, rows
+
+
 def det_fraction_free(m: ExactMatrix) -> Rational:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
@@ -349,13 +364,7 @@ def det_fraction_free(m: ExactMatrix) -> Rational:
     if not m.is_square:
         raise ValueError(f"determinant requires a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    scale = 1
-    rows: list[list[int]] = []
-    for i in range(n):
-        row = m.row(i)
-        d = math.lcm(*(e.denominator for e in row))
-        scale *= d
-        rows.append([int(e * d) for e in row])
+    scale, rows = _rows_to_integers(m, n)
 
     sign = 1
     prev = 1
@@ -393,13 +402,7 @@ def last_row_cofactors(m: ExactMatrix) -> tuple[Rational, ...]:
     if not m.is_square:
         raise ValueError(f"cofactors require a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    scale = 1
-    rows: list[list[int]] = []
-    for i in range(n - 1):
-        row = m.row(i)
-        d = math.lcm(*(e.denominator for e in row))
-        scale *= d
-        rows.append([int(e * d) for e in row])
+    scale, rows = _rows_to_integers(m, n - 1)
 
     perm = list(range(n))
     sign = 1

@@ -1,7 +1,8 @@
-"""Interpolation machinery: exact Lagrange construction, the nodal polynomial
-with its symmetric-sum expansions, closed-form derivatives at the left node,
-the determinant-based degree detector, and the general-base-point expansion
-with its structured comparison against the Lagrange oracle."""
+"""Interpolation machinery: the exact Newton divided-difference oracle with
+its Lagrange cross-check, the nodal polynomial with its symmetric-sum
+expansions, closed-form derivatives at the left node, the determinant-based
+degree detector, and the general-base-point expansion with its structured
+comparison against the interpolation oracle."""
 
 from __future__ import annotations
 
@@ -115,7 +116,8 @@ def lagrange_basis_hat(ell: int, j: int) -> Poly:
 
 def lagrange_interpolate(nodes: Sequence[RationalLike], values: Sequence[RationalLike]) -> Poly:
     """Unique polynomial of degree <= len(nodes)-1 through the given points,
-    built directly from the Lagrange basis with exact arithmetic."""
+    built directly from the Lagrange basis with exact arithmetic.  O(ell^3)
+    Fraction work; kept as the small-ell cross-check of newton_interpolate."""
     points = [rat(x) for x in nodes]
     data = [rat(v) for v in values]
     if len(points) != len(data):
@@ -135,9 +137,54 @@ def lagrange_interpolate(nodes: Sequence[RationalLike], values: Sequence[Rationa
     return total
 
 
+def newton_interpolate(nodes: Sequence[RationalLike], values: Sequence[RationalLike]) -> Poly:
+    """Unique polynomial of degree <= len(nodes)-1 through the given points,
+    from Newton divided differences in plain integers.
+
+    With Q and D the lcms of the node and value denominators, the nodes
+    become the integers X_i = Q x_i and the values V_i = D v_i.  Level k of
+    the divided-difference table on the X_i is kept as integer numerators
+    over one denominator E_k = E_(k-1) * lcm_i |X_(i+k) - X_i|, so every E_k
+    divides L = E_ell and the Newton coefficients are n_k / L with integer
+    n_k.  Horner's rule expands sum_k n_k prod_(j<k) (u - X_j) = sum_j c_j u^j
+    in integers, and with u = Q x the coefficient of x^j is
+    c_j Q^j / (L D), the only Fraction arithmetic.  It shares no code with
+    the closed forms it is the oracle for.
+    """
+    points = [rat(x) for x in nodes]
+    data = [rat(v) for v in values]
+    if len(points) != len(data):
+        raise ValueError("need one value per node")
+    if len(set(points)) != len(points):
+        raise ValueError("nodes must be pairwise distinct")
+    if not points:
+        return Poly.zero()
+    q = math.lcm(*(x.denominator for x in points))
+    d = math.lcm(*(v.denominator for v in data))
+    xs = [x.numerator * (q // x.denominator) for x in points]
+    column = [v.numerator * (d // v.denominator) for v in data]
+    leading = [column[0]]
+    denominators = [1]
+    for k in range(1, len(xs)):
+        gaps = [b - a for a, b in zip(xs, xs[k:])]
+        step = math.lcm(*gaps)
+        column = [(b - a) * (step // g) for a, b, g in zip(column, column[1:], gaps)]
+        leading.append(column[0])
+        denominators.append(denominators[-1] * step)
+    common = denominators[-1]
+    acc = [leading[-1]]
+    for k in range(len(xs) - 2, -1, -1):
+        root = xs[k]
+        acc = [-root * acc[0] + leading[k] * (common // denominators[k])] + [
+            low - root * high for low, high in zip(acc, acc[1:])
+        ] + [acc[-1]]
+    scale = common * d
+    return Poly([Fraction(c * q**j, scale) for j, c in enumerate(acc)])
+
+
 def interpolate_direct(problem: EquidistantProblem) -> Poly:
     """The interpolant in the x variable, q(xi + i*h) = a_i."""
-    return lagrange_interpolate(problem.nodes(), problem.a)
+    return newton_interpolate(problem.nodes(), problem.a)
 
 
 def interpolate_eq14(problem: EquidistantProblem) -> Poly:
@@ -270,7 +317,7 @@ def general_expansion(problem: GeneralProblem) -> Poly:
     analogy with the equidistant symbols that never involve the value 0).
 
     The formula is implemented exactly as stated and NOT adjusted; use
-    compare_general_expansion to see how it relates to the Lagrange oracle.
+    compare_general_expansion to see how it relates to the interpolation oracle.
     """
     xs = problem.nodes
     ell = problem.ell
@@ -296,9 +343,9 @@ def general_expansion(problem: GeneralProblem) -> Poly:
 @dataclass(frozen=True)
 class GeneralExpansionComparison:
     """Structured comparison of the verbatim general expansion against the
-    direct Lagrange interpolant: either they match, or they differ by an
-    exact constant ratio, or only the exact difference polynomial is
-    reported.  Nothing is corrected silently."""
+    direct interpolant (newton_interpolate): either they match, or they
+    differ by an exact constant ratio, or only the exact difference
+    polynomial is reported.  Nothing is corrected silently."""
 
     formula: Poly
     oracle: Poly
@@ -318,7 +365,7 @@ class GeneralExpansionComparison:
 
 def compare_general_expansion(problem: GeneralProblem) -> GeneralExpansionComparison:
     formula = general_expansion(problem)
-    oracle = lagrange_interpolate(problem.nodes, problem.a)
+    oracle = newton_interpolate(problem.nodes, problem.a)
     if formula == oracle:
         ratio = Fraction(1) if not oracle.is_zero else None
         return GeneralExpansionComparison(formula, oracle, True, ratio, Poly.zero())

@@ -339,7 +339,7 @@ def _suite_theorem4(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> No
 
 def _suite_remark5(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> None:
     """Informational: the verbatim general-base-point expansion is compared
-    against the Lagrange oracle and every outcome is emitted as a note
+    against the interpolation oracle and every outcome is emitted as a note
     (match, exact constant ratio, or exact difference polynomial).  A case
     only fails if the comparison record is internally inconsistent."""
     for ell in range(1, max_ell + 1):
@@ -375,7 +375,7 @@ SUITES: dict[str, _SuiteSpec] = {
     "eq14": _SuiteSpec(_suite_eq14, 6, 100, "normalized coefficient formula vs shifted direct interpolant"),
     "theorem1": _SuiteSpec(_suite_theorem1, 6, 25, "degree detector on constructed-degree inputs and against the direct interpolant"),
     "theorem4": _SuiteSpec(_suite_theorem4, 5, 200, "regularity (det nonzero iff k <= ell) under the stated hypotheses"),
-    "remark5": _SuiteSpec(_suite_remark5, 4, 5, "general-base-point expansion vs Lagrange oracle (informational)"),
+    "remark5": _SuiteSpec(_suite_remark5, 4, 5, "general-base-point expansion vs Newton interpolation oracle (informational)"),
 }
 
 SUITE_NAMES = [*SUITES, "all"]

@@ -76,7 +76,7 @@ class TestTau:
         TauKey(2, 2, 1)  # legal: evaluates to 0
 
     def test_backends_agree(self):
-        for ell in range(1, 10):
+        for ell in range(1, 13):
             for j in range(ell + 1):
                 assert _sym_sums_subset(ell, j) == _sym_sums_product(ell, j)
 

@@ -27,10 +27,12 @@ from degdet.interp import (
     interpolate_eq14,
     lagrange_basis_hat,
     lagrange_interpolate,
+    newton_interpolate,
     poly_K,
     sigma_lsk,
 )
 from degdet.rng import SplitMix64
+from degdet.verify import run_suite
 
 
 def random_problem(rng, ell):
@@ -131,6 +133,95 @@ class TestDirectInterpolation:
             EquidistantProblem(2, 0, 0, [1, 2, 3])
         with pytest.raises(ValueError):
             EquidistantProblem(2, 0, 1, [1, 2])
+
+
+def exact_degree_poly(rng, degree):
+    return Poly([rng.rational() for _ in range(degree)] + [rng.nonzero_rational()])
+
+
+def value_vectors(rng, nodes):
+    """Random, all-zero and all-equal values, plus values of a polynomial of
+    every degree below len(nodes) - 1 (a constructed degree drop)."""
+    count = len(nodes)
+    vectors = [[rng.rational() for _ in range(count)], [0] * count, [rng.nonzero_rational()] * count]
+    vectors += [[q(x) for x in nodes] for q in (exact_degree_poly(rng, d) for d in range(count - 1))]
+    return vectors
+
+
+class TestNewtonOracle:
+    def test_equals_lagrange_on_equidistant_nodes(self):
+        rng = SplitMix64(71)
+        for ell in range(1, 9):
+            for trial in range(3):
+                h = rng.nonzero_rational()
+                h = -abs(h) if trial == 1 else h
+                p = EquidistantProblem(ell, rng.rational(), h, [0] * (ell + 1))
+                for values in value_vectors(rng, p.nodes()):
+                    assert newton_interpolate(p.nodes(), values) == lagrange_interpolate(p.nodes(), values)
+
+    def test_equals_lagrange_on_general_nodes(self):
+        rng = SplitMix64(72)
+        grids = [(3, Fraction(-1, 2), 0, Fraction(-7, 3), Fraction(5, 4)), (-4, -9, -1, Fraction(-5, 2))]
+        grids += [rng.distinct_rationals(ell + 1) for ell in range(1, 9) for _ in range(3)]
+        assert any(list(nodes) != sorted(nodes) and min(nodes) < 0 for nodes in grids[2:])
+        for nodes in grids:
+            for values in value_vectors(rng, nodes):
+                assert newton_interpolate(nodes, values) == lagrange_interpolate(nodes, values)
+
+    def test_constructed_degree_drop_is_exact(self):
+        rng = SplitMix64(73)
+        nodes = [Fraction(-3, 2) + i * Fraction(-2, 5) for i in range(8)]
+        for degree in range(7):
+            q = exact_degree_poly(rng, degree)
+            assert newton_interpolate(nodes, [q(x) for x in nodes]) == q
+
+    @pytest.mark.parametrize("ell", [16, 32, 48])
+    def test_reproduces_values_at_large_ell(self, ell):
+        rng = SplitMix64(ell)
+        equidistant = random_problem(rng, ell)
+        for nodes, values in [(equidistant.nodes(), equidistant.a), (rng.distinct_rationals(ell + 1), equidistant.a)]:
+            q = newton_interpolate(nodes, values)
+            assert q.degree <= ell
+            assert [q(x) for x in nodes] == list(values)
+
+    def test_rejects_malformed_input(self):
+        with pytest.raises(ValueError):
+            newton_interpolate([0, 1], [1])
+        with pytest.raises(ValueError):
+            newton_interpolate([0, Fraction(1, 2), Fraction(2, 4)], [1, 2, 3])
+
+    def test_independent_of_the_closed_forms(self, monkeypatch):
+        rng = SplitMix64(74)
+        p = random_problem(rng, 7)
+        expected = lagrange_interpolate(p.nodes(), p.a)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the interpolation oracle must not use the closed forms")
+
+        for name in (
+            "degdet.combinat.tau",
+            "degdet.degreematrix.alternating_weighted_sum",
+            "degdet.degreematrix.sigma_ell",
+            "degdet.interp.alternating_weighted_sum",
+            "degdet.interp.sigma_ell",
+            "degdet.interp.poly_K",
+            "degdet.interp.tau",
+        ):
+            monkeypatch.setattr(name, forbidden)
+        assert newton_interpolate(p.nodes(), p.a) == expected
+        assert interpolate_direct(p) == expected
+
+    def test_verify_suites_never_call_lagrange(self, monkeypatch):
+        calls = []
+
+        def counting_lagrange(nodes, values):
+            calls.append(len(nodes))
+            return lagrange_interpolate(nodes, values)
+
+        monkeypatch.setattr("degdet.interp.lagrange_interpolate", counting_lagrange)
+        for suite in ("eq10", "eq14", "theorem1", "remark5"):
+            assert run_suite(suite, max_ell=4, trials=2, seed=5).passed
+        assert calls == []
 
 
 class TestCoefficientFormula:

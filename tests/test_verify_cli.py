@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -313,6 +314,22 @@ class TestVerifyCommand:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "elapsed" not in out1  # timing must never reach stdout
+
+    # sha256 of the full stdout at seed 7 and default sizes, recorded from
+    # the Lagrange oracle the suites used before the Newton oracle replaced it.
+    @pytest.mark.parametrize(
+        "suite,digest",
+        [
+            ("eq10", "5ba969eee6adfc60ea9de094a88d1e2e5b9cf6cddbcb46a189f5f2c3dcecabc6"),
+            ("eq14", "362c8f37bf6303793c7aecc677a87ec720fd40538b6b3806f4dc7cc1abe760f9"),
+            ("theorem1", "ad3289e70d65054e637e9e0b2a875096cae662b9bc491648fee9f7545730382b"),
+            ("remark5", "55f1fc3150de529a3d5d4ac6b935cdf793a1bdc4a2f324fd35fb85838f63a4cc"),
+        ],
+    )
+    def test_oracle_suites_pinned(self, capsys, suite, digest):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_report_fields(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "prop6", "--max-ell", "4")
