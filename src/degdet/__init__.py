@@ -6,7 +6,7 @@ closed-form identity used along the way ships with an independent oracle
 and a seeded verification suite.
 """
 
-from .combinat import IndexSeq, TauKey, binomial, complement_seq, enumerate_index_seqs, tau, tau_via_recurrence
+from .combinat import IndexSeq, TauKey, binomial, enumerate_index_seqs, tau, tau_via_recurrence
 from .degreematrix import (
     DegreeMatrixSpec,
     alternating_weighted_sum,
@@ -27,8 +27,6 @@ from .exactnum import (
     det_fraction_free,
     format_rational,
     parse_rational,
-    poly_derivative,
-    poly_divide_linear,
     poly_shift_scale,
     rat,
 )

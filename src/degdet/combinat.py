@@ -124,10 +124,6 @@ class IndexSeq:
         return IndexSeq(self.ell, tuple(self.ell - 1 - e for e in reversed(self.entries)))
 
 
-def complement_seq(mu: IndexSeq) -> IndexSeq:
-    return mu.complement()
-
-
 def enumerate_index_seqs(ell: int, k: int) -> list[IndexSeq]:
     """All C(ell, k) strictly increasing sequences in [0, ell-1], lexicographic."""
     if ell < 1:

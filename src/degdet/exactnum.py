@@ -271,22 +271,12 @@ class Poly:
         return self.to_string()
 
 
-def poly_derivative(p: Poly, n: int) -> Poly:
-    """n-th exact derivative; the degree drops by exactly n while n <= deg p."""
-    return p.derivative(n)
-
-
 def poly_shift_scale(p: Poly, xi: RationalLike, h: RationalLike) -> Poly:
     """Return p̂ with p̂(t) = p(xi + t*h); h must be nonzero so the substitution inverts."""
     step = rat(h)
     if step == 0:
         raise ValueError("shift-scale substitution needs h != 0")
     return p.compose_affine(xi, step)
-
-
-def poly_divide_linear(p: Poly, root: RationalLike) -> Poly:
-    """Exact quotient q with p = (t - root) * q; errors when root is not a root of p."""
-    return p.divide_linear(root)
 
 
 @dataclass(frozen=True)
@@ -338,34 +328,49 @@ class ExactMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
+def over_common_denominator(values: Sequence[Rational]) -> tuple[int, list[int]]:
+    """The lcm d of the denominators and the numerators over d, as plain ints:
+    values[i] = nums[i] / d.  An entry p/q becomes p * (d // q), exact because
+    q divides d; an entry already over d keeps its numerator, so integer
+    entries are reused, not copied."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator if v.denominator == d else v.numerator * (d // v.denominator) for v in values]
+
+
 def _rows_to_integers(m: ExactMatrix, count: int) -> tuple[int, list[list[int]]]:
-    """The first count rows of m, each multiplied by the lcm d of its
-    denominators, as plain ints, and the product of those lcms.  An entry
-    p/q becomes p * (d // q), exact because q divides d; an entry already
-    over d keeps its numerator, so integer entries are reused, not copied."""
+    """The first count rows of m, each multiplied by the lcm of its
+    denominators, as plain ints, and the product of those lcms."""
     scale = 1
     rows: list[list[int]] = []
     for i in range(count):
-        row = m.row(i)
-        d = math.lcm(*(e.denominator for e in row))
+        d, row = over_common_denominator(m.row(i))
         scale *= d
-        rows.append([e.numerator if e.denominator == d else e.numerator * (d // e.denominator) for e in row])
+        rows.append(row)
     return scale, rows
 
 
 def det_fraction_free(m: ExactMatrix) -> Rational:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
-    Each row is first scaled to integers by the lcm of its denominators;
-    the Bareiss recurrence then keeps every intermediate value an exact
-    integer (the divisions are exact), which controls coefficient swell.
-    The single rational division happens once at the very end.
+    Each row is first scaled to integers by the lcm of its denominators,
+    the integer determinant comes from det_integer_rows, and the single
+    rational division by the product of those lcms happens at the end.
     """
     if not m.is_square:
         raise ValueError(f"determinant requires a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    scale, rows = _rows_to_integers(m, n)
+    scale, rows = _rows_to_integers(m, m.rows)
+    return Fraction(det_integer_rows(rows), scale)
 
+
+def det_integer_rows(rows: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix by Bareiss elimination.
+
+    The Bareiss recurrence keeps every intermediate value an exact integer
+    (its divisions are exact), which controls coefficient swell.  A zero
+    pivot is replaced by a lower row with a nonzero entry in its column.
+    The rows are modified in place.
+    """
+    n = len(rows)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -376,7 +381,7 @@ def det_fraction_free(m: ExactMatrix) -> Rational:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         pivot = rows[k][k]
         for i in range(k + 1, n):
             head = rows[i][k]
@@ -384,7 +389,7 @@ def det_fraction_free(m: ExactMatrix) -> Rational:
                 rows[i][j] = (rows[i][j] * pivot - head * rows[k][j]) // prev
             rows[i][k] = 0
         prev = pivot
-    return Fraction(sign * rows[n - 1][n - 1], scale)
+    return sign * rows[n - 1][n - 1]
 
 
 def last_row_cofactors(m: ExactMatrix) -> tuple[Rational, ...]:

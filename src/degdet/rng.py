@@ -23,6 +23,10 @@ from fractions import Fraction
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
+# Every value a random rational can take, built once: _RATIONALS[n + 9][d - 1]
+# is Fraction(n, d) for n in [-9, 9] and d in [1, 4].
+_RATIONALS = tuple(tuple(Fraction(n, d) for d in range(1, 5)) for n in range(-9, 10))
+
 
 class SplitMix64:
     def __init__(self, seed: int):
@@ -53,7 +57,8 @@ class SplitMix64:
 
     def rational(self) -> Fraction:
         """Numerator uniform in [-9, 9], denominator uniform in [1, 4]."""
-        return Fraction(self.int_between(-9, 9), self.int_between(1, 4))
+        n = self.int_between(-9, 9)
+        return _RATIONALS[n + 9][self.int_between(1, 4) - 1]
 
     def nonzero_rational(self) -> Fraction:
         while True:
@@ -63,7 +68,8 @@ class SplitMix64:
 
     def positive_rational(self) -> Fraction:
         """Same scheme restricted to positive numerators (uniform in [1, 9])."""
-        return Fraction(self.int_between(1, 9), self.int_between(1, 4))
+        n = self.int_between(1, 9)
+        return _RATIONALS[n + 9][self.int_between(1, 4) - 1]
 
     def distinct_rationals(self, count: int) -> tuple[Fraction, ...]:
         """Pairwise distinct rationals by redrawing collisions."""

@@ -9,7 +9,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinat import IndexSeq, binomial, enumerate_index_seqs
-from .exactnum import ExactMatrix, Rational, RationalLike, det_fraction_free, format_rational, rat
+from .exactnum import (
+    ExactMatrix,
+    Rational,
+    RationalLike,
+    det_integer_rows,
+    format_rational,
+    over_common_denominator,
+    rat,
+)
 
 
 class HypothesisViolation(ValueError):
@@ -63,21 +71,48 @@ class AffineData:
         return tuple(a / b for a, b in zip(self.alpha, self.beta))
 
 
+def _integer_form(data: AffineData) -> tuple[list[int], list[int], list[int], int, list[int]]:
+    """(A, B, D, Q, R) in plain ints with alpha_i = A_i/D_i and beta_i = B_i/D_i
+    (D_i the lcm of their two denominators) and r_j = R_j/Q (Q the lcm of r's)."""
+    A: list[int] = []
+    B: list[int] = []
+    D: list[int] = []
+    for a, b in zip(data.alpha, data.beta):
+        d, (num_a, num_b) = over_common_denominator((a, b))
+        A.append(num_a)
+        B.append(num_b)
+        D.append(d)
+    Q, R = over_common_denominator(data.r)
+    return A, B, D, Q, R
+
+
+def _scaled_B_rows(A: list[int], B: list[int], Q: int, R: list[int], power: int) -> list[list[int]]:
+    """Row i of B times (D_i Q)^power: the integers (A_i Q + R_j B_i)^power."""
+    return [[(a * Q + rj * b) ** power for rj in R] for a, b in zip(A, B)]
+
+
 def build_B(data: AffineData) -> ExactMatrix:
     """The k x k matrix with entries (alpha_i + r_j beta_i)^(ell-1); 0^0 = 1."""
+    A, B, D, Q, R = _integer_form(data)
     power = data.ell - 1
-    rows = [[(a + rj * b) ** power for rj in data.r] for a, b in zip(data.alpha, data.beta)]
-    return ExactMatrix.from_rows(rows)
+    scales = [(d * Q) ** power for d in D]
+    rows = _scaled_B_rows(A, B, Q, R, power)
+    return ExactMatrix.from_rows([[Fraction(e, s) for e in row] for row, s in zip(rows, scales)])
 
 
 def gen_vandermonde_det(nu: Sequence[RationalLike], mu: IndexSeq) -> Rational:
     """Determinant of the power matrix (nu_i ^ mu_j) for a strictly increasing
-    exponent sequence mu; vanishes whenever two nu values coincide."""
+    exponent sequence mu; vanishes whenever two nu values coincide.
+
+    With the points written as N_i / Q over their lcm Q, column j of the
+    integer matrix (N_i ^ mu_j) is Q^mu_j times column j of the power matrix,
+    so one division by Q^(sum mu) gives the determinant."""
     points = [rat(x) for x in nu]
     if len(points) != mu.k:
         raise ValueError(f"need as many points as exponents: {len(points)} vs {mu.k}")
-    rows = [[p**e for e in mu.entries] for p in points]
-    return det_fraction_free(ExactMatrix.from_rows(rows))
+    Q, N = over_common_denominator(points)
+    det = det_integer_rows([[n**e for e in mu.entries] for n in N])
+    return Fraction(det, Q ** sum(mu.entries))
 
 
 def vandermonde_product(nu: Sequence[RationalLike]) -> Rational:
@@ -145,7 +180,8 @@ def det_B_zero_check(data: AffineData) -> bool:
     """For k > ell the power matrix cannot have full rank; confirm det(B) = 0."""
     if data.k <= data.ell:
         raise ValueError("zero check applies only to k > ell")
-    return det_fraction_free(build_B(data)) == 0
+    A, B, _, Q, R = _integer_form(data)
+    return det_integer_rows(_scaled_B_rows(A, B, Q, R, data.ell - 1)) == 0
 
 
 def regularity_check(data: AffineData) -> bool:
@@ -153,16 +189,23 @@ def regularity_check(data: AffineData) -> bool:
     strictly: every ratio alpha_i/beta_i positive, all cross products
     alpha_i beta_j - beta_i alpha_j nonzero for i != j, and r positive
     (injectivity is already a type invariant).  Under these hypotheses the
-    result equals (k <= ell)."""
+    result equals (k <= ell).
+
+    The hypotheses and the determinant are decided on the integer form:
+    with alpha_i = A_i/D_i and beta_i = B_i/D_i over one positive D_i, the
+    ratio is positive iff A_i B_i > 0, and the cross product vanishes iff
+    A_i B_j - B_i A_j does; each row of the integer matrix is a row of B
+    times a positive scale, which keeps det(B) != 0 unchanged."""
+    A, B, _, Q, R = _integer_form(data)
     for i, (a, b) in enumerate(zip(data.alpha, data.beta)):
-        if b == 0 or a / b <= 0:
+        if A[i] * B[i] <= 0:
             raise HypothesisViolation(
                 "ratio-positive",
                 f"alpha_{i + 1}/beta_{i + 1} = {format_rational(a)}/{format_rational(b)} is not positive",
             )
     for i in range(data.k):
         for j in range(i + 1, data.k):
-            if data.alpha[i] * data.beta[j] - data.beta[i] * data.alpha[j] == 0:
+            if A[i] * B[j] - B[i] * A[j] == 0:
                 raise HypothesisViolation(
                     "pairwise-independence",
                     f"alpha_{i + 1} beta_{j + 1} - beta_{i + 1} alpha_{j + 1} = 0",
@@ -170,4 +213,4 @@ def regularity_check(data: AffineData) -> bool:
     for i, value in enumerate(data.r):
         if value <= 0:
             raise HypothesisViolation("r-positive", f"r_{i + 1} = {format_rational(value)} is not positive")
-    return det_fraction_free(build_B(data)) != 0
+    return det_integer_rows(_scaled_B_rows(A, B, Q, R, data.ell - 1)) != 0

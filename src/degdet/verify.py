@@ -9,6 +9,7 @@ recorded in a fixed order.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -181,16 +182,19 @@ def _random_regular_data(rng: SplitMix64, k: int, ell: int) -> AffineData:
     r positive and injective."""
     alpha: list[Rational] = []
     beta: list[Rational] = []
-    ratios: list[Rational] = []
+    ratios: set[tuple[int, int]] = set()  # a/b as a reduced (numerator, denominator) pair
     while len(alpha) < k:
-        sign = 1 if rng.int_between(0, 1) == 0 else -1
-        a = sign * rng.positive_rational()
-        b = sign * rng.positive_rational()
-        if a / b in ratios:
+        negative = rng.int_between(0, 1) == 1
+        a = rng.positive_rational()
+        b = rng.positive_rational()
+        p, q = a.numerator * b.denominator, a.denominator * b.numerator
+        g = math.gcd(p, q)
+        ratio = (p // g, q // g)
+        if ratio in ratios:
             continue
-        alpha.append(a)
-        beta.append(b)
-        ratios.append(a / b)
+        ratios.add(ratio)
+        alpha.append(-a if negative else a)
+        beta.append(-b if negative else b)
     return AffineData(k, ell, alpha, beta, rng.distinct_positive_rationals(k))
 
 

@@ -10,7 +10,6 @@ from degdet.combinat import (
     _sym_sums_product,
     _sym_sums_subset,
     binomial,
-    complement_seq,
     enumerate_index_seqs,
     tau,
     tau_via_recurrence,
@@ -152,11 +151,11 @@ class TestIndexSeq:
         assert len(set(seqs)) == len(seqs) == math.comb(ell, k)
 
     def test_complement_example(self):
-        assert complement_seq(IndexSeq(4, (0, 2))).entries == (1, 3)
+        assert IndexSeq(4, (0, 2)).complement().entries == (1, 3)
 
     def test_full_sequence_self_complementary(self):
         mu = IndexSeq(3, (0, 1, 2))
-        assert complement_seq(mu) == mu
+        assert mu.complement() == mu
 
     @given(st.integers(min_value=1, max_value=8), st.data())
     def test_complement_is_involution(self, ell, data):
@@ -165,6 +164,6 @@ class TestIndexSeq:
             st.sets(st.integers(min_value=0, max_value=ell - 1), min_size=k, max_size=k)
         )))
         mu = IndexSeq(ell, entries)
-        assert complement_seq(complement_seq(mu)) == mu
-        assert complement_seq(mu).ell == ell
-        assert complement_seq(mu).k == mu.k
+        assert mu.complement().complement() == mu
+        assert mu.complement().ell == ell
+        assert mu.complement().k == mu.k

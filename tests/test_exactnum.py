@@ -11,11 +11,10 @@ from degdet.exactnum import (
     Poly,
     det_cofactor,
     det_fraction_free,
+    det_integer_rows,
     format_rational,
     last_row_cofactors,
     parse_rational,
-    poly_derivative,
-    poly_divide_linear,
     poly_shift_scale,
     rat,
 )
@@ -95,15 +94,15 @@ class TestPoly:
 
     def test_derivative_power_rule(self):
         p = Poly([0, 2, -3, 1])  # t^3 - 3t^2 + 2t
-        assert poly_derivative(p, 1) == Poly([2, -6, 3])
+        assert p.derivative(1) == Poly([2, -6, 3])
 
     def test_derivative_order_zero_is_identity(self):
         p = Poly([5, 0, 7])
-        assert poly_derivative(p, 0) == p
+        assert p.derivative(0) == p
 
     def test_derivative_kills_constants(self):
-        assert poly_derivative(Poly([5]), 1).is_zero
-        assert poly_derivative(Poly([1, 1]), 3).is_zero
+        assert Poly([5]).derivative(1).is_zero
+        assert Poly([1, 1]).derivative(3).is_zero
 
     @given(st.lists(small_rationals, min_size=1, max_size=7), st.integers(min_value=0, max_value=6))
     def test_derivative_degree_drop(self, coeffs, n):
@@ -141,18 +140,18 @@ class TestPoly:
             assert shifted(t) == p(xi + rat(t) * h)
 
     def test_divide_linear_examples(self):
-        assert poly_divide_linear(Poly([0, 2, -3, 1]), 1) == Poly([0, -2, 1])
-        assert poly_divide_linear(Poly([-5, 1]), 5) == Poly([1])
-        assert poly_divide_linear(Poly([0, 0, 1]), 0) == Poly([0, 1])
+        assert Poly([0, 2, -3, 1]).divide_linear(1) == Poly([0, -2, 1])
+        assert Poly([-5, 1]).divide_linear(5) == Poly([1])
+        assert Poly([0, 0, 1]).divide_linear(0) == Poly([0, 1])
 
     @given(st.lists(small_rationals, min_size=1, max_size=5), small_rationals)
     def test_divide_linear_remultiplies(self, coeffs, root):
         product = Poly(coeffs) * Poly.linear_root(root)
-        assert poly_divide_linear(product, root) * Poly.linear_root(root) == product
+        assert product.divide_linear(root) * Poly.linear_root(root) == product
 
     def test_divide_linear_rejects_non_root(self):
         with pytest.raises(ValueError):
-            poly_divide_linear(Poly([1, 1]), 5)
+            Poly([1, 1]).divide_linear(5)
 
     def test_string_rendering(self):
         assert str(Poly([2, -6, 3])) == "3*t^2 - 6*t + 2"
@@ -217,6 +216,44 @@ class TestExactMatrix:
     def test_singular_via_elimination(self):
         m = ExactMatrix.from_rows([[1, 2], [2, 4]])
         assert det_fraction_free(m) == 0
+
+
+class TestDetIntegerRows:
+    """det_integer_rows, the Bareiss loop behind det_fraction_free, against
+    the cofactor oracle on plain integer matrices."""
+
+    @staticmethod
+    def assert_matches_cofactor(rows):
+        expected = det_cofactor(ExactMatrix.from_rows(rows))
+        value = det_integer_rows([list(r) for r in rows])
+        assert isinstance(value, int)
+        assert value == expected
+        return value
+
+    def test_seeded_sweep_with_zero_entries(self):
+        rng = SplitMix64(41)
+        for n in range(1, 7):
+            for _ in range(12):
+                # a third of the entries are 0, so pivots vanish and rows swap
+                rows = [[0 if rng.below(3) == 0 else rng.int_between(-9, 9) for _ in range(n)] for _ in range(n)]
+                self.assert_matches_cofactor(rows)
+
+    def test_zero_pivot_needs_a_row_swap(self):
+        assert self.assert_matches_cofactor([[0, 2, 1], [3, 1, 4], [1, 5, 9]]) != 0
+        assert self.assert_matches_cofactor([[1, 2, 3], [2, 4, 7], [5, 1, 0]]) != 0
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 2], [2, 4]],
+            [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+            [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+            [[2, -1, 0, 3], [1, 1, 1, 1], [3, 0, 1, 4], [0, 0, 0, 0]],
+            [[1, 2, 3, 4, 5], [2, 3, 4, 5, 6], [1, 0, 1, 0, 1], [3, 5, 7, 9, 11], [0, 1, 0, 1, 0]],
+        ],
+    )
+    def test_singular(self, rows):
+        assert self.assert_matches_cofactor(rows) == 0
 
 
 def expand_last_row(cofactors, last_row):

@@ -1,12 +1,14 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from degdet.combinat import IndexSeq, binomial
-from degdet.exactnum import det_cofactor, det_fraction_free
+from degdet.exactnum import ExactMatrix, det_cofactor, det_fraction_free
 from degdet.rng import SplitMix64
+from degdet.verify import run_suite
 from degdet.vandermonde import (
     AffineData,
     HypothesisViolation,
@@ -57,6 +59,26 @@ class TestBuildB:
         data = AffineData(1, 2, [1], [1], [5])
         assert build_B(data).to_rows() == [[6]]
 
+    @pytest.mark.parametrize("ell", [1, 2, 3, 5])
+    def test_entries_match_the_rational_powers(self, ell):
+        # mixed denominators, negative values, and bases alpha_i + r_j beta_i
+        # that are 0 (1/2 + 1*(-1/2), -3/4 + (3/2)(1/2), 0 + 0*b)
+        alpha = [Fraction(1, 2), Fraction(-3, 4), 0, Fraction(7, 3)]
+        beta = [Fraction(-1, 2), Fraction(1, 2), Fraction(5, 6), -2]
+        r = [1, Fraction(3, 2), 0, Fraction(-2, 5)]
+        data = AffineData(4, ell, alpha, beta, r)
+        expected = [[(a + rj * b) ** (ell - 1) for rj in r] for a, b in zip(alpha, beta)]
+        assert build_B(data).to_rows() == expected
+        assert expected[0][0] == expected[1][1] == expected[2][2] == (1 if ell == 1 else 0)
+
+    def test_seeded_entries_match_the_rational_powers(self):
+        rng = SplitMix64(21)
+        for ell in range(1, 6):
+            for k in range(1, 5):
+                data = random_affine(rng, k, ell)
+                expected = [[(a + rj * b) ** (ell - 1) for rj in data.r] for a, b in zip(data.alpha, data.beta)]
+                assert build_B(data).to_rows() == expected
+
 
 class TestGenVandermonde:
     @given(small_rationals, small_rationals)
@@ -72,6 +94,31 @@ class TestGenVandermonde:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             gen_vandermonde_det([1, 2, 3], IndexSeq(3, (0, 1)))
+
+    @pytest.mark.parametrize(
+        "nu,entries",
+        [
+            ([Fraction(-1, 2), 0, Fraction(2, 3)], (0, 1, 3)),
+            ([Fraction(3, 4), Fraction(-5, 6), Fraction(1, 3)], (0, 2, 4)),
+            ([0, Fraction(7, 2)], (1, 2)),
+            ([Fraction(-9, 4), Fraction(1, 4), 3, Fraction(-1, 3)], (0, 1, 2, 4)),
+            ([Fraction(5, 2)], (0,)),
+            ([Fraction(-5, 3)], (3,)),
+        ],
+    )
+    def test_matches_cofactor_of_the_power_matrix(self, nu, entries):
+        mu = IndexSeq(5, entries)
+        powers = ExactMatrix.from_rows([[Fraction(x) ** e for e in entries] for x in nu])
+        assert gen_vandermonde_det(nu, mu) == det_cofactor(powers)
+
+    def test_seeded_sweep_matches_cofactor(self):
+        rng = SplitMix64(23)
+        for ell in range(1, 6):
+            for k in range(1, ell + 1):
+                for mu in itertools.islice(itertools.combinations(range(ell), k), 4):
+                    nu = [rng.rational() for _ in range(k)]
+                    powers = ExactMatrix.from_rows([[x**e for e in mu] for x in nu])
+                    assert gen_vandermonde_det(nu, IndexSeq(ell, mu)) == det_cofactor(powers)
 
     def test_initial_exponents_match_product_formula(self):
         rng = SplitMix64(5)
@@ -211,6 +258,49 @@ class TestRegularity:
         with pytest.raises(HypothesisViolation) as exc:
             regularity_check(AffineData(2, 2, [1, 2], [1, 1], [-1, 2]))
         assert exc.value.hypothesis == "r-positive"
+
+    def test_equal_ratios_over_different_denominators(self):
+        # alpha_1/beta_1 = (1/2)/(1/4) = 2 = alpha_2/beta_2
+        data = AffineData(2, 2, [Fraction(1, 2), 2], [Fraction(1, 4), 1], [1, 2])
+        with pytest.raises(HypothesisViolation) as exc:
+            regularity_check(data)
+        assert exc.value.hypothesis == "pairwise-independence"
+        assert str(exc.value) == (
+            "hypothesis 'pairwise-independence' violated: alpha_1 beta_2 - beta_1 alpha_2 = 0"
+        )
+
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [([1, 0], [1, 2]), ([Fraction(1, 3), 1], [Fraction(1, 3), 0]), ([2, Fraction(-1, 2)], [1, Fraction(1, 2)])],
+    )
+    def test_ratio_not_positive(self, alpha, beta):
+        with pytest.raises(HypothesisViolation) as exc:
+            regularity_check(AffineData(2, 2, alpha, beta, [1, 2]))
+        assert exc.value.hypothesis == "ratio-positive"
+        assert str(exc.value).startswith("hypothesis 'ratio-positive' violated: alpha_2/beta_2 = ")
+
+    def test_both_negative_is_a_positive_ratio(self):
+        data = AffineData(2, 2, [Fraction(-3, 2), -6], [Fraction(-1, 2), -1], [Fraction(2, 3), 3])
+        assert regularity_check(data) is True
+        assert det_fraction_free(build_B(data)) != 0
+
+    def test_theorem4_suite_never_builds_B(self, monkeypatch):
+        calls = []
+
+        def forbidden(name):
+            def record(*args):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+
+            return record
+
+        for module in ("degdet.exactnum", "degdet.vandermonde", "degdet.verify"):
+            monkeypatch.setattr(f"{module}.det_fraction_free", forbidden("det_fraction_free"), raising=False)
+            monkeypatch.setattr(f"{module}.build_B", forbidden("build_B"), raising=False)
+        report = run_suite("theorem4")
+        assert calls == []
+        assert report.passed
+        assert report.cases_run == 5000
 
 
 class TestExpansionSweep:

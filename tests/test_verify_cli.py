@@ -331,6 +331,23 @@ class TestVerifyCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of the full stdout at seed 7 and default sizes, recorded from
+    # the Fraction-entry B and Vandermonde determinants before they moved to
+    # integer numerators.
+    @pytest.mark.parametrize(
+        "suite,digest",
+        [
+            ("prop2", "5233abdb580790820f4de24d1e38486f3a1239ca48cd35cf46e4771044ce0052"),
+            ("eq5", "52d2d5a5b340367ff6fbd845b50a0c39ff87c2571598fa12562a4c233563f4e7"),
+            ("eq5c", "8245886a7c895f2a5f26c17c986e2441012cf25c0f85bd3abf39b6bd23b3593a"),
+            ("theorem4", "fdf2f21e353577effed6320abf0de4a5d660971e84702d74d831e016aea289c1"),
+        ],
+    )
+    def test_integer_route_suites_pinned(self, capsys, suite, digest):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_report_fields(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "prop6", "--max-ell", "4")
         fields = out_fields(out)
@@ -394,6 +411,20 @@ class TestSplitMix64Stream:
         first = [rng.next_u64() for _ in range(3)]
         rng2 = SplitMix64(1234567)
         assert [rng2.next_u64() for _ in range(3)] == first
+
+    def test_rational_draws_pinned(self):
+        # sha256 of 5,000 draws of each rational kind, in turn, from one
+        # generator; recorded when every draw still built a new Fraction.
+        rng = SplitMix64(2024)
+        draws = (
+            [rng.rational() for _ in range(5000)]
+            + [rng.nonzero_rational() for _ in range(5000)]
+            + [rng.positive_rational() for _ in range(5000)]
+        )
+        text = ",".join(map(format_rational, draws))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "68a8870846842f9c64dddba02f6af3585e62630e72c5fbb8220767db102835a8"
+        )
 
     def test_bounded_draws_cover_range_uniformly_enough(self):
         from degdet.rng import SplitMix64
