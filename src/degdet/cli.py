@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .degreematrix import (
     DegreeMatrixSpec,
@@ -52,18 +51,7 @@ class ProblemFileError(ValueError):
     """Problem-file rejection with line/field context baked into the message."""
 
 
-@dataclass(frozen=True)
-class ProblemFile:
-    ell: int
-    xi: Rational
-    h: Rational
-    values: tuple[Rational, ...]
-
-    def to_problem(self) -> EquidistantProblem:
-        return EquidistantProblem(self.ell, self.xi, self.h, self.values)
-
-
-def parse_problem_file(text: str, source: str = "<input>") -> ProblemFile:
+def parse_problem_file(text: str, source: str = "<input>") -> EquidistantProblem:
     """Parse the line-oriented `field: value` problem format.
 
     Fields: ell (positive integer), xi and h (rational strings, h nonzero),
@@ -117,10 +105,10 @@ def parse_problem_file(text: str, source: str = "<input>") -> ProblemFile:
         raise fail("values", str(exc)) from None
     if len(values) != ell + 1:
         raise fail("values", f"expected ell+1 = {ell + 1} entries, got {len(values)}")
-    return ProblemFile(ell, xi, h, values)
+    return EquidistantProblem(ell, xi, h, values)
 
 
-def load_problem_file(path: str) -> ProblemFile:
+def load_problem_file(path: str) -> EquidistantProblem:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -137,8 +125,7 @@ def _parse_csv_rationals(text: str, option: str) -> tuple[Rational, ...]:
 
 
 def cmd_degree(args: argparse.Namespace) -> int:
-    problem_file = load_problem_file(args.input)
-    problem = problem_file.to_problem()
+    problem = load_problem_file(args.input)
     detection = detect_degree(problem, args.mode)
     # eq. 14 gives the coefficients c[k] of t**k with t = (x - xi)/h, so the
     # coefficient of (x - xi)**k is c[k] / h**k.

@@ -7,6 +7,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 
 def binomial(n: int, k: int) -> int:
@@ -51,19 +52,22 @@ def _sym_sums_subset(ell: int, j: int) -> tuple[int, ...]:
     return tuple(sums)
 
 
+def elementary_symmetric(values: Sequence) -> list:
+    """All elementary symmetric sums e_0..e_n of the n given values (ints or
+    Fractions), read off prod(t + v) expanded one factor at a time, O(n^2)."""
+    sums = [1] + [0] * len(values)
+    for top, v in enumerate(values, start=1):
+        for m in range(top, 0, -1):
+            sums[m] += v * sums[m - 1]
+    return sums
+
+
 @lru_cache(maxsize=None)
 def _sym_sums_product(ell: int, j: int) -> tuple[int, ...]:
-    """Same sums via expanding prod(t + i) over i in {1..ell} minus j, O(ell^2)."""
-    sums = [0] * (ell + 1)
-    sums[0] = 1
-    top = 0
-    for i in range(1, ell + 1):
-        if i == j:
-            continue
-        top += 1
-        for m in range(top, 0, -1):
-            sums[m] = sums[m] + i * sums[m - 1]
-    return tuple(sums)
+    """Same sums from elementary_symmetric of {1..ell} minus j, padded with
+    zeros to ell+1 entries."""
+    sums = elementary_symmetric([i for i in range(1, ell + 1) if i != j])
+    return tuple(sums + [0] * (ell + 1 - len(sums)))
 
 
 def tau(ell: int, m: int, j: int = 0) -> int:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import binomial
-from .exactnum import ExactMatrix, Rational, RationalLike, rat
+from .exactnum import ExactMatrix, Rational, over_common_denominator, rat
 
 
 @dataclass(frozen=True)
@@ -43,33 +43,18 @@ def weighted_value_row(s: int, a) -> list[Rational]:
     return [j**s * aj for j, aj in enumerate(a)]
 
 
+def _power_rows(ell: int, offsets) -> list[list[int]]:
+    """Rows i = 1..ell of the integers ((i-1)(ell+1) + offset)^(ell-1), one
+    column per offset."""
+    return [[((i - 1) * (ell + 1) + j) ** (ell - 1) for j in offsets] for i in range(1, ell + 1)]
+
+
 def build_A(spec: DegreeMatrixSpec) -> ExactMatrix:
     """The (ell+1)x(ell+1) matrix: row i in 1..ell holds the (ell-1)-th powers
     of the consecutive integers (i-1)(ell+1)+1 .. i(ell+1); the last row is
     weighted_value_row(s, a)."""
-    ell, s, a = spec.ell, spec.s, spec.a
-    power = ell - 1
-    rows: list[list[RationalLike]] = []
-    for i in range(1, ell + 1):
-        base = (i - 1) * (ell + 1)
-        rows.append([(base + j) ** power for j in range(1, ell + 2)])
-    rows.append(weighted_value_row(s, a))
-    return ExactMatrix.from_rows(rows)
-
-
-def build_A_sub(ell: int, kappa: int) -> ExactMatrix:
-    """The ell x ell submatrix left after removing the last row and the
-    kappa-th column; independent of s and a."""
-    if ell < 1:
-        raise ValueError(f"submatrix needs ell >= 1, got {ell}")
-    if not 1 <= kappa <= ell + 1:
-        raise ValueError(f"column index kappa={kappa} outside [1, {ell + 1}]")
-    power = ell - 1
-    rows = []
-    for i in range(1, ell + 1):
-        base = (i - 1) * (ell + 1)
-        rows.append([(base + (j if j <= kappa - 1 else j + 1)) ** power for j in range(1, ell + 1)])
-    return ExactMatrix.from_rows(rows)
+    rows = _power_rows(spec.ell, range(1, spec.ell + 2))
+    return ExactMatrix.from_rows(rows + [weighted_value_row(spec.s, spec.a)])
 
 
 def sub_column_offsets(ell: int, kappa: int) -> tuple[int, ...]:
@@ -79,21 +64,27 @@ def sub_column_offsets(ell: int, kappa: int) -> tuple[int, ...]:
     return tuple(j if j <= kappa - 1 else j + 1 for j in range(1, ell + 1))
 
 
+def build_A_sub(ell: int, kappa: int) -> ExactMatrix:
+    """The ell x ell submatrix left after removing the last row and the
+    kappa-th column; independent of s and a."""
+    if ell < 1:
+        raise ValueError(f"submatrix needs ell >= 1, got {ell}")
+    return ExactMatrix.from_rows(_power_rows(ell, sub_column_offsets(ell, kappa)))
+
+
 def sigma_ell(ell: int) -> int:
     """The size-only constant carried by every determinant in this family:
 
         (-1)^(ell(ell+1)/2) * (ell+1)^(ell(ell-1)/2)
           * prod_{j=0}^{ell-1} C(ell-1, j) * prod_{j=1}^{ell-1} (j!)^2
+
+    computed as (-1)^(ell(ell+1)/2) (ell+1)^(ell(ell-1)/2) ((ell-1)!)^ell,
+    since prod_{j=0}^{n} C(n, j) = (n!)^(n+1) / (prod_{j=0}^{n} j!)^2.
     """
     if ell < 1:
         raise ValueError(f"sigma_ell needs ell >= 1, got {ell}")
     sign = -1 if (ell * (ell + 1) // 2) % 2 else 1
-    value = sign * (ell + 1) ** (ell * (ell - 1) // 2)
-    for j in range(ell):
-        value *= binomial(ell - 1, j)
-    for j in range(1, ell):
-        value *= math.factorial(j) ** 2
-    return value
+    return sign * (ell + 1) ** (ell * (ell - 1) // 2) * math.factorial(ell - 1) ** ell
 
 
 def det_A_sub_closed_form(ell: int, kappa: int) -> int:
@@ -116,10 +107,10 @@ def alternating_weighted_sum(ell: int, s: int, a) -> Rational:
     if len(values) != ell + 1:
         raise ValueError(f"value vector must have ell+1 = {ell + 1} entries, got {len(values)}")
     # Clear denominators once, so the sum runs in plain ints.
-    common = math.lcm(*(v.denominator for v in values))
+    common, nums = over_common_denominator(values)
     total = 0
-    for j, aj in enumerate(values):
-        term = binomial(ell, j) * j**s * (aj.numerator * (common // aj.denominator))
+    for j, nj in enumerate(nums):
+        term = binomial(ell, j) * j**s * nj
         total += -term if j % 2 else term
     return Fraction(total, common)
 

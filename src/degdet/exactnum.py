@@ -98,11 +98,6 @@ def degree_to_str(degree: Degree) -> str:
     return "-inf" if isinstance(degree, NegativeInfinity) else str(degree)
 
 
-def parse_degree(text: str) -> Degree:
-    s = text.strip()
-    return NEG_INF if s == "-inf" else int(s)
-
-
 @dataclass(frozen=True)
 class Poly:
     """Dense univariate polynomial over exact rationals.
@@ -126,12 +121,6 @@ class Poly:
     @staticmethod
     def constant(c: RationalLike) -> "Poly":
         return Poly([c])
-
-    @staticmethod
-    def monomial(power: int, coeff: RationalLike = 1) -> "Poly":
-        if power < 0:
-            raise ValueError("monomial power must be nonnegative")
-        return Poly([0] * power + [coeff])
 
     @staticmethod
     def linear_root(root: RationalLike) -> "Poly":
@@ -205,14 +194,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial power must be a nonnegative integer")
-        acc = Poly.constant(1)
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
     def derivative(self, n: int = 1) -> "Poly":
         if n < 0:
             raise ValueError("derivative order must be nonnegative")
@@ -222,14 +203,6 @@ class Poly:
             if not coeffs:
                 break
         return Poly(coeffs)
-
-    def compose_affine(self, xi: RationalLike, h: RationalLike) -> "Poly":
-        """Substitute the argument by xi + t*h, exactly."""
-        line = Poly([xi, h])
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * line + c
-        return acc
 
     def divide_linear(self, root: RationalLike) -> "Poly":
         """Exact synthetic division by (t - root); root must actually be a root."""
@@ -249,34 +222,17 @@ class Poly:
             )
         return Poly(quotient)
 
-    def to_string(self, var: str = "t") -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if k == 0:
-                body = format_rational(mag)
-            else:
-                factor = "" if mag == 1 else f"{format_rational(mag)}*"
-                body = f"{factor}{var}" + (f"^{k}" if k > 1 else "")
-            parts.append(f"{sign} {body}" if parts else (f"-{body}" if sign == "-" else body))
-        return " ".join(parts)
-
-    def __str__(self):
-        return self.to_string()
-
 
 def poly_shift_scale(p: Poly, xi: RationalLike, h: RationalLike) -> Poly:
     """Return p̂ with p̂(t) = p(xi + t*h); h must be nonzero so the substitution inverts."""
     step = rat(h)
     if step == 0:
         raise ValueError("shift-scale substitution needs h != 0")
-    return p.compose_affine(xi, step)
+    line = Poly([xi, step])
+    acc = Poly.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * line + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -307,10 +263,6 @@ class ExactMatrix:
                 raise ValueError("all rows must have the same length")
         flat = [e for r in rows for e in r]
         return ExactMatrix(len(rows), width, flat)
-
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
     @property
     def is_square(self) -> bool:
@@ -362,77 +314,72 @@ def det_fraction_free(m: ExactMatrix) -> Rational:
     return Fraction(det_integer_rows(rows), scale)
 
 
-def det_integer_rows(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix by Bareiss elimination.
+def _bareiss(rows: list[list[int]], width: int) -> tuple[int, list[int], int] | None:
+    """Fraction-free (Bareiss) elimination, in place, of integer rows of
+    length width >= len(rows).
 
     The Bareiss recurrence keeps every intermediate value an exact integer
     (its divisions are exact), which controls coefficient swell.  A zero
-    pivot is replaced by a lower row with a nonzero entry in its column.
-    The rows are modified in place.
+    pivot is replaced by a later column with a nonzero entry in the pivot
+    row, swapped in every row.  Returns (sign, perm, pivot): the parity of
+    the swaps, perm[k] the original column now at position k, and the last
+    pivot, the leading minor of the permuted rows.  None means some row has
+    no nonzero entry left, so the rows are linearly dependent.
     """
-    n = len(rows)
+    perm = list(range(width))
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            head = rows[i][k]
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pivot - head * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = pivot
-    return sign * rows[n - 1][n - 1]
-
-
-def last_row_cofactors(m: ExactMatrix) -> tuple[Rational, ...]:
-    """The cofactors c_j of the last row, so that det(m) = sum_j c_j r_j for
-    every last row r (Laplace expansion); the last row of m is ignored.
-
-    One fraction-free (Bareiss) elimination runs on the first n-1 rows,
-    scaled to integers, with column pivoting inside those rows.  With the
-    last pivot D (the leading minor of the permuted head), the cofactor
-    vector in permuted columns is the null vector of the head whose last
-    entry is D; it is integral, so the back substitution divides exactly.
-    A head row with no nonzero entry left means the head rows are
-    dependent, and every cofactor is 0.
-    """
-    if not m.is_square:
-        raise ValueError(f"cofactors require a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    scale, rows = _rows_to_integers(m, n - 1)
-
-    perm = list(range(n))
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for j in range(k + 1, n):
-                if rows[k][j] != 0:
+    for k, top in enumerate(rows):
+        if top[k] == 0:
+            for j in range(k + 1, width):
+                if top[j] != 0:
                     for r in rows:
                         r[k], r[j] = r[j], r[k]
                     perm[k], perm[j] = perm[j], perm[k]
                     sign = -sign
                     break
             else:
-                return (Fraction(0),) * n
-        pivot = rows[k][k]
-        for i in range(k + 1, n - 1):
-            head = rows[i][k]
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pivot - head * rows[k][j]) // prev
-            rows[i][k] = 0
+                return None
+        pivot = top[k]
+        for row in rows[k + 1 :]:
+            head = row[k]
+            for j in range(k + 1, width):
+                row[j] = (row[j] * pivot - head * top[j]) // prev
+            row[k] = 0  # frees the eliminated entry, which is never read again
         prev = pivot
+    return sign, perm, prev
 
+
+def det_integer_rows(rows: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix by Bareiss elimination;
+    the rows are modified in place."""
+    eliminated = _bareiss(rows, len(rows))
+    if eliminated is None:
+        return 0
+    sign, _, pivot = eliminated
+    return sign * pivot
+
+
+def last_row_cofactors(m: ExactMatrix) -> tuple[Rational, ...]:
+    """The cofactors c_j of the last row, so that det(m) = sum_j c_j r_j for
+    every last row r (Laplace expansion); the last row of m is ignored.
+
+    The first n-1 rows, scaled to integers, go through one Bareiss
+    elimination.  With the last pivot D (the leading minor of the permuted
+    head), the cofactor vector in permuted columns is the null vector of the
+    head whose last entry is D; it is integral, so the back substitution
+    divides exactly.  Dependent head rows make every cofactor 0.
+    """
+    if not m.is_square:
+        raise ValueError(f"cofactors require a square matrix, got {m.rows}x{m.cols}")
+    n = m.rows
+    scale, rows = _rows_to_integers(m, n - 1)
+    eliminated = _bareiss(rows, n)
+    if eliminated is None:
+        return (Fraction(0),) * n
+    sign, perm, pivot = eliminated
     x = [0] * n
-    x[n - 1] = prev
+    x[n - 1] = pivot
     for k in range(n - 2, -1, -1):
         x[k] = -sum(rows[k][j] * x[j] for j in range(k + 1, n)) // rows[k][k]
     cofactors = [Fraction(0)] * n

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .combinat import binomial, tau
+from .combinat import binomial, elementary_symmetric, tau
 from .degreematrix import DegreeMatrixSpec, alternating_weighted_sum, build_A, sigma_ell, weighted_value_row
 from .exactnum import (
     NEG_INF,
@@ -22,6 +22,7 @@ from .exactnum import (
     RationalLike,
     format_rational,
     last_row_cofactors,
+    over_common_denominator,
     rat,
 )
 
@@ -159,10 +160,8 @@ def newton_interpolate(nodes: Sequence[RationalLike], values: Sequence[RationalL
         raise ValueError("nodes must be pairwise distinct")
     if not points:
         return Poly.zero()
-    q = math.lcm(*(x.denominator for x in points))
-    d = math.lcm(*(v.denominator for v in data))
-    xs = [x.numerator * (q // x.denominator) for x in points]
-    column = [v.numerator * (d // v.denominator) for v in data]
+    q, xs = over_common_denominator(points)
+    d, column = over_common_denominator(data)
     leading = [column[0]]
     denominators = [1]
     for k in range(1, len(xs)):
@@ -199,16 +198,26 @@ def interpolate_eq14(problem: EquidistantProblem) -> Poly:
     interpolant by (xi, h) reproduces this polynomial exactly.
     """
     ell = problem.ell
+    sym = [tau(ell, m, 0) for m in range(ell + 1)]
     sums = [alternating_weighted_sum(ell, k, problem.a) for k in range(ell + 1)]
-    coeffs = [Fraction(0)] * (ell + 1)
+    lead = Fraction((-1) ** ell, math.factorial(ell))
+    return Poly(_eq14_double_sum(sym, sums)) * lead
+
+
+def _eq14_double_sum(sym: Sequence, inner: Sequence) -> list:
+    """The coefficients of sum_{m=0}^{ell} sum_{k=0}^{m} (-1)^(k+m)
+    sym[m-k] inner[k] t^(ell-m), in increasing powers of t (ell =
+    len(inner) - 1); the double sum shared by eq. 14 and its general-node
+    analogue."""
+    ell = len(inner) - 1
+    coeffs = [0] * (ell + 1)
     for m in range(ell + 1):
-        acc = Fraction(0)
+        acc = 0
         for k in range(m + 1):
-            term = tau(ell, m - k, 0) * sums[k]
+            term = sym[m - k] * inner[k]
             acc += -term if (k + m) % 2 else term
         coeffs[ell - m] = acc
-    lead = Fraction((-1) ** ell, math.factorial(ell))
-    return Poly(coeffs) * lead
+    return coeffs
 
 
 def sigma_lsk(ell: int, s: int, k: int) -> Rational:
@@ -295,16 +304,6 @@ def detect_degree(problem: EquidistantProblem, mode: str = MODE_CLOSED_FORM) -> 
     raise AssertionError("unreachable: a nonzero value vector always yields a nonzero determinant")
 
 
-def _elementary_symmetric(values: Sequence[Rational]) -> list[Rational]:
-    """All elementary symmetric sums e_0..e_n of the given values."""
-    sums = [Fraction(0)] * (len(values) + 1)
-    sums[0] = Fraction(1)
-    for top, v in enumerate(values, start=1):
-        for m in range(top, 0, -1):
-            sums[m] = sums[m] + v * sums[m - 1]
-    return sums
-
-
 def general_expansion(problem: GeneralProblem) -> Poly:
     """The general-base-point analogue of the normalized coefficient
     expansion, computed verbatim:
@@ -325,19 +324,11 @@ def general_expansion(problem: GeneralProblem) -> Poly:
     for j, xj in enumerate(xs):
         denom = math.prod((xi - xj for i, xi in enumerate(xs) if i != j), start=Fraction(1))
         lam.append(1 / denom)
-    sym = _elementary_symmetric(xs[1:])
     inner = [
         sum((lam[j] * xs[j] ** k * problem.a[j] for j in range(ell + 1)), start=Fraction(0))
         for k in range(ell + 1)
     ]
-    coeffs = [Fraction(0)] * (ell + 1)
-    for m in range(ell + 1):
-        acc = Fraction(0)
-        for k in range(m + 1):
-            term = sym[m - k] * inner[k]
-            acc += -term if (k + m) % 2 else term
-        coeffs[ell - m] = acc
-    return Poly(coeffs)
+    return Poly(_eq14_double_sum(elementary_symmetric(xs[1:]), inner))
 
 
 @dataclass(frozen=True)

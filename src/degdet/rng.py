@@ -26,6 +26,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 # Every value a random rational can take, built once: _RATIONALS[n + 9][d - 1]
 # is Fraction(n, d) for n in [-9, 9] and d in [1, 4].
 _RATIONALS = tuple(tuple(Fraction(n, d) for d in range(1, 5)) for n in range(-9, 10))
+# How many distinct values rational() and positive_rational() can take: 51
+# and 25.
+_DISTINCT_SIGNED = len({q for row in _RATIONALS for q in row})
+_DISTINCT_POSITIVE = len({q for row in _RATIONALS[10:] for q in row})
 
 
 class SplitMix64:
@@ -73,17 +77,20 @@ class SplitMix64:
 
     def distinct_rationals(self, count: int) -> tuple[Fraction, ...]:
         """Pairwise distinct rationals by redrawing collisions."""
-        seen: list[Fraction] = []
-        while len(seen) < count:
-            value = self.rational()
-            if value not in seen:
-                seen.append(value)
-        return tuple(seen)
+        return self._distinct(self.rational, _DISTINCT_SIGNED, count)
 
     def distinct_positive_rationals(self, count: int) -> tuple[Fraction, ...]:
+        return self._distinct(self.positive_rational, _DISTINCT_POSITIVE, count)
+
+    @staticmethod
+    def _distinct(draw, pool: int, count: int) -> tuple[Fraction, ...]:
+        """count pairwise distinct draws; the draw can take only pool distinct
+        values, so a larger count would redraw forever and is refused."""
+        if count > pool:
+            raise ValueError(f"cannot draw {count} distinct values from a pool of {pool}")
         seen: list[Fraction] = []
         while len(seen) < count:
-            value = self.positive_rational()
+            value = draw()
             if value not in seen:
                 seen.append(value)
         return tuple(seen)

@@ -45,7 +45,7 @@ from .interp import (
     interpolate_eq14,
     poly_K,
 )
-from .rng import SplitMix64
+from .rng import _DISTINCT_POSITIVE, _DISTINCT_SIGNED, SplitMix64
 from .vandermonde import (
     AffineData,
     build_B,
@@ -367,25 +367,34 @@ class _SuiteSpec:
     max_ell: int
     trials: int
     summary: str
+    # The largest max_ell whose pairwise distinct draws the rationals in
+    # rng can serve (eq5's zero band and remark5's nodes draw max_ell + 1 of
+    # them); above it the draws would repeat forever.
+    ell_cap: int | None = None
 
 
 SUITES: dict[str, _SuiteSpec] = {
     "prop2": _SuiteSpec(_suite_prop2, 6, 100, "closed-form determinant vs fraction-free elimination on random value vectors"),
     "prop3": _SuiteSpec(_suite_prop3, 7, 1, "closed-form minor determinants vs direct evaluation, exhaustive"),
     "prop6": _SuiteSpec(_suite_prop6, 8, 1, "nodal-polynomial quotient and symmetric-sum recurrence, exhaustive"),
-    "eq5": _SuiteSpec(_suite_eq5, 5, 50, "power-matrix determinant expansion vs direct determinant, plus the k > ell zero band"),
-    "eq5c": _SuiteSpec(_suite_eq5c, 5, 50, "complementary-index determinant expansion vs direct determinant"),
+    "eq5": _SuiteSpec(_suite_eq5, 5, 50, "power-matrix determinant expansion vs direct determinant, plus the k > ell zero band",
+                      ell_cap=_DISTINCT_SIGNED - 1),
+    "eq5c": _SuiteSpec(_suite_eq5c, 5, 50, "complementary-index determinant expansion vs direct determinant",
+                       ell_cap=_DISTINCT_SIGNED),
     "eq10": _SuiteSpec(_suite_eq10, 6, 50, "closed-form derivative at the left node vs symbolic differentiation"),
     "eq14": _SuiteSpec(_suite_eq14, 6, 100, "normalized coefficient formula vs shifted direct interpolant"),
     "theorem1": _SuiteSpec(_suite_theorem1, 6, 25, "degree detector on constructed-degree inputs and against the direct interpolant"),
-    "theorem4": _SuiteSpec(_suite_theorem4, 5, 200, "regularity (det nonzero iff k <= ell) under the stated hypotheses"),
-    "remark5": _SuiteSpec(_suite_remark5, 4, 5, "general-base-point expansion vs Newton interpolation oracle (informational)"),
+    "theorem4": _SuiteSpec(_suite_theorem4, 5, 200, "regularity (det nonzero iff k <= ell) under the stated hypotheses",
+                           ell_cap=_DISTINCT_POSITIVE),
+    "remark5": _SuiteSpec(_suite_remark5, 4, 5, "general-base-point expansion vs Newton interpolation oracle (informational)",
+                          ell_cap=_DISTINCT_SIGNED - 1),
 }
 
 SUITE_NAMES = [*SUITES, "all"]
 
 
-def run_suite(name: str, max_ell: int | None = None, trials: int | None = None, seed: int = DEFAULT_SEED) -> VerifyReport:
+def _settings(name: str, max_ell: int | None, trials: int | None) -> tuple[_SuiteSpec, int, int]:
+    """The suite's spec and its effective (max_ell, trials), validated."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
     spec = SUITES[name]
@@ -395,6 +404,16 @@ def run_suite(name: str, max_ell: int | None = None, trials: int | None = None, 
         raise ValueError(f"max_ell must be >= 1, got {effective_max_ell}")
     if effective_trials < 1:
         raise ValueError(f"trials must be >= 1, got {effective_trials}")
+    if spec.ell_cap is not None and effective_max_ell > spec.ell_cap:
+        raise ValueError(
+            f"suite {name!r} needs max_ell <= {spec.ell_cap}: its pairwise distinct random"
+            f" rationals run out above that, got {effective_max_ell}"
+        )
+    return spec, effective_max_ell, effective_trials
+
+
+def run_suite(name: str, max_ell: int | None = None, trials: int | None = None, seed: int = DEFAULT_SEED) -> VerifyReport:
+    spec, effective_max_ell, effective_trials = _settings(name, max_ell, trials)
     run = _Run()
     rng = SplitMix64(seed)
     started = time.perf_counter()
@@ -414,5 +433,8 @@ def run_suite(name: str, max_ell: int | None = None, trials: int | None = None, 
 
 
 def run_all(max_ell: int | None = None, trials: int | None = None, seed: int = DEFAULT_SEED) -> list[VerifyReport]:
-    """Run every suite in registry order; None parameters keep per-suite defaults."""
+    """Run every suite in registry order; None parameters keep per-suite
+    defaults.  Every suite's settings are checked before the first one runs."""
+    for name in SUITES:
+        _settings(name, max_ell, trials)
     return [run_suite(name, max_ell, trials, seed) for name in SUITES]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -10,10 +11,12 @@ from degdet.combinat import (
     _sym_sums_product,
     _sym_sums_subset,
     binomial,
+    elementary_symmetric,
     enumerate_index_seqs,
     tau,
     tau_via_recurrence,
 )
+from degdet.rng import SplitMix64
 
 
 class TestBinomial:
@@ -78,6 +81,18 @@ class TestTau:
         for ell in range(1, 13):
             for j in range(ell + 1):
                 assert _sym_sums_subset(ell, j) == _sym_sums_product(ell, j)
+
+
+class TestElementarySymmetric:
+    def test_matches_subset_enumeration(self):
+        rng = SplitMix64(29)
+        for n in range(8):
+            rationals = [rng.rational() for _ in range(n)]
+            integers = [rng.int_between(-9, 9) for _ in range(n)]
+            for values in (rationals, integers):
+                expected = [sum(math.prod(c) for c in itertools.combinations(values, m)) for m in range(n + 1)]
+                assert elementary_symmetric(values) == expected
+            assert all(isinstance(e, int) for e in elementary_symmetric(integers))
 
 
 class TestTauRecurrence:

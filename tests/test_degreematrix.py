@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,17 @@ class TestSigmaEll:
         # recovers sigma_ell up to the parity sign
         for ell in range(1, 6):
             assert sigma_ell(ell) == (-1) ** ell * det_cofactor(build_A_sub(ell, 1))
+
+    def test_matches_the_binomial_and_factorial_product(self):
+        # the product form of the definition, as an oracle for the closed form
+        for ell in range(1, 61):
+            sign = -1 if (ell * (ell + 1) // 2) % 2 else 1
+            value = sign * (ell + 1) ** (ell * (ell - 1) // 2)
+            for j in range(ell):
+                value *= binomial(ell - 1, j)
+            for j in range(1, ell):
+                value *= math.factorial(j) ** 2
+            assert sigma_ell(ell) == value
 
     def test_rejects_ell_zero(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import degdet
 from degdet.cli import ProblemFileError, main, parse_problem_file
 from degdet.exactnum import Poly, degree_to_str, format_rational, parse_rational, poly_shift_scale
 from degdet.interp import EquidistantProblem, interpolate_direct
@@ -115,7 +120,7 @@ class TestProblemFile:
     def test_parses_canonical_file(self):
         pf = parse_problem_file("ell: 3\nxi: 0\nh: 1\nvalues: 0, 1, 2, 3\n")
         assert pf.ell == 3
-        assert pf.values == (0, 1, 2, 3)
+        assert pf.a == (0, 1, 2, 3)
 
     def test_comments_and_blank_lines_ignored(self):
         pf = parse_problem_file("# data\n\nell: 1\nxi: 1/2\nh: -2/3\nvalues: 4, 5\n")
@@ -397,6 +402,20 @@ class TestVerifyCommand:
         assert notes, "comparison outcomes must be emitted"
         assert any("outcome=proportional ratio=-1" in n for n in notes)  # odd-size grids show the sign flip
 
+    @pytest.mark.parametrize("suite,max_ell", [("theorem4", "26"), ("remark5", "51"), ("all", "26")])
+    def test_max_ell_past_the_rational_pool_exits_2(self, suite, max_ell):
+        # in a subprocess with a timeout, so a redraw loop that never ends
+        # fails the test instead of hanging it
+        package_root = str(Path(degdet.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "degdet.cli", "verify", "--suite", suite, "--max-ell", max_ell],
+            capture_output=True, text=True, timeout=5, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("degdet: error: suite ")
+
     def test_every_registered_suite_passes_small(self):
         for name, spec in SUITES.items():
             report = run_suite(name, max_ell=min(spec.max_ell, 3), trials=min(spec.trials, 3))
@@ -443,3 +462,26 @@ class TestSplitMix64Stream:
         assert len(set(values)) == 6
         positives = rng.distinct_positive_rationals(6)
         assert all(v > 0 for v in positives)
+
+    def test_distinct_draws_exhaust_the_pool_then_refuse(self, monkeypatch):
+        rng = SplitMix64(5)
+        assert len(set(rng.distinct_rationals(51))) == 51
+        assert len(set(rng.distinct_positive_rationals(25))) == 25
+        # bound the draws, so a count past the pool fails here instead of
+        # redrawing forever
+        draws = 0
+
+        def bounded(draw):
+            def counted():
+                nonlocal draws
+                draws += 1
+                assert draws < 10_000, "distinct draws past the pool never end"
+                return draw()
+            return counted
+
+        monkeypatch.setattr(rng, "rational", bounded(rng.rational))
+        monkeypatch.setattr(rng, "positive_rational", bounded(rng.positive_rational))
+        with pytest.raises(ValueError):
+            rng.distinct_rationals(52)
+        with pytest.raises(ValueError):
+            rng.distinct_positive_rationals(26)
