@@ -6,9 +6,8 @@ closed-form identity used along the way ships with an independent oracle
 and a seeded verification suite.
 """
 
-from .combinat import IndexSeq, TauKey, binomial, enumerate_index_seqs, tau, tau_via_recurrence
+from .combinat import IndexSeq, binomial, enumerate_index_seqs, tau, tau_via_recurrence
 from .degreematrix import (
-    DegreeMatrixSpec,
     alternating_weighted_sum,
     build_A,
     build_A_sub,
@@ -43,7 +42,6 @@ from .interp import (
     derivative_at_left_node,
     detect_degree,
     general_expansion,
-    interpolate_direct,
     interpolate_eq14,
     lagrange_basis_hat,
     lagrange_interpolate,

@@ -18,13 +18,7 @@ import json
 import os
 import sys
 
-from .degreematrix import (
-    DegreeMatrixSpec,
-    build_A,
-    build_A_sub,
-    det_A_closed_form,
-    det_A_sub_closed_form,
-)
+from .degreematrix import build_A, build_A_sub, det_A_closed_form, det_A_sub_closed_form
 from .exactnum import (
     Rational,
     degree_to_str,
@@ -131,19 +125,23 @@ def cmd_degree(args: argparse.Namespace) -> int:
     # coefficient of (x - xi)**k is c[k] / h**k.
     normalized = interpolate_eq14(problem)
 
-    out = sys.stdout
-    print(f"input: {args.input}", file=out)
-    print(f"ell: {problem.ell}", file=out)
-    print(f"xi: {format_rational(problem.xi)}", file=out)
-    print(f"h: {format_rational(problem.h)}", file=out)
-    print(f"values: {', '.join(format_rational(v) for v in problem.a)}", file=out)
-    print(f"mode: {args.mode}", file=out)
-    print(f"degree: {degree_to_str(detection.degree)}", file=out)
-    print(f"witness_m: {'none' if detection.witness_m is None else detection.witness_m}", file=out)
-    for s, value in enumerate(detection.determinants):
-        print(f"det[{s}]: {format_rational(value)}", file=out)
-    for k in range(problem.ell + 1):
-        print(f"b[{k}]: {format_rational(normalized.coefficient(k) / problem.h**k)}", file=out)
+    # The whole report is built before any of it is written, so a failure
+    # leaves stdout empty rather than holding a partial report.
+    lines = [
+        f"input: {args.input}",
+        f"ell: {problem.ell}",
+        f"xi: {format_rational(problem.xi)}",
+        f"h: {format_rational(problem.h)}",
+        f"values: {', '.join(format_rational(v) for v in problem.a)}",
+        f"mode: {args.mode}",
+        f"degree: {degree_to_str(detection.degree)}",
+        f"witness_m: {'none' if detection.witness_m is None else detection.witness_m}",
+    ]
+    lines += [f"det[{s}]: {format_rational(value)}" for s, value in enumerate(detection.determinants)]
+    lines += [
+        f"b[{k}]: {format_rational(normalized.coefficient(k) / problem.h**k)}" for k in range(problem.ell + 1)
+    ]
+    print("\n".join(lines))
     return 0
 
 
@@ -166,14 +164,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         reports = [run_suite(args.suite, args.max_ell, args.trials, seed)]
 
+    suites_passed = sum(r.passed for r in reports)
+    status = "PASS" if suites_passed == len(reports) else "FAIL"
     if args.json:
         document = {
             "reports": [r.to_dict() for r in reports],
-            "summary": {
-                "suites_run": len(reports),
-                "suites_passed": sum(1 for r in reports if r.passed),
-                "status": "PASS" if all(r.passed for r in reports) else "FAIL",
-            },
+            "summary": {"suites_run": len(reports), "suites_passed": suites_passed, "status": status},
         }
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
@@ -186,11 +182,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print()
             print("summary: all")
             print(f"suites_run: {len(reports)}")
-            print(f"suites_passed: {sum(1 for r in reports if r.passed)}")
-            print(f"status: {'PASS' if all(r.passed for r in reports) else 'FAIL'}")
+            print(f"suites_passed: {suites_passed}")
+            print(f"status: {status}")
     for report in reports:
         print(f"# elapsed[{report.suite}]: {report.elapsed_ms} ms", file=sys.stderr)
-    return 0 if all(r.passed for r in reports) else 1
+    return 0 if status == "PASS" else 1
 
 
 def _require(args: argparse.Namespace, names: list[str], kind: str) -> None:
@@ -207,9 +203,8 @@ def cmd_det(args: argparse.Namespace) -> int:
     if args.matrix == "A":
         _require(args, ["ell", "s", "a"], "A")
         a = _parse_csv_rationals(args.a, "--a")
-        spec = DegreeMatrixSpec(args.ell, args.s, a)
-        direct = det_fraction_free(build_A(spec))
-        closed_form = det_A_closed_form(spec)
+        direct = det_fraction_free(build_A(args.ell, args.s, a))
+        closed_form = det_A_closed_form(args.ell, args.s, a)
         lines += [f"ell: {args.ell}", f"s: {args.s}", f"a: {', '.join(map(format_rational, a))}"]
     elif args.matrix == "Asub":
         _require(args, ["ell", "kappa"], "Asub")

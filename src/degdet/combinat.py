@@ -19,25 +19,14 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class TauKey:
-    """Validated index triple (ell, m, j) for the excluded-value symmetric sums.
-
-    m = 0 always evaluates to 1; m = ell with j > 0 evaluates to 0; indices
-    outside 0 <= m <= ell, 0 <= j <= ell are not defined and are rejected.
-    """
-
-    ell: int
-    m: int
-    j: int
-
-    def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError(f"tau needs ell >= 1, got ell={self.ell}")
-        if not 0 <= self.m <= self.ell:
-            raise ValueError(f"tau index m={self.m} outside [0, {self.ell}]")
-        if not 0 <= self.j <= self.ell:
-            raise ValueError(f"tau index j={self.j} outside [0, {self.ell}]")
+def _check_tau_indices(ell: int, m: int, j: int) -> None:
+    """tau is defined for ell >= 1 and 0 <= m, j <= ell; reject the rest."""
+    if ell < 1:
+        raise ValueError(f"tau needs ell >= 1, got ell={ell}")
+    if not 0 <= m <= ell:
+        raise ValueError(f"tau index m={m} outside [0, {ell}]")
+    if not 0 <= j <= ell:
+        raise ValueError(f"tau index j={j} outside [0, {ell}]")
 
 
 def _sym_sums_subset(ell: int, j: int) -> tuple[int, ...]:
@@ -76,7 +65,7 @@ def tau(ell: int, m: int, j: int = 0) -> int:
     By convention the empty product makes m = 0 evaluate to 1 for every j,
     and m = ell with j > 0 evaluates to 0 (no admissible subset is left).
     """
-    TauKey(ell, m, j)
+    _check_tau_indices(ell, m, j)
     if m == 0:
         return 1
     if j > 0 and m == ell:
@@ -91,7 +80,7 @@ def tau_via_recurrence(ell: int, m: int, j: int) -> int:
 
     Valid for j > 0 with m != ell; j = 0 falls back to the direct value.
     """
-    TauKey(ell, m, j)
+    _check_tau_indices(ell, m, j)
     if j == 0:
         return tau(ell, m, 0)
     if m == ell:

@@ -5,36 +5,24 @@ value vector, its square submatrices, and their closed-form determinants."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import binomial
 from .exactnum import ExactMatrix, Rational, over_common_denominator, rat
 
 
-@dataclass(frozen=True)
-class DegreeMatrixSpec:
-    """Parameters (ell, s, a) of one determinant instance.
-
-    a has exactly ell+1 entries; s is any nonnegative integer (values above
-    ell are legal, the alternating sum is still well defined).
-    """
-
-    ell: int
-    s: int
-    a: tuple[Rational, ...]
-
-    def __init__(self, ell: int, s: int, a):
-        if ell < 1:
-            raise ValueError(f"degree matrix needs ell >= 1, got {ell}")
-        if s < 0:
-            raise ValueError(f"degree matrix needs s >= 0, got {s}")
-        values = tuple(rat(x) for x in a)
-        if len(values) != ell + 1:
-            raise ValueError(f"value vector must have ell+1 = {ell + 1} entries, got {len(values)}")
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "a", values)
+def _checked_values(ell: int, s: int, a) -> list[Rational]:
+    """The value vector of one determinant instance (ell, s, a) as
+    rationals, after checking ell >= 1, s >= 0 and len(a) == ell + 1; s
+    above ell is legal, the alternating sum is still well defined."""
+    if ell < 1:
+        raise ValueError(f"degree matrix needs ell >= 1, got {ell}")
+    if s < 0:
+        raise ValueError(f"degree matrix needs s >= 0, got {s}")
+    values = [rat(x) for x in a]
+    if len(values) != ell + 1:
+        raise ValueError(f"value vector must have ell+1 = {ell + 1} entries, got {len(values)}")
+    return values
 
 
 def weighted_value_row(s: int, a) -> list[Rational]:
@@ -49,12 +37,12 @@ def _power_rows(ell: int, offsets) -> list[list[int]]:
     return [[((i - 1) * (ell + 1) + j) ** (ell - 1) for j in offsets] for i in range(1, ell + 1)]
 
 
-def build_A(spec: DegreeMatrixSpec) -> ExactMatrix:
+def build_A(ell: int, s: int, a) -> ExactMatrix:
     """The (ell+1)x(ell+1) matrix: row i in 1..ell holds the (ell-1)-th powers
     of the consecutive integers (i-1)(ell+1)+1 .. i(ell+1); the last row is
     weighted_value_row(s, a)."""
-    rows = _power_rows(spec.ell, range(1, spec.ell + 2))
-    return ExactMatrix.from_rows(rows + [weighted_value_row(spec.s, spec.a)])
+    values = _checked_values(ell, s, a)
+    return ExactMatrix.from_rows(_power_rows(ell, range(1, ell + 2)) + [weighted_value_row(s, values)])
 
 
 def sub_column_offsets(ell: int, kappa: int) -> tuple[int, ...]:
@@ -99,13 +87,7 @@ def alternating_weighted_sum(ell: int, s: int, a) -> Rational:
     """The combinatorial core sum_{j=0}^{ell} (-1)^j C(ell, j) j^s a_j,
     with 0^0 = 1.  At s = 0 this is (-1)^ell times the ell-th forward
     difference of a."""
-    if ell < 1:
-        raise ValueError(f"alternating sum needs ell >= 1, got {ell}")
-    if s < 0:
-        raise ValueError(f"alternating sum needs s >= 0, got {s}")
-    values = [rat(x) for x in a]
-    if len(values) != ell + 1:
-        raise ValueError(f"value vector must have ell+1 = {ell + 1} entries, got {len(values)}")
+    values = _checked_values(ell, s, a)
     # Clear denominators once, so the sum runs in plain ints.
     common, nums = over_common_denominator(values)
     total = 0
@@ -115,6 +97,7 @@ def alternating_weighted_sum(ell: int, s: int, a) -> Rational:
     return Fraction(total, common)
 
 
-def det_A_closed_form(spec: DegreeMatrixSpec) -> Rational:
-    """Closed-form determinant sigma_ell * alternating_weighted_sum(ell, s, a)."""
-    return sigma_ell(spec.ell) * alternating_weighted_sum(spec.ell, spec.s, spec.a)
+def det_A_closed_form(ell: int, s: int, a) -> Rational:
+    """Closed-form determinant sigma_ell * alternating_weighted_sum(ell, s, a);
+    the sum comes first, so its checks of (ell, s, a) run first."""
+    return alternating_weighted_sum(ell, s, a) * sigma_ell(ell)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .combinat import binomial, elementary_symmetric, tau
-from .degreematrix import DegreeMatrixSpec, alternating_weighted_sum, build_A, sigma_ell, weighted_value_row
+from .degreematrix import alternating_weighted_sum, build_A, sigma_ell, weighted_value_row
 from .exactnum import (
     NEG_INF,
     Degree,
@@ -181,11 +181,6 @@ def newton_interpolate(nodes: Sequence[RationalLike], values: Sequence[RationalL
     return Poly([Fraction(c * q**j, scale) for j, c in enumerate(acc)])
 
 
-def interpolate_direct(problem: EquidistantProblem) -> Poly:
-    """The interpolant in the x variable, q(xi + i*h) = a_i."""
-    return newton_interpolate(problem.nodes(), problem.a)
-
-
 def interpolate_eq14(problem: EquidistantProblem) -> Poly:
     """The interpolant in the normalized variable t = (x - xi)/h, assembled
     coefficient by coefficient from symmetric sums and alternating binomial
@@ -271,7 +266,7 @@ def _determinant_route(problem: EquidistantProblem, mode: str) -> Callable[[int]
         sigma = sigma_ell(ell)
         return lambda s: sigma * alternating_weighted_sum(ell, s, a)
     if mode == MODE_MATRIX:
-        cofactors = last_row_cofactors(build_A(DegreeMatrixSpec(ell, 0, a)))
+        cofactors = last_row_cofactors(build_A(ell, 0, a))
         return lambda s: sum(map(operator.mul, cofactors, weighted_value_row(s, a)), Fraction(0))
     raise ValueError(f"unknown detection mode {mode!r}; choose one of {DETECTION_MODES}")
 
@@ -286,22 +281,20 @@ def detect_degree(problem: EquidistantProblem, mode: str = MODE_CLOSED_FORM) -> 
     cross-check on the explicit matrices: one fraction-free elimination of
     the ell rows that every matrix in the family shares gives the last-row
     cofactors, and each determinant is then a dot product with the last row
-    (O(ell) per step); it never computes sigma_ell.  The all-zero value
-    vector makes every determinant vanish, so it short-circuits to the zero
-    interpolant.
+    (O(ell) per step); it never computes sigma_ell.  Only the all-zero value
+    vector makes every determinant vanish, which is the zero interpolant.
     """
     ell = problem.ell
     determinant = _determinant_route(problem, mode)
-    if all(x == 0 for x in problem.a):
-        dets = tuple(determinant(s) for s in range(ell + 1))
-        return DegreeDetection(NEG_INF, None, dets)
     dets: list[Rational] = []
     for s in range(ell + 1):
         value = determinant(s)
         dets.append(value)
         if value != 0:
             return DegreeDetection(ell - s, s, tuple(dets))
-    raise AssertionError("unreachable: a nonzero value vector always yields a nonzero determinant")
+    if any(problem.a):
+        raise AssertionError("unreachable: a nonzero value vector always yields a nonzero determinant")
+    return DegreeDetection(NEG_INF, None, tuple(dets))
 
 
 def general_expansion(problem: GeneralProblem) -> Poly:

@@ -61,8 +61,7 @@ class SplitMix64:
 
     def rational(self) -> Fraction:
         """Numerator uniform in [-9, 9], denominator uniform in [1, 4]."""
-        n = self.int_between(-9, 9)
-        return _RATIONALS[n + 9][self.int_between(1, 4) - 1]
+        return _RATIONALS[self.below(19)][self.below(4)]
 
     def nonzero_rational(self) -> Fraction:
         while True:
@@ -72,8 +71,7 @@ class SplitMix64:
 
     def positive_rational(self) -> Fraction:
         """Same scheme restricted to positive numerators (uniform in [1, 9])."""
-        n = self.int_between(1, 9)
-        return _RATIONALS[n + 9][self.int_between(1, 4) - 1]
+        return _RATIONALS[10 + self.below(9)][self.below(4)]
 
     def distinct_rationals(self, count: int) -> tuple[Fraction, ...]:
         """Pairwise distinct rationals by redrawing collisions."""

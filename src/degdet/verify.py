@@ -1,7 +1,8 @@
 """Named verification suites.
 
 Each suite replays one family of exact identities over seeded random data
-(or exhaustively, where the domain is finite) and returns a VerifyReport.
+(or exhaustively, where the domain is finite) and records every case in the
+VerifyReport that run_suite hands it.
 Reports are fully deterministic for a fixed (seed, max_ell, trials): the
 only randomness is the SplitMix64 stream, and cases are generated and
 recorded in a fixed order.
@@ -16,13 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .combinat import tau, tau_via_recurrence
-from .degreematrix import (
-    DegreeMatrixSpec,
-    build_A,
-    build_A_sub,
-    det_A_closed_form,
-    det_A_sub_closed_form,
-)
+from .degreematrix import build_A, build_A_sub, det_A_closed_form, det_A_sub_closed_form
 from .exactnum import (
     NEG_INF,
     Degree,
@@ -41,8 +36,8 @@ from .interp import (
     compare_general_expansion,
     derivative_at_left_node,
     detect_degree,
-    interpolate_direct,
     interpolate_eq14,
+    newton_interpolate,
     poly_K,
 )
 from .rng import _DISTINCT_POSITIVE, _DISTINCT_SIGNED, SplitMix64
@@ -71,11 +66,21 @@ class VerifyReport:
     seed: int
     max_ell: int
     trials: int
-    cases_run: int
-    cases_passed: int
-    failures: list[CaseFailure]
-    notes: list[str]
-    elapsed_ms: int
+    cases_run: int = 0
+    cases_passed: int = 0
+    failures: list[CaseFailure] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+    elapsed_ms: int = 0
+
+    def case(self, inputs: str, expected, actual) -> None:
+        self.cases_run += 1
+        if expected == actual:
+            self.cases_passed += 1
+        else:
+            self.failures.append(CaseFailure(inputs, _fmt(expected), _fmt(actual)))
+
+    def note(self, text: str) -> None:
+        self.notes.append(text)
 
     @property
     def passed(self) -> bool:
@@ -138,24 +143,6 @@ def _csv(values) -> str:
     return ",".join(format_rational(v) for v in values)
 
 
-@dataclass
-class _Run:
-    cases_run: int = 0
-    cases_passed: int = 0
-    failures: list[CaseFailure] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    def case(self, inputs: str, expected, actual) -> None:
-        self.cases_run += 1
-        if expected == actual:
-            self.cases_passed += 1
-        else:
-            self.failures.append(CaseFailure(inputs, _fmt(expected), _fmt(actual)))
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
-
-
 def _random_vector(rng: SplitMix64, count: int) -> tuple[Rational, ...]:
     return tuple(rng.rational() for _ in range(count))
 
@@ -198,90 +185,81 @@ def _random_regular_data(rng: SplitMix64, k: int, ell: int) -> AffineData:
     return AffineData(k, ell, alpha, beta, rng.distinct_positive_rationals(k))
 
 
-def _suite_prop3(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> None:
+def _suite_prop3(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
     for ell in range(1, max_ell + 1):
         for kappa in range(1, ell + 2):
-            run.case(
+            report.case(
                 f"ell={ell} kappa={kappa}",
                 det_fraction_free(build_A_sub(ell, kappa)),
                 Fraction(det_A_sub_closed_form(ell, kappa)),
             )
 
 
-def _suite_prop2(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> None:
+def _suite_prop2(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
     for ell in range(1, max_ell + 1):
         for s in range(ell + 1):
             for trial in range(trials):
                 a = _random_vector(rng, ell + 1)
-                spec = DegreeMatrixSpec(ell, s, a)
-                run.case(
+                report.case(
                     f"ell={ell} s={s} trial={trial} a={_csv(a)}",
-                    det_fraction_free(build_A(spec)),
-                    det_A_closed_form(spec),
+                    det_fraction_free(build_A(ell, s, a)),
+                    det_A_closed_form(ell, s, a),
                 )
 
 
-def _suite_prop6(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> None:
+def _suite_prop6(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
     for ell in range(1, max_ell + 1):
         nodal = poly_K(ell)
         for j in range(ell + 1):
             rebuilt = K_quotient_via_tau(ell, j) * Poly.linear_root(j)
-            run.case(f"quotient ell={ell} j={j}", nodal, rebuilt)
+            report.case(f"quotient ell={ell} j={j}", nodal, rebuilt)
         for m in range(ell):
             for j in range(1, ell + 1):
-                run.case(
+                report.case(
                     f"recurrence ell={ell} m={m} j={j}",
                     tau(ell, m, j),
                     tau_via_recurrence(ell, m, j),
                 )
 
 
-def _suite_eq5(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> None:
-    run.note("regime: alpha nonzero, beta unconstrained")
+def _affine_inputs(data: AffineData, trial: int) -> str:
+    return (f"k={data.k} ell={data.ell} trial={trial} alpha={_csv(data.alpha)}"
+            f" beta={_csv(data.beta)} r={_csv(data.r)}")
+
+
+def _expansion_cases(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int,
+                     expansion: Callable[[AffineData], Rational], nonzero_beta: bool) -> None:
+    """det B by elimination against an expansion, for every 1 <= k <= ell."""
     for ell in range(1, max_ell + 1):
         for k in range(1, ell + 1):
             for trial in range(trials):
-                data = _random_affine(rng, k, ell, nonzero_alpha=True, nonzero_beta=False)
-                run.case(
-                    f"k={k} ell={ell} trial={trial} alpha={_csv(data.alpha)}"
-                    f" beta={_csv(data.beta)} r={_csv(data.r)}",
-                    det_fraction_free(build_B(data)),
-                    det_B_expansion(data),
-                )
+                data = _random_affine(rng, k, ell, nonzero_alpha=True, nonzero_beta=nonzero_beta)
+                report.case(_affine_inputs(data, trial), det_fraction_free(build_B(data)), expansion(data))
+
+
+def _suite_eq5(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
+    report.note("regime: alpha nonzero, beta unconstrained")
+    _expansion_cases(report, rng, max_ell, trials, det_B_expansion, nonzero_beta=False)
     zero_trials = max(1, trials // 10)
     for ell in range(1, max_ell + 1):
         for k in range(ell + 1, max_ell + 2):
             for trial in range(zero_trials):
                 data = _random_affine(rng, k, ell, nonzero_alpha=False, nonzero_beta=False)
-                run.case(
-                    f"zero-band k={k} ell={ell} trial={trial} alpha={_csv(data.alpha)}"
-                    f" beta={_csv(data.beta)} r={_csv(data.r)}",
-                    True,
-                    det_B_zero_check(data),
-                )
+                report.case(f"zero-band {_affine_inputs(data, trial)}", True, det_B_zero_check(data))
 
 
-def _suite_eq5c(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> None:
-    run.note("regime: alpha nonzero, beta nonzero")
-    for ell in range(1, max_ell + 1):
-        for k in range(1, ell + 1):
-            for trial in range(trials):
-                data = _random_affine(rng, k, ell, nonzero_alpha=True, nonzero_beta=True)
-                run.case(
-                    f"k={k} ell={ell} trial={trial} alpha={_csv(data.alpha)}"
-                    f" beta={_csv(data.beta)} r={_csv(data.r)}",
-                    det_fraction_free(build_B(data)),
-                    det_B_expansion_complement(data),
-                )
+def _suite_eq5c(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
+    report.note("regime: alpha nonzero, beta nonzero")
+    _expansion_cases(report, rng, max_ell, trials, det_B_expansion_complement, nonzero_beta=True)
 
 
-def _suite_eq10(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> None:
+def _suite_eq10(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
     for ell in range(1, max_ell + 1):
         for s in range(ell + 1):
             for trial in range(trials):
                 problem = _random_problem(rng, ell)
-                oracle = interpolate_direct(problem).derivative(ell - s)(problem.xi)
-                run.case(
+                oracle = newton_interpolate(problem.nodes(), problem.a).derivative(ell - s)(problem.xi)
+                report.case(
                     f"ell={ell} s={s} trial={trial} xi={format_rational(problem.xi)}"
                     f" h={format_rational(problem.h)} a={_csv(problem.a)}",
                     oracle,
@@ -289,12 +267,12 @@ def _suite_eq10(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> None:
                 )
 
 
-def _suite_eq14(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> None:
+def _suite_eq14(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
     for ell in range(1, max_ell + 1):
         for trial in range(trials):
             problem = _random_problem(rng, ell)
-            shifted = poly_shift_scale(interpolate_direct(problem), problem.xi, problem.h)
-            run.case(
+            shifted = poly_shift_scale(newton_interpolate(problem.nodes(), problem.a), problem.xi, problem.h)
+            report.case(
                 f"ell={ell} trial={trial} xi={format_rational(problem.xi)}"
                 f" h={format_rational(problem.h)} a={_csv(problem.a)}",
                 shifted,
@@ -302,7 +280,7 @@ def _suite_eq14(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> None:
             )
 
 
-def _suite_theorem1(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> None:
+def _suite_theorem1(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
     for ell in range(1, max_ell + 1):
         targets: list[Degree] = [NEG_INF, *range(ell + 1)]
         for target in targets:
@@ -311,7 +289,7 @@ def _suite_theorem1(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> No
                 xi = rng.rational()
                 h = rng.nonzero_rational()
                 problem = EquidistantProblem(ell, xi, h, [poly(xi + i * h) for i in range(ell + 1)])
-                run.case(
+                report.case(
                     f"constructed-degree ell={ell} target={degree_to_str(target)} trial={trial}"
                     f" xi={format_rational(xi)} h={format_rational(h)} a={_csv(problem.a)}",
                     target,
@@ -321,27 +299,22 @@ def _suite_theorem1(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> No
     for ell in range(1, max_ell + 1):
         for trial in range(converse_trials):
             problem = _random_problem(rng, ell)
-            run.case(
+            report.case(
                 f"detector-vs-interpolant ell={ell} trial={trial} a={_csv(problem.a)}",
-                interpolate_direct(problem).degree,
+                newton_interpolate(problem.nodes(), problem.a).degree,
                 detect_degree(problem).degree,
             )
 
 
-def _suite_theorem4(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> None:
+def _suite_theorem4(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
     for k in range(1, max_ell + 1):
         for ell in range(1, max_ell + 1):
             for trial in range(trials):
                 data = _random_regular_data(rng, k, ell)
-                run.case(
-                    f"k={k} ell={ell} trial={trial} alpha={_csv(data.alpha)}"
-                    f" beta={_csv(data.beta)} r={_csv(data.r)}",
-                    k <= ell,
-                    regularity_check(data),
-                )
+                report.case(_affine_inputs(data, trial), k <= ell, regularity_check(data))
 
 
-def _suite_remark5(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> None:
+def _suite_remark5(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
     """Informational: the verbatim general-base-point expansion is compared
     against the interpolation oracle and every outcome is emitted as a note
     (match, exact constant ratio, or exact difference polynomial).  A case
@@ -355,15 +328,15 @@ def _suite_remark5(run: _Run, rng: SplitMix64, max_ell: int, trials: int) -> Non
             problem = GeneralProblem(nodes, a)
             comparison = compare_general_expansion(problem)
             inputs = f"ell={ell} grid={grid_index} nodes={_csv(nodes)} a={_csv(a)}"
-            run.note(f"{inputs} outcome={comparison.outcome}")
-            run.case(inputs, comparison.formula, comparison.oracle + comparison.difference)
+            report.note(f"{inputs} outcome={comparison.outcome}")
+            report.case(inputs, comparison.formula, comparison.oracle + comparison.difference)
             if comparison.ratio is not None:
-                run.case(f"{inputs} ratio-consistency", comparison.formula, comparison.oracle * comparison.ratio)
+                report.case(f"{inputs} ratio-consistency", comparison.formula, comparison.oracle * comparison.ratio)
 
 
 @dataclass(frozen=True)
 class _SuiteSpec:
-    fn: Callable[[_Run, SplitMix64, int, int], None]
+    fn: Callable[[VerifyReport, SplitMix64, int, int], None]
     max_ell: int
     trials: int
     summary: str
@@ -414,22 +387,12 @@ def _settings(name: str, max_ell: int | None, trials: int | None) -> tuple[_Suit
 
 def run_suite(name: str, max_ell: int | None = None, trials: int | None = None, seed: int = DEFAULT_SEED) -> VerifyReport:
     spec, effective_max_ell, effective_trials = _settings(name, max_ell, trials)
-    run = _Run()
+    report = VerifyReport(name, seed, effective_max_ell, effective_trials)
     rng = SplitMix64(seed)
     started = time.perf_counter()
-    spec.fn(run, rng, effective_max_ell, effective_trials)
-    elapsed_ms = int(round((time.perf_counter() - started) * 1000))
-    return VerifyReport(
-        suite=name,
-        seed=seed,
-        max_ell=effective_max_ell,
-        trials=effective_trials,
-        cases_run=run.cases_run,
-        cases_passed=run.cases_passed,
-        failures=run.failures,
-        notes=run.notes,
-        elapsed_ms=elapsed_ms,
-    )
+    spec.fn(report, rng, effective_max_ell, effective_trials)
+    report.elapsed_ms = int(round((time.perf_counter() - started) * 1000))
+    return report
 
 
 def run_all(max_ell: int | None = None, trials: int | None = None, seed: int = DEFAULT_SEED) -> list[VerifyReport]:

@@ -5,7 +5,6 @@ import pytest
 
 from degdet.combinat import binomial
 from degdet.degreematrix import (
-    DegreeMatrixSpec,
     alternating_weighted_sum,
     build_A,
     build_A_sub,
@@ -28,28 +27,43 @@ def forward_difference(values, order):
 
 class TestBuildA:
     def test_power_block_and_value_row(self):
-        m = build_A(DegreeMatrixSpec(2, 0, [1, 1, 1]))
+        m = build_A(2, 0, [1, 1, 1])
         assert m.to_rows() == [[1, 2, 3], [4, 5, 6], [1, 1, 1]]
 
     def test_exponent_zero_collapses_power_block(self):
-        m = build_A(DegreeMatrixSpec(1, 0, [Fraction(2, 3), -5]))
+        m = build_A(1, 0, [Fraction(2, 3), -5])
         assert m.to_rows() == [[1, 1], [Fraction(2, 3), -5]]
 
     def test_weighted_last_row(self):
-        m = build_A(DegreeMatrixSpec(2, 1, [1, 1, 1]))
+        m = build_A(2, 1, [1, 1, 1])
         assert list(m.row(2)) == [0, 1, 2]
 
     def test_zero_to_the_zero_is_one(self):
-        m = build_A(DegreeMatrixSpec(2, 0, [7, 0, 0]))
+        m = build_A(2, 0, [7, 0, 0])
         assert m.entry(2, 0) == 7
 
     def test_value_vector_length_enforced(self):
         with pytest.raises(ValueError):
-            DegreeMatrixSpec(2, 0, [1, 1])
+            build_A(2, 0, [1, 1])
 
     def test_ell_zero_rejected(self):
         with pytest.raises(ValueError):
-            DegreeMatrixSpec(0, 0, [1])
+            build_A(0, 0, [1])
+
+
+@pytest.mark.parametrize("fn", [build_A, det_A_closed_form, alternating_weighted_sum])
+@pytest.mark.parametrize(
+    "ell,s,a,message",
+    [
+        (0, 0, [1], "degree matrix needs ell >= 1, got 0"),
+        (2, -1, [1, 1, 1], "degree matrix needs s >= 0, got -1"),
+        (2, 0, [1, 1], "value vector must have ell+1 = 3 entries, got 2"),
+    ],
+)
+def test_degree_matrix_arguments_checked(fn, ell, s, a, message):
+    with pytest.raises(ValueError) as exc:
+        fn(ell, s, a)
+    assert str(exc.value) == message
 
 
 class TestBuildASub:
@@ -73,7 +87,7 @@ class TestBuildASub:
     def test_matches_column_deletion(self):
         # removing the last row and the kappa-th column of the full matrix
         for ell in range(1, 5):
-            full = build_A(DegreeMatrixSpec(ell, 0, [0] * (ell + 1)))
+            full = build_A(ell, 0, [0] * (ell + 1))
             for kappa in range(1, ell + 2):
                 expected = [
                     [full.entry(i, j) for j in range(ell + 1) if j != kappa - 1]
@@ -184,17 +198,16 @@ class TestFullDeterminant:
         ],
     )
     def test_examples(self, ell, s, a, expected):
-        spec = DegreeMatrixSpec(ell, s, a)
-        assert det_A_closed_form(spec) == expected
-        assert det_fraction_free(build_A(spec)) == expected
+        assert det_A_closed_form(ell, s, a) == expected
+        assert det_fraction_free(build_A(ell, s, a)) == expected
 
     def test_closed_form_matches_elimination_on_random_vectors(self):
         rng = SplitMix64(7)
         for ell in range(1, 5):
             for s in range(ell + 1):
                 for _ in range(10):
-                    spec = DegreeMatrixSpec(ell, s, [rng.rational() for _ in range(ell + 1)])
-                    assert det_fraction_free(build_A(spec)) == det_A_closed_form(spec)
+                    a = [rng.rational() for _ in range(ell + 1)]
+                    assert det_fraction_free(build_A(ell, s, a)) == det_A_closed_form(ell, s, a)
 
     def test_last_row_cofactor_expansion(self):
         # expanding along the value row writes the determinant as a signed
@@ -203,17 +216,16 @@ class TestFullDeterminant:
         for ell in range(1, 6):
             for s in (0, 1, ell):
                 a = [rng.rational() for _ in range(ell + 1)]
-                spec = DegreeMatrixSpec(ell, s, a)
                 total = Fraction(0)
                 for j in range(1, ell + 2):
                     entry = (j - 1) ** s * a[j - 1]
                     term = entry * det_fraction_free(build_A_sub(ell, j))
                     total += term if (ell + 1 + j) % 2 == 0 else -term
-                assert det_fraction_free(build_A(spec)) == total
+                assert det_fraction_free(build_A(ell, s, a)) == total
 
     def test_last_row_cofactors_are_signed_sub_determinants(self):
         for ell in range(1, 7):
-            cofactors = last_row_cofactors(build_A(DegreeMatrixSpec(ell, 0, [1] * (ell + 1))))
+            cofactors = last_row_cofactors(build_A(ell, 0, [1] * (ell + 1)))
             expected = [(-1) ** (ell + 1 + j) * det_fraction_free(build_A_sub(ell, j)) for j in range(1, ell + 2)]
             assert list(cofactors) == expected
 
@@ -221,10 +233,9 @@ class TestFullDeterminant:
         rng = SplitMix64(13)
         for ell in range(1, 5):
             a = [rng.rational() for _ in range(ell + 1)]
-            doubled = DegreeMatrixSpec(ell, 1, [2 * x for x in a])
-            assert det_A_closed_form(doubled) == 2 * det_A_closed_form(DegreeMatrixSpec(ell, 1, a))
-        assert det_A_closed_form(DegreeMatrixSpec(3, 0, [0, 0, 0, 0])) == 0
+            assert det_A_closed_form(ell, 1, [2 * x for x in a]) == 2 * det_A_closed_form(ell, 1, a)
+        assert det_A_closed_form(3, 0, [0, 0, 0, 0]) == 0
 
     def test_s_above_ell_is_legal(self):
-        spec = DegreeMatrixSpec(2, 5, [1, Fraction(1, 2), -3])
-        assert det_fraction_free(build_A(spec)) == det_A_closed_form(spec)
+        a = [1, Fraction(1, 2), -3]
+        assert det_fraction_free(build_A(2, 5, a)) == det_A_closed_form(2, 5, a)

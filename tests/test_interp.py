@@ -22,7 +22,6 @@ from degdet.interp import (
     derivative_at_left_node,
     detect_degree,
     general_expansion,
-    interpolate_direct,
     interpolate_eq14,
     lagrange_basis_hat,
     lagrange_interpolate,
@@ -108,15 +107,15 @@ class TestLagrangeBasis:
 class TestDirectInterpolation:
     def test_parabola_unit_grid(self):
         p = EquidistantProblem(2, 0, 1, [0, 1, 4])
-        assert interpolate_direct(p) == Poly([0, 0, 1])
+        assert newton_interpolate(p.nodes(), p.a) == Poly([0, 0, 1])
 
     def test_parabola_stretched_grid(self):
         p = EquidistantProblem(2, 0, 2, [0, 4, 16])
-        assert interpolate_direct(p) == Poly([0, 0, 1])
+        assert newton_interpolate(p.nodes(), p.a) == Poly([0, 0, 1])
 
     def test_constant_data(self):
         p = EquidistantProblem(3, 5, Fraction(1, 2), [7, 7, 7, 7])
-        assert interpolate_direct(p) == Poly([7])
+        assert newton_interpolate(p.nodes(), p.a) == Poly([7])
 
     def test_interpolation_property(self):
         rng = SplitMix64(21)
@@ -208,7 +207,6 @@ class TestNewtonOracle:
         ):
             monkeypatch.setattr(name, forbidden)
         assert newton_interpolate(p.nodes(), p.a) == expected
-        assert interpolate_direct(p) == expected
 
     def test_verify_suites_never_call_lagrange(self, monkeypatch):
         calls = []
@@ -244,7 +242,7 @@ class TestCoefficientFormula:
         for ell in range(1, 6):
             for _ in range(10):
                 p = random_problem(rng, ell)
-                shifted = poly_shift_scale(interpolate_direct(p), p.xi, p.h)
+                shifted = poly_shift_scale(newton_interpolate(p.nodes(), p.a), p.xi, p.h)
                 assert interpolate_eq14(p) == shifted
 
     @pytest.mark.parametrize("ell", [13, 24, 40])
@@ -254,7 +252,7 @@ class TestCoefficientFormula:
         rng = SplitMix64(100 + ell)
         for _ in range(2):
             p = random_problem(rng, ell)
-            assert interpolate_eq14(p) == poly_shift_scale(interpolate_direct(p), p.xi, p.h)
+            assert interpolate_eq14(p) == poly_shift_scale(newton_interpolate(p.nodes(), p.a), p.xi, p.h)
 
 
 class TestDerivativeWeights:
@@ -292,7 +290,7 @@ class TestDerivativeAtLeftNode:
             for s in range(ell + 1):
                 for _ in range(5):
                     p = random_problem(rng, ell)
-                    oracle = interpolate_direct(p).derivative(ell - s)(p.xi)
+                    oracle = newton_interpolate(p.nodes(), p.a).derivative(ell - s)(p.xi)
                     assert derivative_at_left_node(p, s) == oracle
 
     def test_worked_low_order_expansions(self):
@@ -302,7 +300,7 @@ class TestDerivativeAtLeftNode:
         rng = SplitMix64(25)
         for ell in range(1, 6):
             p = random_problem(rng, ell)
-            normalized = poly_shift_scale(interpolate_direct(p), p.xi, p.h)
+            normalized = poly_shift_scale(newton_interpolate(p.nodes(), p.a), p.xi, p.h)
             sums = [alternating_weighted_sum(ell, k, p.a) for k in range(3)]
             for s in range(min(2, ell) + 1):
                 lhs = (
@@ -442,7 +440,7 @@ class TestDegreeDetection:
         for ell in range(1, 6):
             for _ in range(10):
                 p = random_problem(rng, ell)
-                assert detect_degree(p).degree == interpolate_direct(p).degree
+                assert detect_degree(p).degree == newton_interpolate(p.nodes(), p.a).degree
 
 
 class TestGeneralExpansion:

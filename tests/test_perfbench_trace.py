@@ -1,0 +1,35 @@
+"""One traced benchmark pass (perfbench/one_pass.py with "trace": true) on a
+small plan.  The span tracer reads arguments and results of some traced
+functions (det_fraction_free's matrix, detect_degree's determinants), so a
+signature change there breaks traced runs even when every call site in
+degdet is updated; this runs the tracer end to end inside tier-1."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_pass_runs_every_op(tmp_path):
+    problem = tmp_path / "problem.txt"
+    problem.write_text("ell: 4\nxi: 1/2\nh: -2/3\nvalues: 1, 1, 1, 1, 1\n", encoding="utf-8")
+    ops = [
+        ["degree", "--input", str(problem)],
+        ["degree", "--input", str(problem), "--mode", "matrix"],
+        ["det", "--matrix", "A", "--ell", "2", "--s", "1", "--a", "1,1/2,-3"],
+        ["verify", "--suite", "prop2", "--max-ell", "2", "--trials", "1"],
+    ]
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"trace": True, "ops": ops}), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "one_pass.py"), str(plan)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    report = json.loads(done.stdout)
+    assert [op["code"] for op in report["ops"]] == [0] * len(ops), [op["stderr_tail"] for op in report["ops"]]
+    assert report["layers"]

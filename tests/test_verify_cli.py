@@ -11,7 +11,7 @@ import pytest
 import degdet
 from degdet.cli import ProblemFileError, main, parse_problem_file
 from degdet.exactnum import Poly, degree_to_str, format_rational, parse_rational, poly_shift_scale
-from degdet.interp import EquidistantProblem, interpolate_direct
+from degdet.interp import EquidistantProblem, newton_interpolate
 from degdet.rng import SplitMix64
 from degdet.verify import DEFAULT_SEED, SUITES, run_suite
 
@@ -213,7 +213,7 @@ class TestDegreeCommand:
             path = self.write(tmp_path, problem_text(p))
             code, out, _ = run_cli(capsys, "degree", "--input", path)
             fields = out_fields(out)
-            oracle = poly_shift_scale(interpolate_direct(p), p.xi, 1)
+            oracle = poly_shift_scale(newton_interpolate(p.nodes(), p.a), p.xi, 1)
             assert code == 0
             assert fields["degree"] == degree_to_str(oracle.degree)
             for k in range(p.ell + 1):
@@ -241,6 +241,25 @@ class TestDegreeCommand:
         code, _, err = run_cli(capsys, "degree", "--input", str(tmp_path / "nope.txt"))
         assert code == 2
         assert "cannot read" in err
+
+    def test_failed_report_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        # Degree 5 on ell = 5: eight header values and det[0] come first,
+        # so the 12th formatted value is b[2], half-way through the report.
+        path = self.write(tmp_path, "ell: 5\nxi: 0\nh: 1\nvalues: 0, 1, 32, 243, 1024, 3125\n")
+        calls = []
+
+        def failing_format(value):
+            calls.append(value)
+            if len(calls) == 12:
+                raise ValueError("formatting failed")
+            return format_rational(value)
+
+        monkeypatch.setattr("degdet.cli.format_rational", failing_format)
+        code, out, err = run_cli(capsys, "degree", "--input", path)
+        assert len(calls) == 12
+        assert code == 2
+        assert out == ""
+        assert "formatting failed" in err
 
 
 class TestDetCommand:
@@ -285,6 +304,12 @@ class TestDetCommand:
         code, _, err = run_cli(capsys, "det", "--matrix", "Asub", "--ell", "2")
         assert code == 2
         assert "--kappa" in err
+
+    def test_negative_s_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "det", "--matrix", "A", "--ell", "2", "--s", "-1", "--a", "1,1,1")
+        assert code == 2
+        assert out == ""
+        assert err == "degdet: error: degree matrix needs s >= 0, got -1\n"
 
     def test_invalid_data_exits_2(self, capsys):
         code, _, err = run_cli(
