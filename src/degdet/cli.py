@@ -122,8 +122,9 @@ def cmd_degree(args: argparse.Namespace) -> int:
     problem = load_problem_file(args.input)
     detection = detect_degree(problem, args.mode)
     # eq. 14 gives the coefficients c[k] of t**k with t = (x - xi)/h, so the
-    # coefficient of (x - xi)**k is c[k] / h**k.
+    # coefficient of (x - xi)**k is c[k] / h**k, one Fraction with h = p/q.
     normalized = interpolate_eq14(problem)
+    p, q = problem.h.numerator, problem.h.denominator
 
     # The whole report is built before any of it is written, so a failure
     # leaves stdout empty rather than holding a partial report.
@@ -138,9 +139,9 @@ def cmd_degree(args: argparse.Namespace) -> int:
         f"witness_m: {'none' if detection.witness_m is None else detection.witness_m}",
     ]
     lines += [f"det[{s}]: {format_rational(value)}" for s, value in enumerate(detection.determinants)]
-    lines += [
-        f"b[{k}]: {format_rational(normalized.coefficient(k) / problem.h**k)}" for k in range(problem.ell + 1)
-    ]
+    for k in range(problem.ell + 1):
+        c = normalized.coefficient(k)
+        lines.append(f"b[{k}]: {format_rational(Rational(c.numerator * q**k, c.denominator * p**k))}")
     print("\n".join(lines))
     return 0
 

@@ -5,6 +5,7 @@ value vector, its square submatrices, and their closed-form determinants."""
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .combinat import binomial
@@ -95,6 +96,24 @@ def alternating_weighted_sum(ell: int, s: int, a) -> Rational:
         term = binomial(ell, j) * j**s * nj
         total += -term if j % 2 else term
     return Fraction(total, common)
+
+
+class AlternatingSums:
+    """self[s], s >= 0, is the integer L * alternating_weighted_sum(ell, s, a)
+    with L (common) the lcm of the denominators of a: sum(w) for
+    w_j = (-1)^j C(ell, j) L a_j j^s, stepped by w_j <- j w_j.  The sums are
+    made in s order on first read and kept, so stopping at s = 0 costs one."""
+
+    def __init__(self, ell: int, a):
+        self.common, nums = over_common_denominator(_checked_values(ell, 0, a))
+        self._weights = [(-1) ** j * binomial(ell, j) * n for j, n in enumerate(nums)]
+        self._sums = [sum(self._weights)]
+
+    def __getitem__(self, s: int) -> int:
+        while len(self._sums) <= s:
+            self._weights = list(map(operator.mul, range(len(self._weights)), self._weights))
+            self._sums.append(sum(self._weights))
+        return self._sums[s]
 
 
 def det_A_closed_form(ell: int, s: int, a) -> Rational:

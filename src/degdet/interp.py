@@ -10,10 +10,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .combinat import binomial, elementary_symmetric, tau
-from .degreematrix import alternating_weighted_sum, build_A, sigma_ell, weighted_value_row
+from .degreematrix import AlternatingSums, build_A, sigma_ell, weighted_value_row
 from .exactnum import (
     NEG_INF,
     Degree,
@@ -56,6 +57,11 @@ class EquidistantProblem:
 
     def nodes(self) -> tuple[Rational, ...]:
         return tuple(self.xi + i * self.h for i in range(self.ell + 1))
+
+    @cached_property
+    def sums(self) -> AlternatingSums:
+        """The integer alternating sums, shared by every closed form below."""
+        return AlternatingSums(self.ell, self.a)
 
 
 @dataclass(frozen=True)
@@ -189,30 +195,24 @@ def interpolate_eq14(problem: EquidistantProblem) -> Poly:
         (-1)^ell / ell! * sum_{m=0}^{ell} sum_{k=0}^{m}
             (-1)^(k+m) tau(ell, m-k, 0) S_k  t^(ell-m)
 
-    where S_k is alternating_weighted_sum(ell, k, a).  Shifting the direct
+    where S_k is alternating_weighted_sum(ell, k, a), summed in plain ints as
+    L * S_k with one division per coefficient.  Shifting the direct
     interpolant by (xi, h) reproduces this polynomial exactly.
     """
-    ell = problem.ell
+    ell, sums = problem.ell, problem.sums
     sym = [tau(ell, m, 0) for m in range(ell + 1)]
-    sums = [alternating_weighted_sum(ell, k, problem.a) for k in range(ell + 1)]
-    lead = Fraction((-1) ** ell, math.factorial(ell))
-    return Poly(_eq14_double_sum(sym, sums)) * lead
+    scale = (-1) ** ell * sums.common * math.factorial(ell)
+    return Poly([Fraction(c, scale) for c in _eq14_double_sum(sym, [sums[k] for k in range(ell + 1)])])
 
 
 def _eq14_double_sum(sym: Sequence, inner: Sequence) -> list:
     """The coefficients of sum_{m=0}^{ell} sum_{k=0}^{m} (-1)^(k+m)
     sym[m-k] inner[k] t^(ell-m), in increasing powers of t (ell =
     len(inner) - 1); the double sum shared by eq. 14 and its general-node
-    analogue."""
+    analogue.  Since (-1)^(k+m) = (-1)^(m-k), the sign rides on sym."""
     ell = len(inner) - 1
-    coeffs = [0] * (ell + 1)
-    for m in range(ell + 1):
-        acc = 0
-        for k in range(m + 1):
-            term = sym[m - k] * inner[k]
-            acc += -term if (k + m) % 2 else term
-        coeffs[ell - m] = acc
-    return coeffs
+    signed = [-x if i % 2 else x for i, x in enumerate(sym[: ell + 1])]
+    return [sum(map(operator.mul, signed[m::-1], inner)) for m in range(ell, -1, -1)]
 
 
 def sigma_lsk(ell: int, s: int, k: int) -> Rational:
@@ -231,14 +231,15 @@ def sigma_lsk(ell: int, s: int, k: int) -> Rational:
 def derivative_at_left_node(problem: EquidistantProblem, s: int) -> Rational:
     """The (ell-s)-th derivative of the interpolant at x = xi, via the closed
     form h^(s-ell) * sum_k sigma_lsk(ell, s, k) * S_k; must equal the symbolic
-    derivative of the direct interpolant evaluated at xi."""
+    derivative of the direct interpolant evaluated at xi.  Summed in plain
+    ints as L * S_k, with one division at the end."""
     ell = problem.ell
     if not 0 <= s <= ell:
         raise ValueError(f"derivative index s={s} outside [0, {ell}]")
-    total = Fraction(0)
-    for k in range(s + 1):
-        total += sigma_lsk(ell, s, k) * alternating_weighted_sum(ell, k, problem.a)
-    return problem.h ** (s - ell) * total
+    sums, order = problem.sums, ell - s
+    total = sum((-1) ** (order + k) * tau(ell, s - k, 0) * sums[k] for k in range(s + 1))
+    p, q = problem.h.numerator, problem.h.denominator
+    return Fraction(total * math.factorial(order) * q**order, sums.common * math.factorial(ell) * p**order)
 
 
 @dataclass(frozen=True)
@@ -256,15 +257,16 @@ class DegreeDetection:
 def _determinant_route(problem: EquidistantProblem, mode: str) -> Callable[[int], Rational]:
     """The map s -> determinant for one detection.
 
-    Closed-form mode evaluates sigma_ell here, once.  Matrix mode builds the
-    matrix once and eliminates its first ell rows, which every s shares,
-    once: each determinant is then the dot product of the last-row
-    cofactors with weighted_value_row(s, a) (Laplace expansion).
+    Closed-form mode evaluates sigma_ell here, once, and reads
+    problem.sums.  Matrix mode builds the matrix once and eliminates its
+    first ell rows, which every s shares, once: each determinant is then
+    the dot product of the last-row cofactors with weighted_value_row(s, a)
+    (Laplace expansion).
     """
     ell, a = problem.ell, problem.a
     if mode == MODE_CLOSED_FORM:
-        sigma = sigma_ell(ell)
-        return lambda s: sigma * alternating_weighted_sum(ell, s, a)
+        sigma, sums = sigma_ell(ell), problem.sums
+        return lambda s: Fraction(sigma * sums[s], sums.common)
     if mode == MODE_MATRIX:
         cofactors = last_row_cofactors(build_A(ell, 0, a))
         return lambda s: sum(map(operator.mul, cofactors, weighted_value_row(s, a)), Fraction(0))

@@ -30,6 +30,8 @@ _RATIONALS = tuple(tuple(Fraction(n, d) for d in range(1, 5)) for n in range(-9,
 # and 25.
 _DISTINCT_SIGNED = len({q for row in _RATIONALS for q in row})
 _DISTINCT_POSITIVE = len({q for row in _RATIONALS[10:] for q in row})
+# The rejection limit 2^64 - (2^64 mod bound) of each bound below() has seen.
+_LIMITS: dict[int, int] = {}
 
 
 class SplitMix64:
@@ -45,9 +47,11 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Exactly uniform integer in [0, bound); rejection on the top remainder band."""
-        if bound < 1:
-            raise ValueError(f"bound must be positive, got {bound}")
-        limit = (1 << 64) - ((1 << 64) % bound)
+        limit = _LIMITS.get(bound)
+        if limit is None:
+            if bound < 1:
+                raise ValueError(f"bound must be positive, got {bound}")
+            limit = _LIMITS[bound] = (1 << 64) - ((1 << 64) % bound)
         while True:
             z = self.next_u64()
             if z < limit:

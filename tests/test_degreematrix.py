@@ -5,6 +5,7 @@ import pytest
 
 from degdet.combinat import binomial
 from degdet.degreematrix import (
+    AlternatingSums,
     alternating_weighted_sum,
     build_A,
     build_A_sub,
@@ -186,6 +187,58 @@ class TestAlternatingWeightedSum:
     def test_length_enforced(self):
         with pytest.raises(ValueError):
             alternating_weighted_sum(2, 0, [1, 2])
+
+
+class TestAlternatingSums:
+    """The integer vector route against the single-s sum, its oracle."""
+
+    @staticmethod
+    def assert_matches_single_sums(ell, a):
+        sums = AlternatingSums(ell, a)
+        assert sums.common == math.lcm(*(Fraction(x).denominator for x in a))
+        for s in range(ell + 1):
+            assert isinstance(sums[s], int)
+            assert Fraction(sums[s], sums.common) == alternating_weighted_sum(ell, s, a)
+
+    @pytest.mark.parametrize("ell", [*range(1, 41), 64, 96, 128])
+    def test_mixed_denominators(self, ell):
+        rng = SplitMix64(3000 + ell)
+        a = [Fraction(rng.int_between(-50, 50), rng.int_between(1, 12)) if j % 4 else rng.rational()
+             for j in range(ell + 1)]
+        self.assert_matches_single_sums(ell, a)
+
+    @pytest.mark.parametrize("ell", [1, 2, 7, 40, 96])
+    def test_zero_vector_and_single_entries(self, ell):
+        self.assert_matches_single_sums(ell, [0] * (ell + 1))
+        for j in sorted({0, 1, ell // 2, ell}):
+            a = [Fraction(0)] * (ell + 1)
+            a[j] = Fraction(-7, 3)
+            self.assert_matches_single_sums(ell, a)
+
+    @pytest.mark.parametrize("ell", [3, 64, 128])
+    def test_numerators_past_5000_digits(self, ell):
+        # built from powers, never from decimal strings, so the interpreter's
+        # limit on int/str conversion never applies
+        big = 7**6000
+        assert big > 10**5000
+        rng = SplitMix64(4000 + ell)
+        a = [Fraction(rng.int_between(-9, 9) * big + rng.below(10), rng.int_between(1, 5)) for _ in range(ell + 1)]
+        self.assert_matches_single_sums(ell, a)
+
+    def test_reading_order_does_not_matter(self):
+        a = [Fraction(1, 2), -3, Fraction(5, 7), 0, 11]
+        backwards = AlternatingSums(4, a)
+        read = {s: backwards[s] for s in (6, 4, 0, 2)}
+        forwards = AlternatingSums(4, a)
+        assert read == {s: forwards[s] for s in (0, 2, 4, 6)}
+        # s above ell is legal, as for the single sum
+        assert Fraction(read[6], backwards.common) == alternating_weighted_sum(4, 6, a)
+
+    def test_rejects_what_the_single_sum_rejects(self):
+        with pytest.raises(ValueError, match="degree matrix needs ell >= 1"):
+            AlternatingSums(0, [1])
+        with pytest.raises(ValueError, match="value vector must have ell"):
+            AlternatingSums(2, [1, 2])
 
 
 class TestFullDeterminant:

@@ -39,6 +39,22 @@ def random_problem(rng, ell):
     )
 
 
+def forward_difference_degree(values):
+    """A third degree route, sharing no code with the detector: the classical
+    rule that the interpolant through a_0..a_ell on an equidistant grid is
+    sum_d C(t, d) Delta^d a_0 (Newton's forward form), so its degree is the
+    largest d with Delta^d a_0 != 0.  The differences run in plain ints on
+    the values over the lcm L of their denominators."""
+    common = math.lcm(*(v.denominator for v in values))
+    column = [v.numerator * (common // v.denominator) for v in values]
+    degree = NEG_INF
+    for d in range(len(values)):
+        if column[0]:
+            degree = d
+        column = [b - a for a, b in zip(column, column[1:])]
+    return degree
+
+
 class TestNodalPolynomial:
     def test_small_cases(self):
         assert poly_K(2) == Poly([0, 2, -3, 1])
@@ -198,9 +214,10 @@ class TestNewtonOracle:
 
         for name in (
             "degdet.combinat.tau",
+            "degdet.degreematrix.AlternatingSums",
             "degdet.degreematrix.alternating_weighted_sum",
             "degdet.degreematrix.sigma_ell",
-            "degdet.interp.alternating_weighted_sum",
+            "degdet.interp.AlternatingSums",
             "degdet.interp.sigma_ell",
             "degdet.interp.poly_K",
             "degdet.interp.tau",
@@ -244,6 +261,16 @@ class TestCoefficientFormula:
                 p = random_problem(rng, ell)
                 shifted = poly_shift_scale(newton_interpolate(p.nodes(), p.a), p.xi, p.h)
                 assert interpolate_eq14(p) == shifted
+
+    @pytest.mark.parametrize("ell", [64, 96])
+    def test_reproduces_every_value_at_large_ell(self, ell):
+        # evaluated at the nodes t = i rather than compared with
+        # poly_shift_scale, whose Poly products cost O(ell^3) Fraction work
+        rng = SplitMix64(200 + ell)
+        p = random_problem(rng, ell)
+        normalized = interpolate_eq14(p)
+        assert normalized.degree <= ell
+        assert [normalized(i) for i in range(ell + 1)] == list(p.a)
 
     @pytest.mark.parametrize("ell", [13, 24, 40])
     def test_matches_shifted_direct_interpolant_past_subset_limit(self, ell):
@@ -292,6 +319,23 @@ class TestDerivativeAtLeftNode:
                     p = random_problem(rng, ell)
                     oracle = newton_interpolate(p.nodes(), p.a).derivative(ell - s)(p.xi)
                     assert derivative_at_left_node(p, s) == oracle
+
+    def test_matches_fraction_weight_formula(self):
+        # the integer route against the formula as stated, in Fractions
+        rng = SplitMix64(26)
+        for ell in (1, 2, 5, 9, 17):
+            p = random_problem(rng, ell)
+            for s in range(ell + 1):
+                weighted = sum(sigma_lsk(ell, s, k) * alternating_weighted_sum(ell, k, p.a) for k in range(s + 1))
+                assert derivative_at_left_node(p, s) == p.h ** (s - ell) * weighted
+
+    @pytest.mark.parametrize("ell", [16, 24])
+    def test_matches_symbolic_oracle_at_larger_ell(self, ell):
+        rng = SplitMix64(300 + ell)
+        p = random_problem(rng, ell)
+        oracle = newton_interpolate(p.nodes(), p.a)
+        for s in range(ell + 1):
+            assert derivative_at_left_node(p, s) == oracle.derivative(ell - s)(p.xi)
 
     def test_worked_low_order_expansions(self):
         # rearranged low-order forms: (-1)^(ell-s) ell!/(ell-s)! times the
@@ -441,6 +485,24 @@ class TestDegreeDetection:
             for _ in range(10):
                 p = random_problem(rng, ell)
                 assert detect_degree(p).degree == newton_interpolate(p.nodes(), p.a).degree
+
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5, 6, 8, 11, 16, 20, 32, 50, 100, 200])
+    def test_matches_forward_differences(self, ell):
+        # matrix mode costs one O(ell^3) elimination, so it runs to ell = 20
+        rng = SplitMix64(400 + ell)
+        xi, h = rng.rational(), rng.nonzero_rational()
+        target = rng.below(ell + 1)
+        poly = Poly([rng.rational() for _ in range(target)] + [rng.nonzero_rational()])
+        constructed = EquidistantProblem(ell, xi, h, [poly(xi + i * h) for i in range(ell + 1)])
+        all_equal = EquidistantProblem(ell, xi, h, [rng.nonzero_rational()] * (ell + 1))
+        assert forward_difference_degree(constructed.a) == target
+        assert forward_difference_degree(all_equal.a) == 0
+        assert forward_difference_degree([Fraction(0)] * (ell + 1)) is NEG_INF
+        modes = (MODE_CLOSED_FORM, MODE_MATRIX) if ell <= 20 else (MODE_CLOSED_FORM,)
+        for p in (random_problem(rng, ell), constructed, all_equal):
+            expected = forward_difference_degree(p.a)
+            for mode in modes:
+                assert detect_degree(p, mode).degree == expected
 
 
 class TestGeneralExpansion:

@@ -13,15 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_pass_runs_every_op(tmp_path):
-    problem = tmp_path / "problem.txt"
-    problem.write_text("ell: 4\nxi: 1/2\nh: -2/3\nvalues: 1, 1, 1, 1, 1\n", encoding="utf-8")
-    ops = [
-        ["degree", "--input", str(problem)],
-        ["degree", "--input", str(problem), "--mode", "matrix"],
-        ["det", "--matrix", "A", "--ell", "2", "--s", "1", "--a", "1,1/2,-3"],
-        ["verify", "--suite", "prop2", "--max-ell", "2", "--trials", "1"],
-    ]
+def traced_pass(tmp_path, ops):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"trace": True, "ops": ops}), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -32,4 +24,34 @@ def test_traced_pass_runs_every_op(tmp_path):
     assert done.returncode == 0, done.stderr[-2000:]
     report = json.loads(done.stdout)
     assert [op["code"] for op in report["ops"]] == [0] * len(ops), [op["stderr_tail"] for op in report["ops"]]
-    assert report["layers"]
+    return report
+
+
+def all_equal_problem(tmp_path):
+    problem = tmp_path / "problem.txt"
+    problem.write_text("ell: 4\nxi: 1/2\nh: -2/3\nvalues: 1, 1, 1, 1, 1\n", encoding="utf-8")
+    return str(problem)
+
+
+def test_traced_pass_runs_every_op(tmp_path):
+    problem = all_equal_problem(tmp_path)
+    ops = [
+        ["degree", "--input", problem],
+        ["degree", "--input", problem, "--mode", "matrix"],
+        ["det", "--matrix", "A", "--ell", "2", "--s", "1", "--a", "1,1/2,-3"],
+        ["verify", "--suite", "prop2", "--max-ell", "2", "--trials", "1"],
+    ]
+    assert traced_pass(tmp_path, ops)["layers"]
+
+
+def test_traced_degree_layers(tmp_path):
+    # both modes scan det[0..4] on all-equal values; only closed-form mode
+    # computes sigma_ell, and neither computes a single alternating sum
+    problem = all_equal_problem(tmp_path)
+    layers = traced_pass(tmp_path, [
+        ["degree", "--input", problem],
+        ["degree", "--input", problem, "--mode", "matrix"],
+    ])["layers"]
+    assert layers["degreematrix.sigma_ell.calls"] == 1
+    assert layers["interp.detect_degree.dets_inspected"] == 5.0
+    assert layers["degreematrix.alternating_weighted_sum.calls"] == 0

@@ -10,6 +10,7 @@ import pytest
 
 import degdet
 from degdet.cli import ProblemFileError, main, parse_problem_file
+from degdet.degreematrix import AlternatingSums, alternating_weighted_sum
 from degdet.exactnum import Poly, degree_to_str, format_rational, parse_rational, poly_shift_scale
 from degdet.interp import EquidistantProblem, newton_interpolate
 from degdet.rng import SplitMix64
@@ -145,11 +146,64 @@ class TestProblemFile:
         assert fragment in str(exc.value)
 
 
+# ell = 32 problems whose full reports are pinned below
+ALL_EQUAL_32 = EquidistantProblem(32, Fraction(-5, 3), Fraction(7, 4), [Fraction(-11, 6)] * 33)
+_PIN_RNG = SplitMix64(3232)
+RANDOM_32 = EquidistantProblem(32, _PIN_RNG.rational(), _PIN_RNG.nonzero_rational(),
+                               [_PIN_RNG.rational() for _ in range(33)])
+
+
 class TestDegreeCommand:
     def write(self, tmp_path, text):
         path = tmp_path / "problem.txt"
         path.write_text(text)
         return str(path)
+
+    # sha256 and length of the report after its "input:" line, recorded when
+    # each alternating sum was computed on its own and eq. 14 ran in Fractions
+    @pytest.mark.parametrize(
+        "problem,mode,size,digest",
+        [
+            (ALL_EQUAL_32, "closed-form", 2823, "70bbe6a529b06de40d7599629efe0b2825239afff3e256207d460a5a58743372"),
+            (ALL_EQUAL_32, "matrix", 2818, "96d1e15f54850f372c747f7229c9555350eebb3aa6926e9b907f8b78aa07798b"),
+            (RANDOM_32, "closed-form", 4285, "fb3b2c2187556b689b04731deae090e5ba26e5270ca1e55ca50646897960be55"),
+            (RANDOM_32, "matrix", 4280, "5fb8d5b15d6f1b3393a74f831fac009cd25bd0002a3414f1838ae2ef1ce7bf38"),
+        ],
+    )
+    def test_full_report_pinned_at_ell_32(self, capsys, tmp_path, problem, mode, size, digest):
+        path = self.write(tmp_path, problem_text(problem))
+        code, out, _ = run_cli(capsys, "degree", "--input", path, "--mode", mode)
+        head, body = out.split("\n", 1)
+        assert (code, head) == (0, f"input: {path}")
+        assert (len(body.encode()), hashlib.sha256(body.encode()).hexdigest()) == (size, digest)
+
+    # all-equal values make the detector read every sum, random ones only S_0
+    @pytest.mark.parametrize("problem", [
+        EquidistantProblem(12, Fraction(1, 3), -2, [Fraction(5, 7)] * 13),
+        EquidistantProblem(12, -1, Fraction(3, 4), [Fraction(j * j - 7, j + 1) for j in range(13)]),
+    ])
+    @pytest.mark.parametrize("mode", ["closed-form", "matrix"])
+    def test_one_sum_vector_per_report(self, capsys, tmp_path, monkeypatch, problem, mode):
+        vectors = []
+        single_sums = []
+
+        class CountingSums(AlternatingSums):
+            def __init__(self, ell, a):
+                vectors.append(ell)
+                super().__init__(ell, a)
+
+        def counting_single_sum(ell, s, a):
+            single_sums.append(s)
+            return alternating_weighted_sum(ell, s, a)
+
+        monkeypatch.setattr("degdet.interp.AlternatingSums", CountingSums)
+        for module in ("degdet.degreematrix", "degdet.interp", "degdet.cli"):
+            monkeypatch.setattr(f"{module}.alternating_weighted_sum", counting_single_sum, raising=False)
+        path = self.write(tmp_path, problem_text(problem))
+        code, _, _ = run_cli(capsys, "degree", "--input", path, "--mode", mode)
+        assert code == 0
+        assert vectors == [12]
+        assert single_sums == []
 
     def test_linear_data_report(self, capsys, tmp_path):
         path = self.write(tmp_path, "ell: 3\nxi: 0\nh: 1\nvalues: 0, 1, 2, 3\n")
