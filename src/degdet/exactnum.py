@@ -224,15 +224,32 @@ class Poly:
 
 
 def poly_shift_scale(p: Poly, xi: RationalLike, h: RationalLike) -> Poly:
-    """Return p̂ with p̂(t) = p(xi + t*h); h must be nonzero so the substitution inverts."""
+    """Return p̂ with p̂(t) = p(xi + t*h); h must be nonzero so the substitution inverts.
+
+    With p's coefficients n_k / d over one denominator and xi + t*h =
+    (start + slope t) / m in integers, Horner's rule expands
+    sum_k n_k m^(n-k) (start + slope t)^k in plain ints, and coefficient j
+    of p̂ is that sum's coefficient j over d m^n, the only Fraction
+    arithmetic.
+    """
     step = rat(h)
     if step == 0:
         raise ValueError("shift-scale substitution needs h != 0")
-    line = Poly([xi, step])
-    acc = Poly.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * line + c
-    return acc
+    if p.is_zero:
+        return Poly.zero()
+    shift = rat(xi)
+    m = shift.denominator * step.denominator
+    start, slope = shift.numerator * step.denominator, step.numerator * shift.denominator
+    d, nums = over_common_denominator(p.coeffs)
+    acc = [nums[-1]]
+    power = 1
+    for c in reversed(nums[:-1]):
+        power *= m
+        acc = [start * acc[0] + c * power] + [
+            start * high + slope * low for low, high in zip(acc, acc[1:])
+        ] + [slope * acc[-1]]
+    scale = d * power
+    return Poly([Fraction(c, scale) for c in acc])
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,12 @@ class EquidistantProblem:
         object.__setattr__(self, "a", values)
 
     def nodes(self) -> tuple[Rational, ...]:
-        return tuple(self.xi + i * self.h for i in range(self.ell + 1))
+        """The grid xi + i*h; with xi = p/q and h = r/t, node i is the
+        single Fraction (p*t + i*r*q) / (q*t)."""
+        p, q = self.xi.numerator, self.xi.denominator
+        r, t = self.h.numerator, self.h.denominator
+        start, step, den = p * t, r * q, q * t
+        return tuple(Fraction(start + i * step, den) for i in range(self.ell + 1))
 
     @cached_property
     def sums(self) -> AlternatingSums:

@@ -25,6 +25,16 @@ small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 nonzero_rationals = small_rationals.filter(lambda q: q != 0)
 
 
+def shift_scale_by_poly_products(p, xi, h):
+    """Reference for poly_shift_scale: Horner's rule on Poly products,
+    acc <- acc * (xi + h t) + c_k, all in Fraction arithmetic."""
+    line = Poly([xi, h])
+    acc = Poly.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * line + c
+    return acc
+
+
 def square_matrices(max_size):
     return st.integers(min_value=1, max_value=max_size).flatmap(
         lambda n: st.lists(
@@ -139,6 +149,14 @@ class TestPoly:
         shifted = poly_shift_scale(p, xi, h)
         for t in (-2, 0, 1, Fraction(1, 3)):
             assert shifted(t) == p(xi + rat(t) * h)
+
+    def test_shift_scale_matches_poly_product_horner(self):
+        rng = SplitMix64(41)
+        polys = [Poly.zero()] + [Poly([rng.rational() for _ in range(d)] + [rng.nonzero_rational()]) for d in range(41)]
+        for p in polys:
+            xi, h = rng.rational(), rng.nonzero_rational()
+            for step in (h, -h):
+                assert poly_shift_scale(p, xi, step) == shift_scale_by_poly_products(p, xi, step)
 
     def test_divide_linear_examples(self):
         assert Poly([0, 2, -3, 1]).divide_linear(1) == Poly([0, -2, 1])

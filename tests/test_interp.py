@@ -142,6 +142,15 @@ class TestDirectInterpolation:
             for i, node in enumerate(p.nodes()):
                 assert q(node) == p.a[i]
 
+    def test_nodes_are_the_grid(self):
+        rng = SplitMix64(31)
+        for ell in (1, 2, 7, 30):
+            for _ in range(5):
+                p = random_problem(rng, ell)
+                assert p.nodes() == tuple(p.xi + i * p.h for i in range(ell + 1))
+        assert EquidistantProblem(3, Fraction(-1, 6), Fraction(-3, 4), [0] * 4).nodes() == (
+            Fraction(-1, 6), Fraction(-11, 12), Fraction(-5, 3), Fraction(-29, 12))
+
     def test_problem_validation(self):
         with pytest.raises(ValueError):
             EquidistantProblem(2, 0, 0, [1, 2, 3])
@@ -264,13 +273,12 @@ class TestCoefficientFormula:
 
     @pytest.mark.parametrize("ell", [64, 96])
     def test_reproduces_every_value_at_large_ell(self, ell):
-        # evaluated at the nodes t = i rather than compared with
-        # poly_shift_scale, whose Poly products cost O(ell^3) Fraction work
         rng = SplitMix64(200 + ell)
         p = random_problem(rng, ell)
         normalized = interpolate_eq14(p)
         assert normalized.degree <= ell
         assert [normalized(i) for i in range(ell + 1)] == list(p.a)
+        assert normalized == poly_shift_scale(newton_interpolate(p.nodes(), p.a), p.xi, p.h)
 
     @pytest.mark.parametrize("ell", [13, 24, 40])
     def test_matches_shifted_direct_interpolant_past_subset_limit(self, ell):

@@ -11,7 +11,16 @@ import pytest
 import degdet
 from degdet.cli import ProblemFileError, main, parse_problem_file
 from degdet.degreematrix import AlternatingSums, alternating_weighted_sum
-from degdet.exactnum import Poly, degree_to_str, format_rational, parse_rational, poly_shift_scale
+from degdet import verify
+from degdet.exactnum import (
+    Poly,
+    degree_to_str,
+    det_fraction_free,
+    format_rational,
+    last_row_cofactors,
+    parse_rational,
+    poly_shift_scale,
+)
 from degdet.interp import EquidistantProblem, newton_interpolate
 from degdet.rng import SplitMix64
 from degdet.verify import DEFAULT_SEED, SUITES, run_suite
@@ -494,6 +503,54 @@ class TestVerifyCommand:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("degdet: error: suite ")
+
+    @pytest.mark.parametrize(
+        "suite,formula,nth,wrong,label,expected,actual",
+        [
+            ("prop2", "det_A_closed_form", 7, lambda x: x + 1, "ell=2 s=1 trial=0 a=-2,-4/3,-1/3", "-6", "-5"),
+            ("eq10", "derivative_at_left_node", 8, lambda x: x + 1,
+             "ell=2 s=1 trial=1 xi=7/3 h=-5/3 a=-7/4,1,-7/2", "-153/40", "-113/40"),
+            ("theorem4", "regularity_check", 6, lambda x: not x,
+             "k=2 ell=1 trial=1 alpha=2,-1/2 beta=1,-1 r=5/4,2", "false", "true"),
+        ],
+        ids=["prop2", "eq10", "theorem4"],
+    )
+    def test_failure_labels_the_failing_case(self, monkeypatch, suite, formula, nth, wrong, label, expected, actual):
+        # the formula side is made wrong on its nth call; the labels were
+        # recorded when every case built its label before it ran
+        original = getattr(verify, formula)
+        calls = []
+
+        def one_wrong(*args):
+            calls.append(args)
+            value = original(*args)
+            return wrong(value) if len(calls) == nth else value
+
+        monkeypatch.setattr(verify, formula, one_wrong)
+        report = run_suite(suite, max_ell=2, trials=2, seed=DEFAULT_SEED)
+        assert report.cases_run - report.cases_passed == 1
+        assert report.to_dict()["failures"] == [{"inputs": label, "expected": expected, "actual": actual}]
+
+    @pytest.mark.parametrize("suite,trials", [("prop2", 1), ("prop3", None)])
+    def test_one_elimination_per_ell(self, monkeypatch, suite, trials):
+        det_calls = []
+        cofactor_calls = []
+
+        def counting_det(m):
+            det_calls.append(m.rows)
+            return det_fraction_free(m)
+
+        def counting_cofactors(m):
+            cofactor_calls.append(m.rows)
+            return last_row_cofactors(m)
+
+        monkeypatch.setattr(verify, "det_fraction_free", counting_det)
+        monkeypatch.setattr(verify, "last_row_cofactors", counting_cofactors)
+        report = run_suite(suite, max_ell=16, trials=trials)
+        assert report.passed
+        assert report.cases_run == 152
+        assert len(det_calls) == 16
+        assert cofactor_calls == list(range(2, 18))
 
     def test_every_registered_suite_passes_small(self):
         for name, spec in SUITES.items():
