@@ -66,10 +66,6 @@ def tau(ell: int, m: int, j: int = 0) -> int:
     and m = ell with j > 0 evaluates to 0 (no admissible subset is left).
     """
     _check_tau_indices(ell, m, j)
-    if m == 0:
-        return 1
-    if j > 0 and m == ell:
-        return 0
     return _sym_sums_product(ell, j)[m]
 
 

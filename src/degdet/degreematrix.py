@@ -9,7 +9,7 @@ import operator
 from fractions import Fraction
 
 from .combinat import binomial
-from .exactnum import ExactMatrix, Rational, over_common_denominator, rat
+from .exactnum import ExactMatrix, Rational, last_row_cofactors, over_common_denominator, rat
 
 
 def _checked_values(ell: int, s: int, a) -> list[Rational]:
@@ -44,6 +44,22 @@ def build_A(ell: int, s: int, a) -> ExactMatrix:
     weighted_value_row(s, a)."""
     values = _checked_values(ell, s, a)
     return ExactMatrix.from_rows(_power_rows(ell, range(1, ell + 2)) + [weighted_value_row(s, values)])
+
+
+def power_row_cofactors(ell: int) -> list[int]:
+    """The last-row cofactors of build_A(ell, s, a), the same integers for
+    every s and a: one Bareiss elimination of the ell power rows."""
+    if ell < 1:
+        raise ValueError(f"degree matrix needs ell >= 1, got {ell}")
+    return last_row_cofactors(_power_rows(ell, range(1, ell + 2)))
+
+
+def det_A_from_cofactors(cofactors: list[int], s: int, a) -> Rational:
+    """det build_A(ell, s, a) by Laplace expansion along the last row, from
+    power_row_cofactors(ell): sum_j c_j j^s N_j / L in plain ints, with N / L
+    the values a over the lcm L of their denominators."""
+    common, nums = over_common_denominator(_checked_values(len(cofactors) - 1, s, a))
+    return Fraction(sum(map(operator.mul, cofactors, weighted_value_row(s, nums))), common)
 
 
 def sub_column_offsets(ell: int, kappa: int) -> tuple[int, ...]:

@@ -161,8 +161,6 @@ class Poly:
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly([self.coefficient(k) + other.coefficient(k) for k in range(n)])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly([-c for c in self.coeffs])
 
@@ -172,9 +170,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int, str)):
@@ -191,8 +186,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Poly(out)
-
-    __rmul__ = __mul__
 
     def derivative(self, n: int = 1) -> "Poly":
         if n < 0:
@@ -306,18 +299,6 @@ def over_common_denominator(values: Sequence[Rational]) -> tuple[int, list[int]]
     return d, [v.numerator if v.denominator == d else v.numerator * (d // v.denominator) for v in values]
 
 
-def _rows_to_integers(m: ExactMatrix, count: int) -> tuple[int, list[list[int]]]:
-    """The first count rows of m, each multiplied by the lcm of its
-    denominators, as plain ints, and the product of those lcms."""
-    scale = 1
-    rows: list[list[int]] = []
-    for i in range(count):
-        d, row = over_common_denominator(m.row(i))
-        scale *= d
-        rows.append(row)
-    return scale, rows
-
-
 def det_fraction_free(m: ExactMatrix) -> Rational:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
@@ -327,7 +308,12 @@ def det_fraction_free(m: ExactMatrix) -> Rational:
     """
     if not m.is_square:
         raise ValueError(f"determinant requires a square matrix, got {m.rows}x{m.cols}")
-    scale, rows = _rows_to_integers(m, m.rows)
+    scale = 1
+    rows: list[list[int]] = []
+    for i in range(m.rows):
+        d, row = over_common_denominator(m.row(i))
+        scale *= d
+        rows.append(row)
     return Fraction(det_integer_rows(rows), scale)
 
 
@@ -377,32 +363,32 @@ def det_integer_rows(rows: list[list[int]]) -> int:
     return sign * pivot
 
 
-def last_row_cofactors(m: ExactMatrix) -> tuple[Rational, ...]:
-    """The cofactors c_j of the last row, so that det(m) = sum_j c_j r_j for
-    every last row r (Laplace expansion); the last row of m is ignored.
+def last_row_cofactors(rows: list[list[int]]) -> list[int]:
+    """The cofactors c_j of the last row of the n x n integer matrix whose
+    first n-1 rows are rows, so that its determinant is sum_j c_j r_j for
+    every last row r (Laplace expansion); the rows are modified in place.
 
-    The first n-1 rows, scaled to integers, go through one Bareiss
-    elimination.  With the last pivot D (the leading minor of the permuted
-    head), the cofactor vector in permuted columns is the null vector of the
-    head whose last entry is D; it is integral, so the back substitution
-    divides exactly.  Dependent head rows make every cofactor 0.
+    The rows go through one Bareiss elimination.  With the last pivot D (the
+    leading minor of the permuted rows), the cofactor vector in permuted
+    columns is the null vector of the rows whose last entry is D; it is
+    integral, so the back substitution divides exactly.  Dependent rows make
+    every cofactor 0.
     """
-    if not m.is_square:
-        raise ValueError(f"cofactors require a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    scale, rows = _rows_to_integers(m, n - 1)
+    n = len(rows) + 1
+    if any(len(r) != n for r in rows):
+        raise ValueError(f"cofactors of a {n}x{n} matrix need {n - 1} rows of length {n}")
     eliminated = _bareiss(rows, n)
     if eliminated is None:
-        return (Fraction(0),) * n
+        return [0] * n
     sign, perm, pivot = eliminated
     x = [0] * n
     x[n - 1] = pivot
     for k in range(n - 2, -1, -1):
         x[k] = -sum(rows[k][j] * x[j] for j in range(k + 1, n)) // rows[k][k]
-    cofactors = [Fraction(0)] * n
+    cofactors = [0] * n
     for k, j in enumerate(perm):
-        cofactors[j] = Fraction(sign * x[k], scale)
-    return tuple(cofactors)
+        cofactors[j] = sign * x[k]
+    return cofactors
 
 
 def det_cofactor(m: ExactMatrix) -> Rational:

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .combinat import binomial, elementary_symmetric, tau
-from .degreematrix import AlternatingSums, build_A, sigma_ell, weighted_value_row
+from .degreematrix import AlternatingSums, det_A_from_cofactors, power_row_cofactors, sigma_ell
 from .exactnum import (
     NEG_INF,
     Degree,
@@ -22,7 +22,6 @@ from .exactnum import (
     Rational,
     RationalLike,
     format_rational,
-    last_row_cofactors,
     over_common_denominator,
     rat,
 )
@@ -263,18 +262,17 @@ def _determinant_route(problem: EquidistantProblem, mode: str) -> Callable[[int]
     """The map s -> determinant for one detection.
 
     Closed-form mode evaluates sigma_ell here, once, and reads
-    problem.sums.  Matrix mode builds the matrix once and eliminates its
-    first ell rows, which every s shares, once: each determinant is then
-    the dot product of the last-row cofactors with weighted_value_row(s, a)
-    (Laplace expansion).
+    problem.sums.  Matrix mode eliminates the ell power rows, which every s
+    shares, once (power_row_cofactors); each determinant is then their
+    Laplace expansion along the last row, det_A_from_cofactors.
     """
     ell, a = problem.ell, problem.a
     if mode == MODE_CLOSED_FORM:
         sigma, sums = sigma_ell(ell), problem.sums
         return lambda s: Fraction(sigma * sums[s], sums.common)
     if mode == MODE_MATRIX:
-        cofactors = last_row_cofactors(build_A(ell, 0, a))
-        return lambda s: sum(map(operator.mul, cofactors, weighted_value_row(s, a)), Fraction(0))
+        cofactors = power_row_cofactors(ell)
+        return lambda s: det_A_from_cofactors(cofactors, s, a)
     raise ValueError(f"unknown detection mode {mode!r}; choose one of {DETECTION_MODES}")
 
 
@@ -286,10 +284,11 @@ def detect_degree(problem: EquidistantProblem, mode: str = MODE_CLOSED_FORM) -> 
     alternating binomial sum (O(ell) per step and independent of xi and h),
     computing sigma_ell once per detection.  The matrix mode is the
     cross-check on the explicit matrices: one fraction-free elimination of
-    the ell rows that every matrix in the family shares gives the last-row
-    cofactors, and each determinant is then a dot product with the last row
-    (O(ell) per step); it never computes sigma_ell.  Only the all-zero value
-    vector makes every determinant vanish, which is the zero interpolant.
+    the ell power rows that every matrix in the family shares gives the
+    integer last-row cofactors, and each determinant is then their dot
+    product with the last row (O(ell) per step); it never computes
+    sigma_ell.  Only the all-zero value vector makes every determinant
+    vanish, which is the zero interpolant.
     """
     ell = problem.ell
     determinant = _determinant_route(problem, mode)

@@ -11,7 +11,6 @@ recorded in a fixed order.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,8 +21,9 @@ from .degreematrix import (
     build_A,
     build_A_sub,
     det_A_closed_form,
+    det_A_from_cofactors,
     det_A_sub_closed_form,
-    weighted_value_row,
+    power_row_cofactors,
 )
 from .exactnum import (
     NEG_INF,
@@ -34,8 +34,6 @@ from .exactnum import (
     degree_to_str,
     det_fraction_free,
     format_rational,
-    last_row_cofactors,
-    over_common_denominator,
     poly_shift_scale,
 )
 from .interp import (
@@ -196,47 +194,33 @@ def _random_regular_data(rng: SplitMix64, k: int, ell: int) -> AffineData:
     return AffineData(k, ell, alpha, beta, rng.distinct_positive_rationals(k))
 
 
-def _power_row_cofactors(ell: int) -> tuple[int, list[int]]:
-    """The last-row cofactors of build_A(ell, ., .) as integer numerators
-    over one denominator, from one fraction-free elimination of its power
-    rows, which every s and a share."""
-    return over_common_denominator(last_row_cofactors(build_A(ell, 0, [0] * (ell + 1))))
-
-
 def _suite_prop3(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
     """det A_sub(ell, kappa) = (-1)^(ell+1+kappa) c_kappa, with c the
     last-row cofactors; kappa = 1 is also eliminated on its own, so Bareiss
     stays checked against the closed form once per ell."""
     for ell in range(1, max_ell + 1):
-        scale, cofactors = _power_row_cofactors(ell)
+        cofactors = power_row_cofactors(ell)
         for kappa in range(1, ell + 2):
             if kappa == 1:
                 direct = det_fraction_free(build_A_sub(ell, kappa))
             else:
-                direct = Fraction((-1) ** (ell + 1 + kappa) * cofactors[kappa - 1], scale)
-            report.case(
-                lambda: f"ell={ell} kappa={kappa}",
-                direct,
-                Fraction(det_A_sub_closed_form(ell, kappa)),
-            )
+                direct = (-1) ** (ell + 1 + kappa) * cofactors[kappa - 1]
+            report.case(lambda: f"ell={ell} kappa={kappa}", direct, det_A_sub_closed_form(ell, kappa))
 
 
 def _suite_prop2(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
-    """Each direct determinant is the Laplace expansion along the last row:
-    the dot product of the cofactors with weighted_value_row(s, a), summed in
-    ints over the lcm of a's denominators.  (s, trial) = (0, 0) is also
-    eliminated on its own, once per ell."""
+    """Each direct determinant is the Laplace expansion along the last row,
+    det_A_from_cofactors; (s, trial) = (0, 0) is also eliminated on its own,
+    once per ell."""
     for ell in range(1, max_ell + 1):
-        scale, cofactors = _power_row_cofactors(ell)
+        cofactors = power_row_cofactors(ell)
         for s in range(ell + 1):
             for trial in range(trials):
                 a = _random_vector(rng, ell + 1)
                 if s == trial == 0:
                     direct = det_fraction_free(build_A(ell, s, a))
                 else:
-                    common, nums = over_common_denominator(a)
-                    total = sum(map(operator.mul, cofactors, weighted_value_row(s, nums)))
-                    direct = Fraction(total, scale * common)
+                    direct = det_A_from_cofactors(cofactors, s, a)
                 report.case(
                     lambda: f"ell={ell} s={s} trial={trial} a={_csv(a)}",
                     direct,

@@ -10,11 +10,13 @@ from degdet.degreematrix import (
     build_A,
     build_A_sub,
     det_A_closed_form,
+    det_A_from_cofactors,
     det_A_sub_closed_form,
+    power_row_cofactors,
     sigma_ell,
     sub_column_offsets,
 )
-from degdet.exactnum import det_cofactor, det_fraction_free, last_row_cofactors
+from degdet.exactnum import det_cofactor, det_fraction_free
 from degdet.rng import SplitMix64
 from degdet.vandermonde import vandermonde_product
 
@@ -52,7 +54,11 @@ class TestBuildA:
             build_A(0, 0, [1])
 
 
-@pytest.mark.parametrize("fn", [build_A, det_A_closed_form, alternating_weighted_sum])
+def det_A_by_cofactors(ell, s, a):
+    return det_A_from_cofactors(power_row_cofactors(ell), s, a)
+
+
+@pytest.mark.parametrize("fn", [build_A, det_A_closed_form, alternating_weighted_sum, det_A_by_cofactors])
 @pytest.mark.parametrize(
     "ell,s,a,message",
     [
@@ -278,9 +284,24 @@ class TestFullDeterminant:
 
     def test_last_row_cofactors_are_signed_sub_determinants(self):
         for ell in range(1, 7):
-            cofactors = last_row_cofactors(build_A(ell, 0, [1] * (ell + 1)))
             expected = [(-1) ** (ell + 1 + j) * det_fraction_free(build_A_sub(ell, j)) for j in range(1, ell + 2)]
-            assert list(cofactors) == expected
+            assert power_row_cofactors(ell) == expected
+
+    def test_power_row_cofactors_are_sigma_times_signed_binomials(self):
+        # Theorem 1 read off the cofactors: c_j = (-1)^j sigma_ell C(ell, j),
+        # checked beyond the ell <= 16 that the prop3 suite reaches
+        for ell in range(1, 25):
+            expected = [(-1) ** j * sigma_ell(ell) * binomial(ell, j) for j in range(ell + 1)]
+            assert power_row_cofactors(ell) == expected
+
+    def test_det_A_from_cofactors_matches_elimination(self):
+        rng = SplitMix64(17)
+        for ell in range(1, 6):
+            cofactors = power_row_cofactors(ell)
+            mixed = [Fraction((-1) ** j * (j + 1), j + 2) if j % 2 else j - 1 for j in range(ell + 1)]
+            for a in ([rng.rational() for _ in range(ell + 1)], mixed, [0] * (ell + 1)):
+                for s in (0, 1, ell, ell + 3):
+                    assert det_A_from_cofactors(cofactors, s, a) == det_fraction_free(build_A(ell, s, a))
 
     def test_linear_in_the_value_vector(self):
         rng = SplitMix64(13)

@@ -437,13 +437,13 @@ class TestDegreeDetection:
             det_calls.append(m)
             return det_fraction_free(m)
 
-        def counting_cofactors(m):
-            cofactor_calls.append(m)
-            return last_row_cofactors(m)
+        def counting_cofactors(rows):
+            cofactor_calls.append(len(rows))
+            return last_row_cofactors(rows)
 
         for module in ("degdet.exactnum", "degdet.degreematrix", "degdet.interp"):
             monkeypatch.setattr(f"{module}.det_fraction_free", counting_det, raising=False)
-        monkeypatch.setattr("degdet.interp.last_row_cofactors", counting_cofactors)
+        monkeypatch.setattr("degdet.degreematrix.last_row_cofactors", counting_cofactors)
         problems = [EquidistantProblem(10, 0, 1, [3] * 11), EquidistantProblem(6, 1, 2, [0, 1, 4, 9, 16, 25, 36])]
         detections = [detect_degree(p, mode) for p in problems]
         assert [d.witness_m for d in detections] == [10, 4]

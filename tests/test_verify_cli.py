@@ -540,12 +540,12 @@ class TestVerifyCommand:
             det_calls.append(m.rows)
             return det_fraction_free(m)
 
-        def counting_cofactors(m):
-            cofactor_calls.append(m.rows)
-            return last_row_cofactors(m)
+        def counting_cofactors(rows):
+            cofactor_calls.append(len(rows) + 1)
+            return last_row_cofactors(rows)
 
         monkeypatch.setattr(verify, "det_fraction_free", counting_det)
-        monkeypatch.setattr(verify, "last_row_cofactors", counting_cofactors)
+        monkeypatch.setattr("degdet.degreematrix.last_row_cofactors", counting_cofactors)
         report = run_suite(suite, max_ell=16, trials=trials)
         assert report.passed
         assert report.cases_run == 152
