@@ -22,7 +22,6 @@ from .exactnum import (
     NegativeInfinity,
     Poly,
     Rational,
-    det_cofactor,
     det_fraction_free,
     format_rational,
     parse_rational,
@@ -59,8 +58,6 @@ from .vandermonde import (
     det_B_zero_check,
     gen_vandermonde_det,
     regularity_check,
-    schur_eval,
-    vandermonde_product,
 )
 from .verify import DEFAULT_SEED, SUITES, VerifyReport, run_all, run_suite
 

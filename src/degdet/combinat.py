@@ -92,7 +92,7 @@ class IndexSeq:
     entries: tuple[int, ...]
 
     def __init__(self, ell: int, entries):
-        items = tuple(int(e) for e in entries)
+        items = tuple(map(int, entries))
         if ell < 1:
             raise ValueError(f"index sequence needs ell >= 1, got {ell}")
         if not 1 <= len(items) <= ell:

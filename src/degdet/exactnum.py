@@ -147,11 +147,16 @@ class Poly:
         return Fraction(0)
 
     def __call__(self, x: RationalLike) -> Rational:
+        """Horner's rule in plain ints: with the coefficients n_k / d and
+        x = X / m, the value is sum_k n_k X^k m^(n-k) / (d m^n)."""
         point = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        X, m = point.numerator, point.denominator
+        d, nums = over_common_denominator(self.coeffs)
+        acc, power = 0, 1
+        for c in reversed(nums):
+            acc = acc * X + c * power
+            power *= m
+        return Fraction(acc * m, d * power)
 
     def __add__(self, other):
         if isinstance(other, (Fraction, int, str)):
@@ -188,14 +193,10 @@ class Poly:
         return Poly(out)
 
     def derivative(self, n: int = 1) -> "Poly":
+        """The n-th derivative in one pass: t^k becomes k!/(k-n)! t^(k-n)."""
         if n < 0:
             raise ValueError("derivative order must be nonnegative")
-        coeffs = self.coeffs
-        for _ in range(n):
-            coeffs = tuple(k * c for k, c in enumerate(coeffs))[1:]
-            if not coeffs:
-                break
-        return Poly(coeffs)
+        return Poly([math.perm(k, n) * c for k, c in enumerate(self.coeffs)][n:])
 
     def divide_linear(self, root: RationalLike) -> "Poly":
         """Exact synthetic division by (t - root); root must actually be a root."""
@@ -295,8 +296,9 @@ def over_common_denominator(values: Sequence[Rational]) -> tuple[int, list[int]]
     values[i] = nums[i] / d.  An entry p/q becomes p * (d // q), exact because
     q divides d; an entry already over d keeps its numerator, so integer
     entries are reused, not copied."""
-    d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator if v.denominator == d else v.numerator * (d // v.denominator) for v in values]
+    denominators = [v.denominator for v in values]
+    d = math.lcm(*denominators)
+    return d, [v.numerator if q == d else v.numerator * (d // q) for v, q in zip(values, denominators)]
 
 
 def det_fraction_free(m: ExactMatrix) -> Rational:
@@ -389,29 +391,3 @@ def last_row_cofactors(rows: list[list[int]]) -> list[int]:
     for k, j in enumerate(perm):
         cofactors[j] = sign * x[k]
     return cofactors
-
-
-def det_cofactor(m: ExactMatrix) -> Rational:
-    """Determinant by first-row cofactor expansion.
-
-    Factorial cost; kept as the independent small-size oracle for
-    det_fraction_free, not for production use.
-    """
-    if not m.is_square:
-        raise ValueError(f"determinant requires a square matrix, got {m.rows}x{m.cols}")
-    grid = m.to_rows()
-
-    def expand(rows: list[list[Rational]]) -> Rational:
-        size = len(rows)
-        if size == 1:
-            return rows[0][0]
-        total = Fraction(0)
-        for j, top in enumerate(rows[0]):
-            if top == 0:
-                continue
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            term = top * expand(minor)
-            total += term if j % 2 == 0 else -term
-        return total
-
-    return expand(grid)

@@ -31,6 +31,15 @@ MODE_MATRIX = "matrix"
 DETECTION_MODES = (MODE_CLOSED_FORM, MODE_MATRIX)
 
 
+def equidistant_nodes(ell: int, xi: Rational, h: Rational) -> tuple[Rational, ...]:
+    """The grid xi + i*h, i = 0..ell; with xi = p/q and h = r/t, node i is
+    the single Fraction (p*t + i*r*q) / (q*t)."""
+    p, q = xi.numerator, xi.denominator
+    r, t = h.numerator, h.denominator
+    start, step, den = p * t, r * q, q * t
+    return tuple(Fraction(start + i * step, den) for i in range(ell + 1))
+
+
 @dataclass(frozen=True)
 class EquidistantProblem:
     """One interpolation instance on the grid x_i = xi + i*h, i = 0..ell."""
@@ -55,12 +64,7 @@ class EquidistantProblem:
         object.__setattr__(self, "a", values)
 
     def nodes(self) -> tuple[Rational, ...]:
-        """The grid xi + i*h; with xi = p/q and h = r/t, node i is the
-        single Fraction (p*t + i*r*q) / (q*t)."""
-        p, q = self.xi.numerator, self.xi.denominator
-        r, t = self.h.numerator, self.h.denominator
-        start, step, den = p * t, r * q, q * t
-        return tuple(Fraction(start + i * step, den) for i in range(self.ell + 1))
+        return equidistant_nodes(self.ell, self.xi, self.h)
 
     @cached_property
     def sums(self) -> AlternatingSums:
@@ -166,11 +170,11 @@ def newton_interpolate(nodes: Sequence[RationalLike], values: Sequence[RationalL
     data = [rat(v) for v in values]
     if len(points) != len(data):
         raise ValueError("need one value per node")
-    if len(set(points)) != len(points):
-        raise ValueError("nodes must be pairwise distinct")
-    if not points:
-        return Poly.zero()
     q, xs = over_common_denominator(points)
+    if len(set(xs)) != len(xs):
+        raise ValueError("nodes must be pairwise distinct")
+    if not xs:
+        return Poly.zero()
     d, column = over_common_denominator(data)
     leading = [column[0]]
     denominators = [1]

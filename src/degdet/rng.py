@@ -90,9 +90,8 @@ class SplitMix64:
         values, so a larger count would redraw forever and is refused."""
         if count > pool:
             raise ValueError(f"cannot draw {count} distinct values from a pool of {pool}")
-        seen: list[Fraction] = []
+        seen: dict[tuple[int, int], Fraction] = {}
         while len(seen) < count:
             value = draw()
-            if value not in seen:
-                seen.append(value)
-        return tuple(seen)
+            seen.setdefault((value.numerator, value.denominator), value)
+        return tuple(seen.values())

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .combinat import IndexSeq, binomial, enumerate_index_seqs
 from .exactnum import (
@@ -50,7 +50,7 @@ class AffineData:
         for name, seq in (("alpha", alpha_t), ("beta", beta_t), ("r", r_t)):
             if len(seq) != k:
                 raise ValueError(f"{name} must have k = {k} entries, got {len(seq)}")
-        if len(set(r_t)) != k:
+        if len({(x.numerator, x.denominator) for x in r_t}) != k:
             raise ValueError(f"r must be injective, got {tuple(map(format_rational, r_t))}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "ell", ell)
@@ -78,9 +78,9 @@ def _integer_form(data: AffineData) -> tuple[list[int], list[int], list[int], in
     B: list[int] = []
     D: list[int] = []
     for a, b in zip(data.alpha, data.beta):
-        d, (num_a, num_b) = over_common_denominator((a, b))
-        A.append(num_a)
-        B.append(num_b)
+        d = math.lcm(a.denominator, b.denominator)
+        A.append(a.numerator * (d // a.denominator))
+        B.append(b.numerator * (d // b.denominator))
         D.append(d)
     Q, R = over_common_denominator(data.r)
     return A, B, D, Q, R
@@ -100,37 +100,51 @@ def build_B(data: AffineData) -> ExactMatrix:
     return ExactMatrix.from_rows([[Fraction(e, s) for e in row] for row, s in zip(rows, scales)])
 
 
+def _power_table(points: Sequence[Rational], ell: int) -> tuple[int, list[list[int]]]:
+    """With the points written as N_i / Q over the lcm Q of their
+    denominators: Q and the integer powers N_i^e, e < ell."""
+    Q, N = over_common_denominator(points)
+    return Q, [[n**e for e in range(ell)] for n in N]
+
+
+def _power_minor(table: list[list[int]], exponents: Sequence[int]) -> int:
+    """det(N_i ^ exponents_j), Q^(sum exponents) times the determinant of the
+    power matrix (x_i ^ exponents_j): column j carries Q^exponents_j."""
+    return det_integer_rows([[row[e] for e in exponents] for row in table])
+
+
 def gen_vandermonde_det(nu: Sequence[RationalLike], mu: IndexSeq) -> Rational:
     """Determinant of the power matrix (nu_i ^ mu_j) for a strictly increasing
-    exponent sequence mu; vanishes whenever two nu values coincide.
-
-    With the points written as N_i / Q over their lcm Q, column j of the
-    integer matrix (N_i ^ mu_j) is Q^mu_j times column j of the power matrix,
-    so one division by Q^(sum mu) gives the determinant."""
+    exponent sequence mu; vanishes whenever two nu values coincide."""
     points = [rat(x) for x in nu]
     if len(points) != mu.k:
         raise ValueError(f"need as many points as exponents: {len(points)} vs {mu.k}")
-    Q, N = over_common_denominator(points)
-    det = det_integer_rows([[n**e for e in mu.entries] for n in N])
-    return Fraction(det, Q ** sum(mu.entries))
+    Q, table = _power_table(points, mu.ell)
+    return Fraction(_power_minor(table, mu.entries), Q ** sum(mu.entries))
 
 
-def vandermonde_product(nu: Sequence[RationalLike]) -> Rational:
-    """The classical pairwise-difference product prod_{i<j} (nu_j - nu_i)."""
-    points = [rat(x) for x in nu]
-    return math.prod(
-        (points[j] - points[i] for i in range(len(points)) for j in range(i + 1, len(points))),
-        start=Fraction(1),
-    )
-
-
-def schur_eval(nu: Sequence[RationalLike], mu: IndexSeq) -> Rational:
-    """The symmetric quotient gen_vandermonde_det(nu, mu) / vandermonde_product(nu),
-    evaluated at pairwise distinct sample points."""
-    points = [rat(x) for x in nu]
-    if len(set(points)) != len(points):
-        raise ValueError("Schur evaluation needs pairwise distinct points (0/0 otherwise)")
-    return gen_vandermonde_det(points, mu) / vandermonde_product(points)
+def _binomial_vandermonde_sum(data: AffineData, lead: Sequence[Rational], second: Sequence[Rational],
+                              columns: Callable[[IndexSeq], IndexSeq]) -> Rational:
+    """prod lead_i^(ell-1) * sum_mu prod_j C(ell-1, mu_j) V(r, mu) V(second, columns(mu))
+    over all C(ell, k) exponent sequences mu, term by term in ints: with r
+    and second over the lcms Q and S of their denominators, each V is a
+    power-table minor over Q or S to at most top = (ell-1) + ... + (ell-k),
+    so every term is an integer over (Q S)^top."""
+    ell = data.ell
+    Q, r_table = _power_table(data.r, ell)
+    S, second_table = _power_table(second, ell)
+    weights = [binomial(ell - 1, e) for e in range(ell)]
+    top = data.k * (2 * ell - data.k - 1) // 2
+    total = 0
+    for mu in enumerate_index_seqs(ell, data.k):
+        nu = columns(mu)
+        minor = _power_minor(second_table, nu.entries)
+        if minor:
+            total += (math.prod(weights[e] for e in mu.entries) * _power_minor(r_table, mu.entries) * minor
+                      * Q ** (top - sum(mu.entries)) * S ** (top - sum(nu.entries)))
+    numerator = math.prod(x.numerator ** (ell - 1) for x in lead)
+    denominator = math.prod(x.denominator ** (ell - 1) for x in lead)
+    return Fraction(numerator * total, denominator * (Q * S) ** top)
 
 
 def det_B_expansion(data: AffineData) -> Rational:
@@ -145,13 +159,7 @@ def det_B_expansion(data: AffineData) -> Rational:
     """
     if data.k > data.ell:
         raise ValueError("expansion needs k <= ell (the determinant is 0 for k > ell; see det_B_zero_check)")
-    rho = data.rho()
-    total = Fraction(0)
-    for mu in enumerate_index_seqs(data.ell, data.k):
-        weight = math.prod(binomial(data.ell - 1, e) for e in mu.entries)
-        total += weight * gen_vandermonde_det(data.r, mu) * gen_vandermonde_det(rho, mu)
-    lead = math.prod((a ** (data.ell - 1) for a in data.alpha), start=Fraction(1))
-    return lead * total
+    return _binomial_vandermonde_sum(data, data.alpha, data.rho(), lambda mu: mu)
 
 
 def det_B_expansion_complement(data: AffineData) -> Rational:
@@ -166,14 +174,8 @@ def det_B_expansion_complement(data: AffineData) -> Rational:
         raise ValueError("expansion needs k <= ell (the determinant is 0 for k > ell; see det_B_zero_check)")
     if any(x == 0 for x in data.alpha):
         raise ValueError("complementary expansion needs every alpha_i nonzero")
-    inv_rho = data.inverse_rho()
-    total = Fraction(0)
-    for mu in enumerate_index_seqs(data.ell, data.k):
-        weight = math.prod(binomial(data.ell - 1, e) for e in mu.entries)
-        total += weight * gen_vandermonde_det(data.r, mu) * gen_vandermonde_det(inv_rho, mu.complement())
-    sign = -1 if (data.k * (data.k - 1) // 2) % 2 else 1
-    lead = math.prod((b ** (data.ell - 1) for b in data.beta), start=Fraction(1))
-    return sign * lead * total
+    total = _binomial_vandermonde_sum(data, data.beta, data.inverse_rho(), IndexSeq.complement)
+    return -total if (data.k * (data.k - 1) // 2) % 2 else total
 
 
 def det_B_zero_check(data: AffineData) -> bool:
@@ -211,6 +213,6 @@ def regularity_check(data: AffineData) -> bool:
                     f"alpha_{i + 1} beta_{j + 1} - beta_{i + 1} alpha_{j + 1} = 0",
                 )
     for i, value in enumerate(data.r):
-        if value <= 0:
+        if R[i] <= 0:
             raise HypothesisViolation("r-positive", f"r_{i + 1} = {format_rational(value)} is not positive")
     return det_integer_rows(_scaled_B_rows(A, B, Q, R, data.ell - 1)) != 0

@@ -16,9 +16,10 @@ from degdet.degreematrix import (
     sigma_ell,
     sub_column_offsets,
 )
-from degdet.exactnum import det_cofactor, det_fraction_free
+from degdet.exactnum import det_fraction_free
 from degdet.rng import SplitMix64
-from degdet.vandermonde import vandermonde_product
+
+from oracles import det_cofactor, vandermonde_product
 
 
 def forward_difference(values, order):

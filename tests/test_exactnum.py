@@ -10,7 +10,6 @@ from degdet.exactnum import (
     NEG_INF,
     ExactMatrix,
     Poly,
-    det_cofactor,
     det_fraction_free,
     det_integer_rows,
     format_rational,
@@ -21,6 +20,8 @@ from degdet.exactnum import (
     rat,
 )
 from degdet.rng import SplitMix64
+
+from oracles import det_cofactor
 
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 nonzero_rationals = small_rationals.filter(lambda q: q != 0)
@@ -125,6 +126,40 @@ class TestPoly:
             assert p.derivative(n).degree == p.degree - n
         else:
             assert p.derivative(n).is_zero
+
+    def test_derivative_matches_repeated_first_derivatives(self):
+        def first_derivative(p):  # the power rule, one order at a time
+            return Poly([k * c for k, c in enumerate(p.coeffs)][1:])
+
+        rng = SplitMix64(41)
+        polys = [Poly.zero()] + [Poly([rng.rational() for _ in range(d)] + [rng.nonzero_rational()]) for d in range(9)]
+        for p in polys:
+            top = 0 if p.is_zero else p.degree
+            repeated = p
+            for n in range(top + 3):
+                assert p.derivative(n) == repeated
+                repeated = first_derivative(repeated)
+
+    def test_evaluation_matches_fraction_horner(self):
+        def horner(p, x):  # Fraction by Fraction, as Poly.__call__ once did
+            acc = Fraction(0)
+            for c in reversed(p.coeffs):
+                acc = acc * x + c
+            return acc
+
+        rng = SplitMix64(43)
+        polys = [Poly.zero()] + [
+            Poly([rng.rational() for _ in range(d)] + [rng.nonzero_rational()]) for d in range(9) for _ in range(3)
+        ]
+        points = [Fraction(0), Fraction(1), Fraction(6), Fraction(-4), Fraction(-1, 2), Fraction(-7, 3),
+                  Fraction(-9, 4), Fraction(5, 12)] + [rng.rational() for _ in range(8)]
+        for p in polys:
+            for x in points:
+                value = p(x)
+                assert type(value) is Fraction
+                assert value == horner(p, x)
+        assert Poly([Fraction(1, 2), Fraction(-2, 3), 3])("-3/4") == horner(Poly(["1/2", "-2/3", 3]), Fraction(-3, 4))
+        assert Poly([Fraction(1, 2), 0, 1])(-3) == Fraction(19, 2)
 
     def test_shift_scale_examples(self):
         assert poly_shift_scale(Poly([0, 0, 1]), 0, 2) == Poly([0, 0, 4])

@@ -213,6 +213,12 @@ class TestNewtonOracle:
         with pytest.raises(ValueError):
             newton_interpolate([0, Fraction(1, 2), Fraction(2, 4)], [1, 2, 3])
 
+    def test_equal_nodes_in_different_spellings_raise_one_message(self):
+        for nodes in (["1/2", "1/2"], ["1/2", "2/4"], [Fraction(1, 2), "3/6"], [Fraction(-4, 2), "-2"]):
+            with pytest.raises(ValueError) as exc:
+                newton_interpolate([0, *nodes], [1, 2, 3])
+            assert str(exc.value) == "nodes must be pairwise distinct"
+
     def test_independent_of_the_closed_forms(self, monkeypatch):
         rng = SplitMix64(74)
         p = random_problem(rng, 7)
@@ -522,6 +528,12 @@ class TestGeneralExpansion:
     def test_repeated_nodes_rejected(self):
         with pytest.raises(ValueError):
             GeneralProblem([1, 1], [0, 0])
+
+    def test_repeated_nodes_in_different_spellings_raise_one_message(self):
+        for nodes in (["1/2", "1/2"], ["1/2", "2/4"], [Fraction(1, 2), "3/6"]):
+            with pytest.raises(ValueError) as exc:
+                GeneralProblem([0, *nodes], [0, 0, 0])
+            assert str(exc.value) == "nodes must be pairwise distinct, got ('0', '1/2', '1/2')"
 
     def test_even_grid_starting_at_zero_matches(self):
         rng = SplitMix64(30)

@@ -1,12 +1,13 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from degdet.combinat import IndexSeq, binomial
-from degdet.exactnum import ExactMatrix, det_cofactor, det_fraction_free
+from degdet.combinat import IndexSeq, binomial, enumerate_index_seqs
+from degdet.exactnum import ExactMatrix, det_fraction_free
 from degdet.rng import SplitMix64
 from degdet.verify import run_suite
 from degdet.vandermonde import (
@@ -18,9 +19,9 @@ from degdet.vandermonde import (
     det_B_zero_check,
     gen_vandermonde_det,
     regularity_check,
-    schur_eval,
-    vandermonde_product,
 )
+
+from oracles import det_cofactor, schur_eval, vandermonde_product
 
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -35,6 +36,12 @@ class TestAffineData:
     def test_r_must_be_injective(self):
         with pytest.raises(ValueError):
             AffineData(2, 2, [1, 2], [1, 1], [3, 3])
+
+    def test_equal_r_in_different_spellings_is_not_injective(self):
+        for r in (["1/2", 5, "1/2"], ["1/2", 5, "2/4"], [Fraction(1, 2), "10/2", Fraction(3, 6)]):
+            with pytest.raises(ValueError) as exc:
+                AffineData(3, 2, [1, 2, 3], [1, 1, 1], r)
+            assert str(exc.value) == "r must be injective, got ('1/2', '5', '1/2')"
 
     def test_lengths_enforced(self):
         with pytest.raises(ValueError):
@@ -301,6 +308,47 @@ class TestRegularity:
         assert calls == []
         assert report.passed
         assert report.cases_run == 5000
+
+
+def expansion_as_fraction_sum(data):
+    """eq. 5 as det_B_expansion computed it before its integer kernel: one
+    Fraction product of two gen_vandermonde_det values per mu."""
+    rho = data.rho()
+    total = Fraction(0)
+    for mu in enumerate_index_seqs(data.ell, data.k):
+        weight = math.prod(binomial(data.ell - 1, e) for e in mu.entries)
+        total += weight * gen_vandermonde_det(data.r, mu) * gen_vandermonde_det(rho, mu)
+    return math.prod((a ** (data.ell - 1) for a in data.alpha), start=Fraction(1)) * total
+
+
+def complement_as_fraction_sum(data):
+    """The complementary-index expansion in the same per-mu Fraction form."""
+    inv_rho = data.inverse_rho()
+    total = Fraction(0)
+    for mu in enumerate_index_seqs(data.ell, data.k):
+        weight = math.prod(binomial(data.ell - 1, e) for e in mu.entries)
+        total += weight * gen_vandermonde_det(data.r, mu) * gen_vandermonde_det(inv_rho, mu.complement())
+    sign = -1 if (data.k * (data.k - 1) // 2) % 2 else 1
+    return sign * math.prod((b ** (data.ell - 1) for b in data.beta), start=Fraction(1)) * total
+
+
+class TestExpansionKernel:
+    @pytest.mark.parametrize("ell", range(1, 7))
+    def test_matches_the_per_mu_fraction_sum(self, ell):
+        rng = SplitMix64(100 + ell)
+        mixed_r = [Fraction(n, d) for n, d in [(1, 2), (-2, 3), (3, 4), (5, 1), (-7, 6), (9, 8)]]
+        for k in range(1, ell + 1):
+            for trial in range(6):
+                alpha = [rng.nonzero_rational() for _ in range(k)]
+                beta = [rng.nonzero_rational() for _ in range(k)]
+                r = mixed_r[:k] if trial == 0 else rng.distinct_rationals(k)
+                data = AffineData(k, ell, alpha, beta, r)
+                assert det_B_expansion(data) == expansion_as_fraction_sum(data)
+                assert det_B_expansion_complement(data) == complement_as_fraction_sum(data)
+                # eq. 5's regime leaves beta unconstrained: zero some, or all, of it
+                zeroed = [0 if (i + trial) % 2 or trial == 1 else b for i, b in enumerate(beta)]
+                data = AffineData(k, ell, alpha, zeroed, r)
+                assert det_B_expansion(data) == expansion_as_fraction_sum(data)
 
 
 class TestExpansionSweep:

@@ -426,11 +426,14 @@ class TestVerifyCommand:
 
     # sha256 of the full stdout at seed 7 and default sizes, recorded from
     # the Fraction-entry B and Vandermonde determinants before they moved to
-    # integer numerators.
+    # integer numerators; prop3 and prop6 were recorded before eq. 5, Poly
+    # evaluation and the theorem 1 and 4 data paths moved to per-case ints.
     @pytest.mark.parametrize(
         "suite,digest",
         [
             ("prop2", "5233abdb580790820f4de24d1e38486f3a1239ca48cd35cf46e4771044ce0052"),
+            ("prop3", "70ede84b92923178a31d8dd1cd75f007237fc4b99149fa7e842f3a21fceae46c"),
+            ("prop6", "e84d1f1e43778a2409af897eb2ae41159eaee439d9049b79b66097c379834b43"),
             ("eq5", "52d2d5a5b340367ff6fbd845b50a0c39ff87c2571598fa12562a4c233563f4e7"),
             ("eq5c", "8245886a7c895f2a5f26c17c986e2441012cf25c0f85bd3abf39b6bd23b3593a"),
             ("theorem4", "fdf2f21e353577effed6320abf0de4a5d660971e84702d74d831e016aea289c1"),
@@ -438,6 +441,22 @@ class TestVerifyCommand:
     )
     def test_integer_route_suites_pinned(self, capsys, suite, digest):
         code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # sha256 of `verify --suite all --seed 42` stdout, plain and --json,
+    # recorded before eq. 5, Poly evaluation and the theorem 1 and 4 data
+    # paths moved to per-case ints.
+    @pytest.mark.parametrize(
+        "flags,digest",
+        [
+            ([], "dbdca94d2fe30bf2b36f6f743d40ef5563e26e96763107c29ccc827d883bae97"),
+            (["--json"], "0ae62d02298b5a144be1a11d1b5e9aca4b4a8882cd12a73cc79644fd43a08ae6"),
+        ],
+        ids=["plain", "json"],
+    )
+    def test_all_suites_pinned(self, capsys, flags, digest):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "42", *flags)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -490,19 +509,31 @@ class TestVerifyCommand:
         assert notes, "comparison outcomes must be emitted"
         assert any("outcome=proportional ratio=-1" in n for n in notes)  # odd-size grids show the sign flip
 
-    @pytest.mark.parametrize("suite,max_ell", [("theorem4", "26"), ("remark5", "51"), ("all", "26")])
-    def test_max_ell_past_the_rational_pool_exits_2(self, suite, max_ell):
-        # in a subprocess with a timeout, so a redraw loop that never ends
-        # fails the test instead of hanging it
+    @staticmethod
+    def verify_in_subprocess(suite, max_ell):
+        # with a timeout, so a run that never ends fails the test instead of
+        # hanging it
         package_root = str(Path(degdet.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "degdet.cli", "verify", "--suite", suite, "--max-ell", max_ell],
             capture_output=True, text=True, timeout=5, env={**os.environ, "PYTHONPATH": path},
         )
+
+    @pytest.mark.parametrize("suite,max_ell", [("theorem4", "26"), ("remark5", "51"), ("all", "26")])
+    def test_max_ell_past_the_rational_pool_exits_2(self, suite, max_ell):
+        done = self.verify_in_subprocess(suite, max_ell)
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("degdet: error: suite ")
+
+    @pytest.mark.parametrize("suite,max_ell", [("eq5", "11"), ("eq5c", "11"), ("eq5", "50")])
+    def test_max_ell_past_the_expansion_budget_exits_2(self, suite, max_ell):
+        done = self.verify_in_subprocess(suite, max_ell)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (f"degdet: error: suite {suite!r} needs max_ell <= 10: its expansion over all"
+                               f" C(ell, k) exponent sequences takes more than 10 s above that, got {max_ell}\n")
 
     @pytest.mark.parametrize(
         "suite,formula,nth,wrong,label,expected,actual",
