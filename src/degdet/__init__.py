@@ -6,7 +6,7 @@ closed-form identity used along the way ships with an independent oracle
 and a seeded verification suite.
 """
 
-from .combinat import IndexSeq, binomial, enumerate_index_seqs, tau, tau_via_recurrence
+from .combinat import binomial, tau, tau_via_recurrence
 from .degreematrix import (
     alternating_weighted_sum,
     build_A,
@@ -42,7 +42,6 @@ from .interp import (
     detect_degree,
     general_expansion,
     interpolate_eq14,
-    lagrange_basis_hat,
     lagrange_interpolate,
     newton_interpolate,
     poly_K,

@@ -21,7 +21,6 @@ import sys
 from .degreematrix import build_A, build_A_sub, det_A_closed_form, det_A_sub_closed_form
 from .exactnum import (
     Rational,
-    degree_to_str,
     det_fraction_free,
     format_rational,
     parse_rational,
@@ -135,7 +134,7 @@ def cmd_degree(args: argparse.Namespace) -> int:
         f"h: {format_rational(problem.h)}",
         f"values: {', '.join(format_rational(v) for v in problem.a)}",
         f"mode: {args.mode}",
-        f"degree: {degree_to_str(detection.degree)}",
+        f"degree: {detection.degree}",
         f"witness_m: {'none' if detection.witness_m is None else detection.witness_m}",
     ]
     lines += [f"det[{s}]: {format_rational(value)}" for s, value in enumerate(detection.determinants)]

@@ -1,11 +1,9 @@
-"""Integer combinatorics: binomials, excluded-value symmetric sums (tau),
-and strictly increasing index sequences with their complements."""
+"""Integer combinatorics: binomials, elementary symmetric sums and the
+excluded-value symmetric sums (tau) built on them."""
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -29,18 +27,6 @@ def _check_tau_indices(ell: int, m: int, j: int) -> None:
         raise ValueError(f"tau index j={j} outside [0, {ell}]")
 
 
-def _sym_sums_subset(ell: int, j: int) -> tuple[int, ...]:
-    """Elementary symmetric sums of {1..ell} minus the value j, by definition:
-    entry m is the sum over all m-element subsets of the product of elements.
-    Exponential cost; kept as the oracle for _sym_sums_product, which tau uses."""
-    values = [i for i in range(1, ell + 1) if i != j]
-    sums = [0] * (ell + 1)
-    sums[0] = 1
-    for m in range(1, len(values) + 1):
-        sums[m] = sum(math.prod(c) for c in itertools.combinations(values, m))
-    return tuple(sums)
-
-
 def elementary_symmetric(values: Sequence) -> list:
     """All elementary symmetric sums e_0..e_n of the n given values (ints or
     Fractions), read off prod(t + v) expanded one factor at a time, O(n^2)."""
@@ -53,8 +39,8 @@ def elementary_symmetric(values: Sequence) -> list:
 
 @lru_cache(maxsize=None)
 def _sym_sums_product(ell: int, j: int) -> tuple[int, ...]:
-    """Same sums from elementary_symmetric of {1..ell} minus j, padded with
-    zeros to ell+1 entries."""
+    """Elementary symmetric sums of {1..ell} minus the value j, from
+    elementary_symmetric, padded with zeros to ell+1 entries."""
     sums = elementary_symmetric([i for i in range(1, ell + 1) if i != j])
     return tuple(sums + [0] * (ell + 1 - len(sums)))
 
@@ -82,41 +68,3 @@ def tau_via_recurrence(ell: int, m: int, j: int) -> int:
     if m == ell:
         raise ValueError("the alternating expansion is not valid at m = ell with j > 0")
     return sum((-1) ** k * tau(ell, m - k, 0) * j**k for k in range(m + 1))
-
-
-@dataclass(frozen=True)
-class IndexSeq:
-    """Strictly increasing sequence of indices inside [0, ell-1]."""
-
-    ell: int
-    entries: tuple[int, ...]
-
-    def __init__(self, ell: int, entries):
-        items = tuple(map(int, entries))
-        if ell < 1:
-            raise ValueError(f"index sequence needs ell >= 1, got {ell}")
-        if not 1 <= len(items) <= ell:
-            raise ValueError(f"index sequence length {len(items)} outside [1, {ell}]")
-        if any(b <= a for a, b in zip(items, items[1:])):
-            raise ValueError(f"index sequence must be strictly increasing: {items}")
-        if items[0] < 0 or items[-1] > ell - 1:
-            raise ValueError(f"index sequence entries {items} outside [0, {ell - 1}]")
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "entries", items)
-
-    @property
-    def k(self) -> int:
-        return len(self.entries)
-
-    def complement(self) -> "IndexSeq":
-        """Reflect every entry through (ell-1)/2 and reverse; an involution."""
-        return IndexSeq(self.ell, tuple(self.ell - 1 - e for e in reversed(self.entries)))
-
-
-def enumerate_index_seqs(ell: int, k: int) -> list[IndexSeq]:
-    """All C(ell, k) strictly increasing sequences in [0, ell-1], lexicographic."""
-    if ell < 1:
-        raise ValueError(f"enumeration needs ell >= 1, got {ell}")
-    if not 1 <= k <= ell:
-        raise ValueError(f"enumeration needs 1 <= k <= ell, got k={k}, ell={ell}")
-    return [IndexSeq(ell, combo) for combo in itertools.combinations(range(ell), k)]

@@ -94,10 +94,6 @@ NEG_INF = NegativeInfinity()
 Degree = Union[int, NegativeInfinity]
 
 
-def degree_to_str(degree: Degree) -> str:
-    return "-inf" if isinstance(degree, NegativeInfinity) else str(degree)
-
-
 @dataclass(frozen=True)
 class Poly:
     """Dense univariate polynomial over exact rationals.
@@ -113,14 +109,6 @@ class Poly:
         while items and items[-1] == 0:
             items.pop()
         object.__setattr__(self, "coeffs", tuple(items))
-
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
-    def constant(c: RationalLike) -> "Poly":
-        return Poly([c])
 
     @staticmethod
     def linear_root(root: RationalLike) -> "Poly":
@@ -160,7 +148,7 @@ class Poly:
 
     def __add__(self, other):
         if isinstance(other, (Fraction, int, str)):
-            other = Poly.constant(other)
+            other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
@@ -171,7 +159,7 @@ class Poly:
 
     def __sub__(self, other):
         if isinstance(other, (Fraction, int, str)):
-            other = Poly.constant(other)
+            other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
         return self + (-other)
@@ -183,7 +171,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return Poly.zero()
+            return Poly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -197,24 +185,6 @@ class Poly:
         if n < 0:
             raise ValueError("derivative order must be nonnegative")
         return Poly([math.perm(k, n) * c for k, c in enumerate(self.coeffs)][n:])
-
-    def divide_linear(self, root: RationalLike) -> "Poly":
-        """Exact synthetic division by (t - root); root must actually be a root."""
-        r = rat(root)
-        if self.is_zero:
-            return Poly.zero()
-        quotient = [Fraction(0)] * (len(self.coeffs) - 1)
-        carry = Fraction(0)
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            carry = self.coeffs[k] + r * carry
-            quotient[k - 1] = carry
-        remainder = self.coeffs[0] + r * carry
-        if remainder != 0:
-            raise ValueError(
-                f"{format_rational(r)} is not a root (remainder {format_rational(remainder)}); "
-                "exact division is impossible"
-            )
-        return Poly(quotient)
 
 
 def poly_shift_scale(p: Poly, xi: RationalLike, h: RationalLike) -> Poly:
@@ -230,7 +200,7 @@ def poly_shift_scale(p: Poly, xi: RationalLike, h: RationalLike) -> Poly:
     if step == 0:
         raise ValueError("shift-scale substitution needs h != 0")
     if p.is_zero:
-        return Poly.zero()
+        return Poly()
     shift = rat(xi)
     m = shift.denominator * step.denominator
     start, slope = shift.numerator * step.denominator, step.numerator * shift.denominator

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .combinat import binomial, elementary_symmetric, tau
+from .combinat import elementary_symmetric, tau
 from .degreematrix import AlternatingSums, det_A_from_cofactors, power_row_cofactors, sigma_ell
 from .exactnum import (
     NEG_INF,
@@ -100,7 +100,7 @@ def poly_K(ell: int) -> Poly:
     """The monic nodal polynomial of degree ell+1 with roots exactly 0..ell."""
     if ell < 1:
         raise ValueError(f"nodal polynomial needs ell >= 1, got {ell}")
-    return math.prod((Poly.linear_root(i) for i in range(ell + 1)), start=Poly.constant(1))
+    return math.prod((Poly.linear_root(i) for i in range(ell + 1)), start=Poly([1]))
 
 
 def K_quotient_via_tau(ell: int, j: int) -> Poly:
@@ -119,16 +119,6 @@ def K_quotient_via_tau(ell: int, j: int) -> Poly:
     return Poly(coeffs)
 
 
-def lagrange_basis_hat(ell: int, j: int) -> Poly:
-    """The j-th cardinal basis polynomial on the integer grid 0..ell:
-    degree ell, value 1 at t = j and 0 at the other grid integers."""
-    if not 0 <= j <= ell:
-        raise ValueError(f"basis index j={j} outside [0, {ell}]")
-    quotient = poly_K(ell).divide_linear(j)
-    sign = -1 if (ell - j) % 2 else 1
-    return quotient * Fraction(sign * binomial(ell, j), math.factorial(ell))
-
-
 def lagrange_interpolate(nodes: Sequence[RationalLike], values: Sequence[RationalLike]) -> Poly:
     """Unique polynomial of degree <= len(nodes)-1 through the given points,
     built directly from the Lagrange basis with exact arithmetic.  O(ell^3)
@@ -137,11 +127,11 @@ def lagrange_interpolate(nodes: Sequence[RationalLike], values: Sequence[Rationa
     data = [rat(v) for v in values]
     if len(points) != len(data):
         raise ValueError("need one value per node")
-    total = Poly.zero()
+    total = Poly()
     for j, (xj, vj) in enumerate(zip(points, data)):
         if vj == 0:
             continue
-        numer = Poly.constant(1)
+        numer = Poly([1])
         denom = Fraction(1)
         for i, xi in enumerate(points):
             if i == j:
@@ -174,7 +164,7 @@ def newton_interpolate(nodes: Sequence[RationalLike], values: Sequence[RationalL
     if len(set(xs)) != len(xs):
         raise ValueError("nodes must be pairwise distinct")
     if not xs:
-        return Poly.zero()
+        return Poly()
     d, column = over_common_denominator(data)
     leading = [column[0]]
     denominators = [1]
@@ -362,7 +352,7 @@ def compare_general_expansion(problem: GeneralProblem) -> GeneralExpansionCompar
     oracle = newton_interpolate(problem.nodes, problem.a)
     if formula == oracle:
         ratio = Fraction(1) if not oracle.is_zero else None
-        return GeneralExpansionComparison(formula, oracle, True, ratio, Poly.zero())
+        return GeneralExpansionComparison(formula, oracle, True, ratio, Poly())
     ratio = None
     if not oracle.is_zero and formula.degree == oracle.degree:
         candidate = formula.leading_coefficient / oracle.leading_coefficient

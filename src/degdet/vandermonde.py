@@ -1,14 +1,15 @@
-"""Affine-power matrices, generalized Vandermonde determinants, Schur
-quotients, and the expansion/regularity identities connecting them."""
+"""Affine-power matrices, generalized Vandermonde determinants, and the
+expansion/regularity identities connecting them."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .combinat import IndexSeq, binomial, enumerate_index_seqs
+from .combinat import binomial
 from .exactnum import (
     ExactMatrix,
     Rational,
@@ -113,35 +114,41 @@ def _power_minor(table: list[list[int]], exponents: Sequence[int]) -> int:
     return det_integer_rows([[row[e] for e in exponents] for row in table])
 
 
-def gen_vandermonde_det(nu: Sequence[RationalLike], mu: IndexSeq) -> Rational:
+def gen_vandermonde_det(nu: Sequence[RationalLike], mu: Sequence[int]) -> Rational:
     """Determinant of the power matrix (nu_i ^ mu_j) for a strictly increasing
-    exponent sequence mu; vanishes whenever two nu values coincide."""
+    sequence mu of nonnegative exponents; vanishes whenever two nu values
+    coincide."""
+    if any(b <= a for a, b in zip(mu, mu[1:])):
+        raise ValueError(f"exponents must be strictly increasing, got {tuple(mu)}")
+    if mu and mu[0] < 0:
+        raise ValueError(f"exponents must be nonnegative, got {tuple(mu)}")
     points = [rat(x) for x in nu]
-    if len(points) != mu.k:
-        raise ValueError(f"need as many points as exponents: {len(points)} vs {mu.k}")
-    Q, table = _power_table(points, mu.ell)
-    return Fraction(_power_minor(table, mu.entries), Q ** sum(mu.entries))
+    if len(points) != len(mu):
+        raise ValueError(f"need as many points as exponents: {len(points)} vs {len(mu)}")
+    Q, table = _power_table(points, mu[-1] + 1 if mu else 0)
+    return Fraction(_power_minor(table, mu), Q ** sum(mu))
 
 
 def _binomial_vandermonde_sum(data: AffineData, lead: Sequence[Rational], second: Sequence[Rational],
-                              columns: Callable[[IndexSeq], IndexSeq]) -> Rational:
-    """prod lead_i^(ell-1) * sum_mu prod_j C(ell-1, mu_j) V(r, mu) V(second, columns(mu))
-    over all C(ell, k) exponent sequences mu, term by term in ints: with r
-    and second over the lcms Q and S of their denominators, each V is a
-    power-table minor over Q or S to at most top = (ell-1) + ... + (ell-k),
-    so every term is an integer over (Q S)^top."""
+                              columns: Callable[[int, tuple[int, ...]], tuple[int, ...]]) -> Rational:
+    """prod lead_i^(ell-1) * sum_mu prod_j C(ell-1, mu_j) V(r, mu) V(second, columns(ell, mu))
+    over all C(ell, k) strictly increasing exponent tuples mu in [0, ell-1]
+    (itertools.combinations), term by term in ints: with r and second over
+    the lcms Q and S of their denominators, each V is a power-table minor
+    over Q or S to at most top = (ell-1) + ... + (ell-k), so every term is
+    an integer over (Q S)^top."""
     ell = data.ell
     Q, r_table = _power_table(data.r, ell)
     S, second_table = _power_table(second, ell)
     weights = [binomial(ell - 1, e) for e in range(ell)]
     top = data.k * (2 * ell - data.k - 1) // 2
     total = 0
-    for mu in enumerate_index_seqs(ell, data.k):
-        nu = columns(mu)
-        minor = _power_minor(second_table, nu.entries)
+    for mu in itertools.combinations(range(ell), data.k):
+        nu = columns(ell, mu)
+        minor = _power_minor(second_table, nu)
         if minor:
-            total += (math.prod(weights[e] for e in mu.entries) * _power_minor(r_table, mu.entries) * minor
-                      * Q ** (top - sum(mu.entries)) * S ** (top - sum(nu.entries)))
+            total += (math.prod(weights[e] for e in mu) * _power_minor(r_table, mu) * minor
+                      * Q ** (top - sum(mu)) * S ** (top - sum(nu)))
     numerator = math.prod(x.numerator ** (ell - 1) for x in lead)
     denominator = math.prod(x.denominator ** (ell - 1) for x in lead)
     return Fraction(numerator * total, denominator * (Q * S) ** top)
@@ -159,14 +166,20 @@ def det_B_expansion(data: AffineData) -> Rational:
     """
     if data.k > data.ell:
         raise ValueError("expansion needs k <= ell (the determinant is 0 for k > ell; see det_B_zero_check)")
-    return _binomial_vandermonde_sum(data, data.alpha, data.rho(), lambda mu: mu)
+    return _binomial_vandermonde_sum(data, data.alpha, data.rho(), lambda ell, mu: mu)
+
+
+def _complement(ell: int, mu: tuple[int, ...]) -> tuple[int, ...]:
+    """Reflect every exponent through (ell-1)/2 and reverse, so the result is
+    again strictly increasing in [0, ell-1]; an involution."""
+    return tuple(ell - 1 - e for e in reversed(mu))
 
 
 def det_B_expansion_complement(data: AffineData) -> Rational:
     """Complementary-index expansion of det(B):
 
         (-1)^(k(k-1)/2) * prod beta_i^(ell-1) * sum_mu prod_j C(ell-1, mu_j)
-            * V(r, mu) * V(1/rho, complement(mu))
+            * V(r, mu) * V(1/rho, _complement(ell, mu))
 
     Needs k <= ell and every alpha_i and beta_i nonzero.
     """
@@ -174,7 +187,7 @@ def det_B_expansion_complement(data: AffineData) -> Rational:
         raise ValueError("expansion needs k <= ell (the determinant is 0 for k > ell; see det_B_zero_check)")
     if any(x == 0 for x in data.alpha):
         raise ValueError("complementary expansion needs every alpha_i nonzero")
-    total = _binomial_vandermonde_sum(data, data.beta, data.inverse_rho(), IndexSeq.complement)
+    total = _binomial_vandermonde_sum(data, data.beta, data.inverse_rho(), _complement)
     return -total if (data.k * (data.k - 1) // 2) % 2 else total
 
 

@@ -31,7 +31,6 @@ from .exactnum import (
     NegativeInfinity,
     Poly,
     Rational,
-    degree_to_str,
     det_fraction_free,
     format_rational,
     poly_shift_scale,
@@ -138,10 +137,8 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, Fraction):
         return format_rational(value)
-    if isinstance(value, int):
+    if isinstance(value, (int, NegativeInfinity)):
         return str(value)
-    if isinstance(value, NegativeInfinity):
-        return degree_to_str(value)
     if isinstance(value, Poly):
         return ",".join(format_rational(c) for c in value.coeffs) if value.coeffs else "0"
     if isinstance(value, (tuple, list)):
@@ -163,7 +160,7 @@ def _random_problem(rng: SplitMix64, ell: int) -> EquidistantProblem:
 
 def _random_exact_degree_poly(rng: SplitMix64, degree: Degree) -> Poly:
     if isinstance(degree, NegativeInfinity):
-        return Poly.zero()
+        return Poly()
     return Poly([rng.rational() for _ in range(degree)] + [rng.nonzero_rational()])
 
 
@@ -312,7 +309,7 @@ def _suite_theorem1(report: VerifyReport, rng: SplitMix64, max_ell: int, trials:
                 h = rng.nonzero_rational()
                 problem = EquidistantProblem(ell, xi, h, [poly(x) for x in equidistant_nodes(ell, xi, h)])
                 report.case(
-                    lambda: f"constructed-degree ell={ell} target={degree_to_str(target)} trial={trial}"
+                    lambda: f"constructed-degree ell={ell} target={target} trial={trial}"
                     f" xi={format_rational(xi)} h={format_rational(h)} a={_csv(problem.a)}",
                     target,
                     detect_degree(problem).degree,

@@ -1,14 +1,57 @@
-"""Test-only oracles: by-definition routes with factorial or quadratic
-Fraction cost that the tests check degdet's production routes against.
+"""Test-only oracles: by-definition routes, some of factorial or
+exponential cost, that the tests check degdet's production routes against.
 No degdet code path calls them."""
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
 
-from degdet.combinat import IndexSeq
-from degdet.exactnum import ExactMatrix, Rational, RationalLike, rat
+from degdet.combinat import binomial
+from degdet.exactnum import ExactMatrix, Poly, Rational, RationalLike, format_rational, rat
+from degdet.interp import poly_K
 from degdet.vandermonde import gen_vandermonde_det
+
+
+def sym_sums_subset(ell: int, j: int) -> tuple[int, ...]:
+    """Elementary symmetric sums of {1..ell} minus the value j, by definition:
+    entry m is the sum over all m-element subsets of the product of elements.
+    Exponential cost; the oracle for combinat._sym_sums_product, which tau uses."""
+    values = [i for i in range(1, ell + 1) if i != j]
+    sums = [0] * (ell + 1)
+    sums[0] = 1
+    for m in range(1, len(values) + 1):
+        sums[m] = sum(math.prod(c) for c in itertools.combinations(values, m))
+    return tuple(sums)
+
+
+def divide_linear(p: Poly, root: RationalLike) -> Poly:
+    """Exact synthetic division of p by (t - root); root must actually be a root."""
+    r = rat(root)
+    if p.is_zero:
+        return Poly()
+    quotient = [Fraction(0)] * (len(p.coeffs) - 1)
+    carry = Fraction(0)
+    for k in range(len(p.coeffs) - 1, 0, -1):
+        carry = p.coeffs[k] + r * carry
+        quotient[k - 1] = carry
+    remainder = p.coeffs[0] + r * carry
+    if remainder != 0:
+        raise ValueError(
+            f"{format_rational(r)} is not a root (remainder {format_rational(remainder)}); "
+            "exact division is impossible"
+        )
+    return Poly(quotient)
+
+
+def lagrange_basis_hat(ell: int, j: int) -> Poly:
+    """The j-th cardinal basis polynomial on the integer grid 0..ell:
+    degree ell, value 1 at t = j and 0 at the other grid integers."""
+    if not 0 <= j <= ell:
+        raise ValueError(f"basis index j={j} outside [0, {ell}]")
+    quotient = divide_linear(poly_K(ell), j)
+    sign = -1 if (ell - j) % 2 else 1
+    return quotient * Fraction(sign * binomial(ell, j), math.factorial(ell))
 
 
 def det_cofactor(m: ExactMatrix) -> Rational:
@@ -46,7 +89,7 @@ def vandermonde_product(nu: Sequence[RationalLike]) -> Rational:
     )
 
 
-def schur_eval(nu: Sequence[RationalLike], mu: IndexSeq) -> Rational:
+def schur_eval(nu: Sequence[RationalLike], mu: Sequence[int]) -> Rational:
     """The symmetric quotient gen_vandermonde_det(nu, mu) / vandermonde_product(nu),
     evaluated at pairwise distinct sample points."""
     points = [rat(x) for x in nu]

@@ -6,16 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from degdet.combinat import (
-    IndexSeq,
     _sym_sums_product,
-    _sym_sums_subset,
     binomial,
     elementary_symmetric,
-    enumerate_index_seqs,
     tau,
     tau_via_recurrence,
 )
 from degdet.rng import SplitMix64
+
+from oracles import sym_sums_subset
 
 
 class TestBinomial:
@@ -79,7 +78,7 @@ class TestTau:
     def test_backends_agree(self):
         for ell in range(1, 13):
             for j in range(ell + 1):
-                assert _sym_sums_subset(ell, j) == _sym_sums_product(ell, j)
+                assert sym_sums_subset(ell, j) == _sym_sums_product(ell, j)
 
 
 class TestElementarySymmetric:
@@ -129,55 +128,3 @@ class TestTauRecurrence:
             for m in range(1, ell):
                 for j in range(1, ell + 1):
                     assert tau(ell, m, j) == tau(ell, m, 0) - j * tau(ell, m - 1, j)
-
-
-class TestIndexSeq:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IndexSeq(3, (2, 1))
-        with pytest.raises(ValueError):
-            IndexSeq(3, (0, 3))
-        with pytest.raises(ValueError):
-            IndexSeq(3, ())
-        with pytest.raises(ValueError):
-            IndexSeq(2, (0, 1, 1))
-
-    def test_enumeration_listing(self):
-        seqs = enumerate_index_seqs(3, 2)
-        assert [s.entries for s in seqs] == [(0, 1), (0, 2), (1, 2)]
-
-    def test_enumeration_single(self):
-        assert [s.entries for s in enumerate_index_seqs(2, 2)] == [(0, 1)]
-
-    def test_enumeration_count(self):
-        assert len(enumerate_index_seqs(5, 2)) == 10
-
-    @pytest.mark.parametrize("ell,k", [(3, 0), (3, 4), (0, 1)])
-    def test_enumeration_rejects_bad_k(self, ell, k):
-        with pytest.raises(ValueError):
-            enumerate_index_seqs(ell, k)
-
-    @given(st.integers(min_value=1, max_value=7), st.data())
-    def test_enumeration_is_lexicographic_and_distinct(self, ell, data):
-        k = data.draw(st.integers(min_value=1, max_value=ell))
-        seqs = [s.entries for s in enumerate_index_seqs(ell, k)]
-        assert seqs == sorted(seqs)
-        assert len(set(seqs)) == len(seqs) == math.comb(ell, k)
-
-    def test_complement_example(self):
-        assert IndexSeq(4, (0, 2)).complement().entries == (1, 3)
-
-    def test_full_sequence_self_complementary(self):
-        mu = IndexSeq(3, (0, 1, 2))
-        assert mu.complement() == mu
-
-    @given(st.integers(min_value=1, max_value=8), st.data())
-    def test_complement_is_involution(self, ell, data):
-        k = data.draw(st.integers(min_value=1, max_value=ell))
-        entries = tuple(sorted(data.draw(
-            st.sets(st.integers(min_value=0, max_value=ell - 1), min_size=k, max_size=k)
-        )))
-        mu = IndexSeq(ell, entries)
-        assert mu.complement().complement() == mu
-        assert mu.complement().ell == ell
-        assert mu.complement().k == mu.k

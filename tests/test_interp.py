@@ -23,7 +23,6 @@ from degdet.interp import (
     detect_degree,
     general_expansion,
     interpolate_eq14,
-    lagrange_basis_hat,
     lagrange_interpolate,
     newton_interpolate,
     poly_K,
@@ -31,6 +30,8 @@ from degdet.interp import (
 )
 from degdet.rng import SplitMix64
 from degdet.verify import run_suite
+
+from oracles import divide_linear, lagrange_basis_hat
 
 
 def random_problem(rng, ell):
@@ -89,7 +90,7 @@ class TestKQuotient:
         for ell in range(1, 9):
             nodal = poly_K(ell)
             for j in range(ell + 1):
-                assert K_quotient_via_tau(ell, j) == nodal.divide_linear(j)
+                assert K_quotient_via_tau(ell, j) == divide_linear(nodal, j)
 
     def test_remultiplication_recovers_nodal_polynomial(self):
         for ell in range(1, 9):
@@ -486,7 +487,7 @@ class TestDegreeDetection:
         for ell in range(1, 6):
             for target in (NEG_INF, *range(ell + 1)):
                 if target is NEG_INF:
-                    poly = Poly.zero()
+                    poly = Poly()
                 else:
                     poly = Poly([rng.rational() for _ in range(target)] + [rng.nonzero_rational()])
                 xi, h = rng.rational(), rng.nonzero_rational()

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from degdet.combinat import IndexSeq, binomial, enumerate_index_seqs
+from degdet.combinat import binomial
 from degdet.exactnum import ExactMatrix, det_fraction_free
 from degdet.rng import SplitMix64
 from degdet.verify import run_suite
 from degdet.vandermonde import (
     AffineData,
     HypothesisViolation,
+    _complement,
     build_B,
     det_B_expansion,
     det_B_expansion_complement,
@@ -90,17 +91,29 @@ class TestBuildB:
 class TestGenVandermonde:
     @given(small_rationals, small_rationals)
     def test_consecutive_exponents_reduce_to_difference(self, x, y):
-        assert gen_vandermonde_det([x, y], IndexSeq(2, (0, 1))) == y - x
+        assert gen_vandermonde_det([x, y], (0, 1)) == y - x
 
     def test_gap_exponents(self):
-        assert gen_vandermonde_det([1, 2], IndexSeq(3, (0, 2))) == 3
+        assert gen_vandermonde_det([1, 2], (0, 2)) == 3
 
     def test_vanishes_on_repeated_points(self):
-        assert gen_vandermonde_det([2, 2], IndexSeq(4, (1, 3))) == 0
+        assert gen_vandermonde_det([2, 2], (1, 3)) == 0
+
+    def test_empty_matrix_has_determinant_one(self):
+        assert gen_vandermonde_det([], ()) == 1
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            gen_vandermonde_det([1, 2, 3], IndexSeq(3, (0, 1)))
+            gen_vandermonde_det([1, 2, 3], (0, 1))
+
+    @pytest.mark.parametrize("mu", [(2, 1), (0, 1, 1)])
+    def test_non_increasing_exponents_rejected(self, mu):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            gen_vandermonde_det([1, 2, 3][: len(mu)], mu)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gen_vandermonde_det([2, 3], (-1, 0))
 
     @pytest.mark.parametrize(
         "nu,entries",
@@ -114,9 +127,8 @@ class TestGenVandermonde:
         ],
     )
     def test_matches_cofactor_of_the_power_matrix(self, nu, entries):
-        mu = IndexSeq(5, entries)
         powers = ExactMatrix.from_rows([[Fraction(x) ** e for e in entries] for x in nu])
-        assert gen_vandermonde_det(nu, mu) == det_cofactor(powers)
+        assert gen_vandermonde_det(nu, entries) == det_cofactor(powers)
 
     def test_seeded_sweep_matches_cofactor(self):
         rng = SplitMix64(23)
@@ -125,45 +137,62 @@ class TestGenVandermonde:
                 for mu in itertools.islice(itertools.combinations(range(ell), k), 4):
                     nu = [rng.rational() for _ in range(k)]
                     powers = ExactMatrix.from_rows([[x**e for e in mu] for x in nu])
-                    assert gen_vandermonde_det(nu, IndexSeq(ell, mu)) == det_cofactor(powers)
+                    assert gen_vandermonde_det(nu, mu) == det_cofactor(powers)
 
     def test_initial_exponents_match_product_formula(self):
         rng = SplitMix64(5)
         for k in range(1, 5):
             nu = rng.distinct_rationals(k)
-            mu = IndexSeq(k, tuple(range(k)))
-            assert gen_vandermonde_det(nu, mu) == vandermonde_product(nu)
+            assert gen_vandermonde_det(nu, tuple(range(k))) == vandermonde_product(nu)
 
 
 class TestSchur:
     def test_example_value(self):
-        assert schur_eval([1, 2], IndexSeq(3, (0, 2))) == 3
+        assert schur_eval([1, 2], (0, 2)) == 3
 
     def test_identity_exponents_give_one(self):
         rng = SplitMix64(6)
         for k in range(1, 5):
             nu = rng.distinct_rationals(k)
-            assert schur_eval(nu, IndexSeq(k, tuple(range(k)))) == 1
+            assert schur_eval(nu, tuple(range(k))) == 1
 
     def test_symmetric_under_all_permutations(self):
         rng = SplitMix64(8)
         for k in (2, 3, 4):
             nu = rng.distinct_rationals(k)
-            mu = IndexSeq(k + 2, tuple(sorted({0, k, k + 1} | set(range(k - 2)))[:k]))
+            mu = tuple(sorted({0, k, k + 1} | set(range(k - 2)))[:k])
             reference = schur_eval(nu, mu)
             for perm in itertools.permutations(nu):
                 assert schur_eval(list(perm), mu) == reference
 
     def test_rejects_repeated_points(self):
         with pytest.raises(ValueError):
-            schur_eval([1, 1], IndexSeq(2, (0, 1)))
+            schur_eval([1, 1], (0, 1))
 
     def test_quotient_times_denominator_recovers_determinant(self):
         rng = SplitMix64(9)
         for entries in ((1, 3), (0, 2, 4), (1, 2, 4)):
             nu = rng.distinct_rationals(len(entries))
-            mu = IndexSeq(5, entries)
-            assert schur_eval(nu, mu) * vandermonde_product(nu) == gen_vandermonde_det(nu, mu)
+            assert schur_eval(nu, entries) * vandermonde_product(nu) == gen_vandermonde_det(nu, entries)
+
+
+class TestComplement:
+    def test_example(self):
+        assert _complement(4, (0, 2)) == (1, 3)
+
+    def test_full_sequence_self_complementary(self):
+        assert _complement(3, (0, 1, 2)) == (0, 1, 2)
+
+    @given(st.integers(min_value=1, max_value=8), st.data())
+    def test_is_an_involution_on_increasing_sequences(self, ell, data):
+        k = data.draw(st.integers(min_value=1, max_value=ell))
+        mu = tuple(sorted(data.draw(
+            st.sets(st.integers(min_value=0, max_value=ell - 1), min_size=k, max_size=k)
+        )))
+        nu = _complement(ell, mu)
+        assert _complement(ell, nu) == mu
+        assert len(nu) == k
+        assert nu == tuple(sorted(set(nu))) and set(nu) <= set(range(ell))
 
 
 class TestExpansion:
@@ -315,8 +344,8 @@ def expansion_as_fraction_sum(data):
     Fraction product of two gen_vandermonde_det values per mu."""
     rho = data.rho()
     total = Fraction(0)
-    for mu in enumerate_index_seqs(data.ell, data.k):
-        weight = math.prod(binomial(data.ell - 1, e) for e in mu.entries)
+    for mu in itertools.combinations(range(data.ell), data.k):
+        weight = math.prod(binomial(data.ell - 1, e) for e in mu)
         total += weight * gen_vandermonde_det(data.r, mu) * gen_vandermonde_det(rho, mu)
     return math.prod((a ** (data.ell - 1) for a in data.alpha), start=Fraction(1)) * total
 
@@ -325,9 +354,9 @@ def complement_as_fraction_sum(data):
     """The complementary-index expansion in the same per-mu Fraction form."""
     inv_rho = data.inverse_rho()
     total = Fraction(0)
-    for mu in enumerate_index_seqs(data.ell, data.k):
-        weight = math.prod(binomial(data.ell - 1, e) for e in mu.entries)
-        total += weight * gen_vandermonde_det(data.r, mu) * gen_vandermonde_det(inv_rho, mu.complement())
+    for mu in itertools.combinations(range(data.ell), data.k):
+        weight = math.prod(binomial(data.ell - 1, e) for e in mu)
+        total += weight * gen_vandermonde_det(data.r, mu) * gen_vandermonde_det(inv_rho, _complement(data.ell, mu))
     sign = -1 if (data.k * (data.k - 1) // 2) % 2 else 1
     return sign * math.prod((b ** (data.ell - 1) for b in data.beta), start=Fraction(1)) * total
 
