@@ -13,6 +13,7 @@ from degdet.verify import run_suite
 from degdet.vandermonde import (
     AffineData,
     HypothesisViolation,
+    _binomial_vandermonde_sum,
     _complement,
     build_B,
     det_B_expansion,
@@ -193,6 +194,41 @@ class TestComplement:
         assert _complement(ell, nu) == mu
         assert len(nu) == k
         assert nu == tuple(sorted(set(nu))) and set(nu) <= set(range(ell))
+
+
+class TestExponentWalk:
+    """The expansions visit every strictly increasing exponent tuple in
+    [0, ell-1] exactly once, in lexicographic order."""
+
+    @staticmethod
+    def walk(ell, k):
+        data = AffineData(k, ell, range(1, k + 1), range(2, k + 2), range(1, k + 1))
+        seen = []
+
+        def record(ell_arg, mu):
+            assert ell_arg == ell and isinstance(mu, tuple)
+            seen.append(mu)
+            return mu
+
+        total = _binomial_vandermonde_sum(data, data.alpha, data.rho(), record)
+        assert total == det_B_expansion(data)
+        return seen
+
+    @pytest.mark.parametrize("ell,k,expected", [
+        (3, 2, [(0, 1), (0, 2), (1, 2)]),
+        (2, 2, [(0, 1)]),
+        (4, 1, [(0,), (1,), (2,), (3,)]),
+    ], ids=["ell3-k2", "ell2-k2", "ell4-k1"])
+    def test_listing(self, ell, k, expected):
+        assert self.walk(ell, k) == expected
+
+    @given(st.integers(min_value=1, max_value=7), st.data())
+    def test_every_tuple_once_in_lexicographic_order(self, ell, data):
+        k = data.draw(st.integers(min_value=1, max_value=ell))
+        seen = self.walk(ell, k)
+        assert seen == sorted(seen)
+        assert len(set(seen)) == len(seen) == math.comb(ell, k)
+        assert all(mu == tuple(sorted(set(mu))) and set(mu) <= set(range(ell)) for mu in seen)
 
 
 class TestExpansion:
