@@ -103,9 +103,9 @@ def parse_problem_file(text: str, source: str = "<input>") -> EquidistantProblem
 
 def load_problem_file(path: str) -> EquidistantProblem:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from None
     return parse_problem_file(text, source=path)
 

@@ -37,7 +37,7 @@ def parse_rational(text: str) -> Rational:
     s = text.strip()
     body = s[1:] if s[:1] in "+-" else s
     num_part, sep, den_part = body.partition("/")
-    if not num_part.isdigit() or (sep and not den_part.isdigit()):
+    if not num_part.isdecimal() or (sep and not den_part.isdecimal()):
         raise ValueError(f"not a rational literal (expected 'p' or 'p/q'): {text!r}")
     if sep and int(den_part) == 0:
         raise ValueError(f"zero denominator in rational literal: {text!r}")
@@ -249,16 +249,8 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def entry(self, i: int, j: int) -> Rational:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[Rational, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Rational]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
 
 def over_common_denominator(values: Sequence[Rational]) -> tuple[int, list[int]]:

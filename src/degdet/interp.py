@@ -213,24 +213,11 @@ def _eq14_double_sum(sym: Sequence, inner: Sequence) -> list:
     return [sum(map(operator.mul, signed[m::-1], inner)) for m in range(ell, -1, -1)]
 
 
-def sigma_lsk(ell: int, s: int, k: int) -> Rational:
-    """The closed-form derivative weights:
-
-        (-1)^(ell-s+k) * (ell-s)! / ell! * tau(ell, s-k, 0)
-    """
-    if not 0 <= s <= ell:
-        raise ValueError(f"derivative index s={s} outside [0, {ell}]")
-    if not 0 <= k <= s:
-        raise ValueError(f"weight index k={k} outside [0, {s}]")
-    sign = -1 if (ell - s + k) % 2 else 1
-    return Fraction(sign * math.factorial(ell - s), math.factorial(ell)) * tau(ell, s - k, 0)
-
-
 def derivative_at_left_node(problem: EquidistantProblem, s: int) -> Rational:
-    """The (ell-s)-th derivative of the interpolant at x = xi, via the closed
-    form h^(s-ell) * sum_k sigma_lsk(ell, s, k) * S_k; must equal the symbolic
-    derivative of the direct interpolant evaluated at xi.  Summed in plain
-    ints as L * S_k, with one division at the end."""
+    """The (ell-s)-th derivative of the interpolant at x = xi by eq. 10,
+    h^(s-ell) sum_k (-1)^(ell-s+k) (ell-s)!/ell! tau(ell, s-k, 0) S_k; must
+    equal the symbolic derivative of the direct interpolant evaluated at xi.
+    Summed in plain ints as L * S_k, with one division at the end."""
     ell = problem.ell
     if not 0 <= s <= ell:
         raise ValueError(f"derivative index s={s} outside [0, {ell}]")

@@ -13,7 +13,6 @@ from .combinat import binomial
 from .exactnum import (
     ExactMatrix,
     Rational,
-    RationalLike,
     det_integer_rows,
     format_rational,
     over_common_denominator,
@@ -79,9 +78,9 @@ def _integer_form(data: AffineData) -> tuple[list[int], list[int], list[int], in
     B: list[int] = []
     D: list[int] = []
     for a, b in zip(data.alpha, data.beta):
-        d = math.lcm(a.denominator, b.denominator)
-        A.append(a.numerator * (d // a.denominator))
-        B.append(b.numerator * (d // b.denominator))
+        d, (na, nb) = over_common_denominator((a, b))
+        A.append(na)
+        B.append(nb)
         D.append(d)
     Q, R = over_common_denominator(data.r)
     return A, B, D, Q, R
@@ -112,21 +111,6 @@ def _power_minor(table: list[list[int]], exponents: Sequence[int]) -> int:
     """det(N_i ^ exponents_j), Q^(sum exponents) times the determinant of the
     power matrix (x_i ^ exponents_j): column j carries Q^exponents_j."""
     return det_integer_rows([[row[e] for e in exponents] for row in table])
-
-
-def gen_vandermonde_det(nu: Sequence[RationalLike], mu: Sequence[int]) -> Rational:
-    """Determinant of the power matrix (nu_i ^ mu_j) for a strictly increasing
-    sequence mu of nonnegative exponents; vanishes whenever two nu values
-    coincide."""
-    if any(b <= a for a, b in zip(mu, mu[1:])):
-        raise ValueError(f"exponents must be strictly increasing, got {tuple(mu)}")
-    if mu and mu[0] < 0:
-        raise ValueError(f"exponents must be nonnegative, got {tuple(mu)}")
-    points = [rat(x) for x in nu]
-    if len(points) != len(mu):
-        raise ValueError(f"need as many points as exponents: {len(points)} vs {len(mu)}")
-    Q, table = _power_table(points, mu[-1] + 1 if mu else 0)
-    return Fraction(_power_minor(table, mu), Q ** sum(mu))
 
 
 def _binomial_vandermonde_sum(data: AffineData, lead: Sequence[Rational], second: Sequence[Rational],

@@ -7,10 +7,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from degdet.combinat import binomial
-from degdet.exactnum import ExactMatrix, Poly, Rational, RationalLike, format_rational, rat
+from degdet.combinat import binomial, tau
+from degdet.exactnum import ExactMatrix, Poly, Rational, RationalLike, det_fraction_free, format_rational, rat
 from degdet.interp import poly_K
-from degdet.vandermonde import gen_vandermonde_det
 
 
 def sym_sums_subset(ell: int, j: int) -> tuple[int, ...]:
@@ -54,6 +53,11 @@ def lagrange_basis_hat(ell: int, j: int) -> Poly:
     return quotient * Fraction(sign * binomial(ell, j), math.factorial(ell))
 
 
+def rows_of(m: ExactMatrix) -> list[list[Rational]]:
+    """The entries of m as a list of row lists."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
 def det_cofactor(m: ExactMatrix) -> Rational:
     """Determinant by first-row cofactor expansion.
 
@@ -62,7 +66,7 @@ def det_cofactor(m: ExactMatrix) -> Rational:
     """
     if not m.is_square:
         raise ValueError(f"determinant requires a square matrix, got {m.rows}x{m.cols}")
-    grid = m.to_rows()
+    grid = rows_of(m)
 
     def expand(rows: list[list[Rational]]) -> Rational:
         size = len(rows)
@@ -78,6 +82,29 @@ def det_cofactor(m: ExactMatrix) -> Rational:
         return total
 
     return expand(grid)
+
+
+def sigma_lsk(ell: int, s: int, k: int) -> Rational:
+    """The eq. 10 derivative weights as Fractions, the form that
+    interp.derivative_at_left_node sums in ints:
+
+        (-1)^(ell-s+k) * (ell-s)! / ell! * tau(ell, s-k, 0)
+    """
+    if not 0 <= s <= ell:
+        raise ValueError(f"derivative index s={s} outside [0, {ell}]")
+    if not 0 <= k <= s:
+        raise ValueError(f"weight index k={k} outside [0, {s}]")
+    sign = -1 if (ell - s + k) % 2 else 1
+    return Fraction(sign * math.factorial(ell - s), math.factorial(ell)) * tau(ell, s - k, 0)
+
+
+def gen_vandermonde_det(nu: Sequence[RationalLike], mu: Sequence[int]) -> Rational:
+    """Determinant of the power matrix (nu_i ^ mu_j) by definition: the
+    Fraction matrix through det_fraction_free, 1 for an empty mu.  The
+    oracle of the eq. 5/5c power-table minors in degdet.vandermonde."""
+    if not mu:
+        return Fraction(1)
+    return det_fraction_free(ExactMatrix.from_rows([[rat(x) ** e for e in mu] for x in nu]))
 
 
 def vandermonde_product(nu: Sequence[RationalLike]) -> Rational:

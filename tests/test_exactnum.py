@@ -54,9 +54,9 @@ class TestRationals:
     def test_parse_accepts_p_over_q(self, text, expected):
         assert parse_rational(text) == expected
 
-    @pytest.mark.parametrize("text", ["1.5", "", "a/b", "1/0", "1/", "/2", "1e3", "1 / 2"])
+    @pytest.mark.parametrize("text", ["1.5", "", "a/b", "1/0", "1/", "/2", "1e3", "1 / 2", "²", "1/²"])
     def test_parse_rejects_non_rational(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rational literal"):
             parse_rational(text)
 
     def test_rat_rejects_floats(self):

@@ -26,12 +26,11 @@ from degdet.interp import (
     lagrange_interpolate,
     newton_interpolate,
     poly_K,
-    sigma_lsk,
 )
 from degdet.rng import SplitMix64
 from degdet.verify import run_suite
 
-from oracles import divide_linear, lagrange_basis_hat
+from oracles import divide_linear, lagrange_basis_hat, sigma_lsk
 
 
 def random_problem(rng, ell):

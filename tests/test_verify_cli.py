@@ -304,6 +304,22 @@ class TestDegreeCommand:
         assert code == 2
         assert "cannot read" in err
 
+    def test_non_utf8_file_exits_2_naming_the_file(self, capsys, tmp_path):
+        path = tmp_path / "problem.txt"
+        path.write_bytes(b"ell: 2\nxi: 0\nh: 1\nvalues: 1, \xff, 3\n")
+        code, out, err = run_cli(capsys, "degree", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"degdet: error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        path = tmp_path / "problem.txt"
+        path.write_text(GOLDEN_PROBLEM, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfell:")
+        code, out, _ = run_cli(capsys, "degree", "--input", str(path))
+        assert code == 0
+        assert out == f"input: {path}\n" + GOLDEN_REPORT
+
     def test_failed_report_writes_nothing(self, capsys, tmp_path, monkeypatch):
         # Degree 5 on ell = 5: eight header values and det[0] come first,
         # so the 12th formatted value is b[2], half-way through the report.
