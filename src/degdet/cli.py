@@ -76,10 +76,12 @@ def parse_problem_file(text: str, source: str = "<input>") -> EquidistantProblem
         lineno = raw[field_name][0]
         return ProblemFileError(f"{source}: line {lineno}: field {field_name!r}: {message}")
 
-    try:
-        ell = int(raw["ell"][1])
-    except ValueError:
-        raise fail("ell", f"not an integer: {raw['ell'][1]!r}") from None
+    ell_text = raw["ell"][1]
+    # parse_rational's integer rule: an optional sign, then decimal digits
+    # (int() would also take "0_2")
+    if not (ell_text[1:] if ell_text[:1] in "+-" else ell_text).isdecimal():
+        raise fail("ell", f"not an integer: {ell_text!r}")
+    ell = int(ell_text)
     if ell < 1:
         raise fail("ell", f"must be >= 1, got {ell}")
     try:

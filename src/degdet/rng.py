@@ -10,6 +10,12 @@ of this tool can reproduce identical trial streams from the same seed:
     z <- (z XOR (z >> 27)) * 0x94D049BB133111EB  mod 2^64
     output z XOR (z >> 31)
 
+Outputs are made 256 at a time: the next 256 states sit in the 128-bit
+lanes of one packed int, and the recurrence runs on all of them at once.
+A lane holds a 64-bit value and its product with a 64-bit constant, so no
+lane carries into the next; masking each lane back to 64 bits after every
+step keeps the stream exactly the one above, output for output.
+
 Bounded draws use rejection sampling (discard outputs at or above the
 largest multiple of the bound), so they are exactly uniform.  Random
 rationals are numerator/denominator pairs with the numerator uniform in
@@ -18,10 +24,22 @@ rationals are numerator/denominator pairs with the numerator uniform in
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+# Outputs per _fill(), one per 128-bit lane of a packed int; _LANE_WORDS
+# reads (and writes) the low 64 bits of each lane, lane 0 first.
+_BLOCK = 256
+_LANE_WORDS = struct.Struct("<" + "Q8x" * _BLOCK)
+_ONES = int.from_bytes(_LANE_WORDS.pack(*[1] * _BLOCK), "little")
+_LANES = int.from_bytes(_LANE_WORDS.pack(*[_MASK64] * _BLOCK), "little")
+# Lane i steps the state by (_BLOCK - i) gammas, so the block unpacks last
+# output first and list.pop() returns the outputs in stream order.
+_STEPS = int.from_bytes(_LANE_WORDS.pack(*[(n * _GAMMA) & _MASK64 for n in range(_BLOCK, 0, -1)]), "little")
+_BLOCK_STEP = (_BLOCK * _GAMMA) & _MASK64
 
 # Every value a random rational can take, built once: _RATIONALS[n + 9][d - 1]
 # is Fraction(n, d) for n in [-9, 9] and d in [1, 4].
@@ -37,13 +55,25 @@ _LIMITS: dict[int, int] = {}
 class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
+        # outputs already computed, next one last; _state is the state of
+        # the last of them
+        self._buffer: list[int] = []
+
+    def _fill(self) -> list[int]:
+        """Compute the next _BLOCK outputs into the (empty) buffer, in place,
+        and return the buffer."""
+        z = (self._state * _ONES + _STEPS) & _LANES
+        self._state = (self._state + _BLOCK_STEP) & _MASK64
+        # a right shift pulls the low bits of the lane above into the top of
+        # each lane; the mask clears them before the multiply
+        z = (((z ^ (z >> 30)) & _LANES) * 0xBF58476D1CE4E5B9) & _LANES
+        z = (((z ^ (z >> 27)) & _LANES) * 0x94D049BB133111EB) & _LANES
+        # the unpack reads only each lane's low 64 bits, so no final mask
+        self._buffer.extend(_LANE_WORDS.unpack((z ^ (z >> 31)).to_bytes(16 * _BLOCK, "little")))
+        return self._buffer
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return (self._buffer or self._fill()).pop()
 
     def below(self, bound: int) -> int:
         """Exactly uniform integer in [0, bound); rejection on the top remainder band."""
@@ -52,8 +82,9 @@ class SplitMix64:
             if bound < 1:
                 raise ValueError(f"bound must be positive, got {bound}")
             limit = _LIMITS[bound] = (1 << 64) - ((1 << 64) % bound)
+        buffer = self._buffer
         while True:
-            z = self.next_u64()
+            z = (buffer or self._fill()).pop()
             if z < limit:
                 return z % bound
 

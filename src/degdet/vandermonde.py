@@ -78,9 +78,10 @@ def _integer_form(data: AffineData) -> tuple[list[int], list[int], list[int], in
     B: list[int] = []
     D: list[int] = []
     for a, b in zip(data.alpha, data.beta):
-        d, (na, nb) = over_common_denominator((a, b))
-        A.append(na)
-        B.append(nb)
+        da, db = a.denominator, b.denominator
+        d = da * db // math.gcd(da, db)
+        A.append(a.numerator * (d // da))
+        B.append(b.numerator * (d // db))
         D.append(d)
     Q, R = over_common_denominator(data.r)
     return A, B, D, Q, R

@@ -5,7 +5,7 @@ No degdet code path calls them."""
 import itertools
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from degdet.combinat import binomial, tau
 from degdet.exactnum import ExactMatrix, Poly, Rational, RationalLike, det_fraction_free, format_rational, rat
@@ -123,3 +123,16 @@ def schur_eval(nu: Sequence[RationalLike], mu: Sequence[int]) -> Rational:
     if len(set(points)) != len(points):
         raise ValueError("Schur evaluation needs pairwise distinct points (0/0 otherwise)")
     return gen_vandermonde_det(points, mu) / vandermonde_product(points)
+
+
+def splitmix64_scalar(seed: int) -> Iterator[int]:
+    """The SplitMix64 stream of seed, one output at a time: the recurrence
+    in degdet.rng's docstring on a single 64-bit state, without end."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from degdet.exactnum import (
 from degdet.interp import EquidistantProblem, newton_interpolate
 from degdet.rng import SplitMix64
 from degdet.verify import DEFAULT_SEED, SUITES, run_suite
+from oracles import splitmix64_scalar
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +145,9 @@ class TestProblemFile:
             ("ell: 2\nxi: 0\nvalues: 1, 2, 3\n", "missing field 'h'"),
             ("ell: 2\nxi: 0.5\nh: 1\nvalues: 1, 2, 3\n", "field 'xi'"),
             ("ell: two\nxi: 0\nh: 1\nvalues: 1, 2, 3\n", "not an integer"),
+            ("ell: 0_2\nxi: 0\nh: 1\nvalues: 1, 2, 3\n", "field 'ell': not an integer: '0_2'"),
+            ("ell: 1_0\nxi: 0\nh: 1\nvalues: 1, 2, 3\n", "field 'ell': not an integer: '1_0'"),
+            ("ell: -1\nxi: 0\nh: 1\nvalues: 1\n", "field 'ell': must be >= 1, got -1"),
             ("ell: 2\nxi: 0\nh: 1\nstep: 2\nvalues: 1, 2, 3\n", "unknown field 'step'"),
             ("ell: 2\nell: 2\nxi: 0\nh: 1\nvalues: 1, 2, 3\n", "duplicate field 'ell'"),
             ("just some text\n", "expected 'field: value'"),
@@ -612,10 +617,39 @@ class TestSplitMix64Stream:
     def test_known_stream_is_stable(self):
         from degdet.rng import SplitMix64
 
+        # the published SplitMix64 outputs for seed 1234567
         rng = SplitMix64(1234567)
-        first = [rng.next_u64() for _ in range(3)]
-        rng2 = SplitMix64(1234567)
-        assert [rng2.next_u64() for _ in range(3)] == first
+        assert [rng.next_u64() for _ in range(5)] == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821,
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, -5, 2**64 + 7])
+    def test_block_outputs_match_scalar_recurrence(self, seed):
+        # 3 * 256 + 5 outputs cross three block boundaries; -5 and 2**64 + 7
+        # reach the generator's 64-bit masking
+        count = 3 * 256 + 5
+        rng = SplitMix64(seed)
+        assert [rng.next_u64() for _ in range(count)] == list(itertools.islice(splitmix64_scalar(seed), count))
+
+    def test_below_accepts_what_scalar_rejection_accepts(self):
+        # the rejection limit of 2**63 + 1 is 2**63 + 1 itself, so about half
+        # of all outputs are redrawn
+        bound = 2**63 + 1
+        limit = (1 << 64) - ((1 << 64) % bound)
+        accepted = (z % bound for z in splitmix64_scalar(99) if z < limit)
+        rng = SplitMix64(99)
+        assert [rng.below(bound) for _ in range(600)] == list(itertools.islice(accepted, 600))
+
+    def test_next_u64_and_below_share_one_stream(self):
+        rng = SplitMix64(7)
+        expected = splitmix64_scalar(7)
+        limit = (1 << 64) - (1 << 64) % 19
+        for i in range(700):
+            if i % 3:
+                assert rng.below(19) == next(z for z in expected if z < limit) % 19
+            else:
+                assert rng.next_u64() == next(expected)
 
     def test_rational_draws_pinned(self):
         # sha256 of 5,000 draws of each rational kind, in turn, from one
