@@ -28,6 +28,7 @@ from .exactnum import (
 from .interp import (
     DETECTION_MODES,
     MODE_CLOSED_FORM,
+    MODE_MATRIX,
     EquidistantProblem,
     detect_degree,
     interpolate_eq14,
@@ -38,6 +39,11 @@ from .verify import DEFAULT_SEED, SUITE_NAMES, SUITES, run_all, run_suite
 ENV_SEED = "DEGDET_SEED"
 
 _PROBLEM_FIELDS = ("ell", "xi", "h", "values")
+
+# The matrix routes eliminate explicit integer matrices of ell power rows,
+# whose cost grows about as ell^7.5: about 17 s at ell = 64 on a
+# 2-vCPU x86-64 VM.  Larger ell is refused before any elimination.
+MATRIX_MAX_ELL = 64
 
 
 class ProblemFileError(ValueError):
@@ -119,8 +125,19 @@ def _parse_csv_rationals(text: str, option: str) -> tuple[Rational, ...]:
         raise ValueError(f"option {option}: {exc}") from None
 
 
+def _check_matrix_ell(ell: int, route: str) -> None:
+    if ell > MATRIX_MAX_ELL:
+        raise ValueError(
+            f"{route} takes ell <= {MATRIX_MAX_ELL}, got {ell}: its exact elimination takes about "
+            f"17 s at ell = {MATRIX_MAX_ELL} and grows about as ell^7.5; "
+            f"degree --mode {MODE_CLOSED_FORM} computes the same determinants in closed form"
+        )
+
+
 def cmd_degree(args: argparse.Namespace) -> int:
     problem = load_problem_file(args.input)
+    if args.mode == MODE_MATRIX:
+        _check_matrix_ell(problem.ell, f"degree --mode {MODE_MATRIX}")
     detection = detect_degree(problem, args.mode)
     # eq. 14 gives the coefficients c[k] of t**k with t = (x - xi)/h, so the
     # coefficient of (x - xi)**k is c[k] / h**k, one Fraction with h = p/q.
@@ -204,12 +221,14 @@ def cmd_det(args: argparse.Namespace) -> int:
 
     if args.matrix == "A":
         _require(args, ["ell", "s", "a"], "A")
+        _check_matrix_ell(args.ell, "det --matrix A")
         a = _parse_csv_rationals(args.a, "--a")
         direct = det_fraction_free(build_A(args.ell, args.s, a))
         closed_form = det_A_closed_form(args.ell, args.s, a)
         lines += [f"ell: {args.ell}", f"s: {args.s}", f"a: {', '.join(map(format_rational, a))}"]
     elif args.matrix == "Asub":
         _require(args, ["ell", "kappa"], "Asub")
+        _check_matrix_ell(args.ell, "det --matrix Asub")
         direct = det_fraction_free(build_A_sub(args.ell, args.kappa))
         closed_form = Rational(det_A_sub_closed_form(args.ell, args.kappa))
         lines += [f"ell: {args.ell}", f"kappa: {args.kappa}"]

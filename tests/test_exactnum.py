@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from degdet.exactnum import (
+    CONTENT_BITS,
     NEG_INF,
     ExactMatrix,
     Poly,
@@ -396,3 +397,69 @@ class TestLastRowCofactors:
         for rows in ([[1, 2], [3, 4]], [[1, 2, 3], [4, 5]]):
             with pytest.raises(ValueError):
                 last_row_cofactors(rows)
+
+
+class TestContentStep:
+    """The Bareiss content step fires on pivots wider than CONTENT_BITS, which
+    the small-entry sweeps above never reach: the same oracles on entries
+    wider than that."""
+
+    BITS = CONTENT_BITS + 88
+
+    def wide(self, rng):
+        """A signed integer of exactly BITS bits."""
+        words = (self.BITS + 63) // 64
+        value = sum(rng.next_u64() << (64 * w) for w in range(words)) >> (64 * words - self.BITS)
+        value |= 1 << (self.BITS - 1)
+        return -value if rng.below(2) else value
+
+    @staticmethod
+    def det_and_cofactors_match_oracle(rows):
+        """det_integer_rows of rows, and last_row_cofactors of all rows but
+        the last, against det_cofactor; returns the determinant."""
+        expected = det_cofactor(ExactMatrix.from_rows(rows))
+        assert det_integer_rows([list(r) for r in rows]) == expected
+        cofactors = last_row_cofactors([list(r) for r in rows[:-1]])
+        assert sum(c * x for c, x in zip(cofactors, rows[-1])) == expected
+        return expected
+
+    def test_seeded_sweep_with_zero_entries(self):
+        rng = SplitMix64(59)
+        for n in range(1, 7):
+            for _ in range(8):
+                # a third of the entries are 0, so pivots after a content
+                # step vanish and columns swap
+                rows = [[0 if rng.below(3) == 0 else self.wide(rng) for _ in range(n)] for _ in range(n)]
+                self.det_and_cofactors_match_oracle(rows)
+
+    def test_column_swap_after_a_content_step(self):
+        rng = SplitMix64(61)
+        a, b, c, d, e = (self.wide(rng) for _ in range(5))
+        factor = self.wide(rng)
+        # row 0 loses its content at step 0, then row 1's pivot is 0
+        rows = [[factor * a, factor * b, factor * c], [0, 0, d], [e, a, b]]
+        assert self.det_and_cofactors_match_oracle(rows) != 0
+
+    def test_rows_sharing_a_wide_factor(self):
+        rng = SplitMix64(67)
+        factor = self.wide(rng)
+        for n in range(1, 7):
+            for _ in range(8):
+                rows = [[factor * rng.int_between(-9, 9) for _ in range(n)] for _ in range(n)]
+                self.det_and_cofactors_match_oracle(rows)
+                # g > 1 at step 0: the pivot row is left without its content
+                head = [[factor * rng.int_between(1, 9) for _ in range(n + 1)]] + [
+                    [factor * rng.int_between(-9, 9) for _ in range(n + 1)] for _ in range(n - 1)
+                ]
+                last_row_cofactors(head)
+                assert math.gcd(*head[0]) == 1
+
+    def test_wide_dependent_rows(self):
+        rng = SplitMix64(71)
+        for n in range(2, 7):
+            for i, j in itertools.permutations(range(n), 2):
+                rows = [[self.wide(rng) for _ in range(n)] for _ in range(n)]
+                rows[j] = [x << self.BITS for x in rows[i]]
+                assert self.det_and_cofactors_match_oracle(rows) == 0
+                if n - 1 not in (i, j):
+                    assert last_row_cofactors([list(r) for r in rows[:-1]]) == [0] * n

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import degdet
-from degdet.cli import ProblemFileError, main, parse_problem_file
+from degdet.cli import MATRIX_MAX_ELL, ProblemFileError, main, parse_problem_file
 from degdet.degreematrix import AlternatingSums, alternating_weighted_sum
 from degdet import verify
 from degdet.exactnum import (
@@ -31,6 +31,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class Eliminated(Exception):
+    """Raised by a stubbed elimination: the run got past the size checks."""
 
 
 def out_fields(text):
@@ -298,6 +302,28 @@ class TestDegreeCommand:
         assert code == 0
         assert out == f"input: {path}\n" + MATRIX_REPORT
 
+    def test_matrix_mode_refuses_ell_past_the_cap(self, capsys, tmp_path, monkeypatch):
+        def no_elimination(ell):
+            raise AssertionError("eliminated past the cap")
+
+        monkeypatch.setattr("degdet.interp.power_row_cofactors", no_elimination)
+        ell = MATRIX_MAX_ELL + 1
+        path = self.write(tmp_path, problem_text(EquidistantProblem(ell, 0, 1, [1] * (ell + 1))))
+        code, out, err = run_cli(capsys, "degree", "--input", path, "--mode", "matrix")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"degdet: error: degree --mode matrix takes ell <= 64, got {ell}: ")
+        assert "about 17 s at ell = 64" in err
+        assert "degree --mode closed-form" in err
+
+    def test_matrix_mode_at_the_cap_reaches_the_elimination(self, tmp_path, monkeypatch):
+        def stub(ell):
+            raise Eliminated(ell)
+
+        monkeypatch.setattr("degdet.interp.power_row_cofactors", stub)
+        path = self.write(tmp_path, problem_text(EquidistantProblem(MATRIX_MAX_ELL, 0, 1, [1] * (MATRIX_MAX_ELL + 1))))
+        with pytest.raises(Eliminated, match="^64$"):
+            main(["degree", "--input", path, "--mode", "matrix"])
+
     def test_bad_file_exits_2(self, capsys, tmp_path):
         path = self.write(tmp_path, "ell: 2\nxi: 0\nh: 0\nvalues: 1, 2, 3\n")
         code, _, err = run_cli(capsys, "degree", "--input", path)
@@ -401,6 +427,47 @@ class TestDetCommand:
         )
         assert code == 2
         assert "injective" in err
+
+    # ell = 30 takes the Bareiss pivots past exactnum.CONTENT_BITS
+    @pytest.mark.parametrize("kappa", [1, 2, 31])
+    def test_submatrix_past_the_content_gate(self, capsys, kappa):
+        code, out, _ = run_cli(capsys, "det", "--matrix", "Asub", "--ell", "30", "--kappa", str(kappa))
+        assert (code, out_fields(out)["agree"]) == (0, "true")
+
+    def test_full_matrix_past_the_content_gate(self, capsys):
+        rng = SplitMix64(30)
+        a = ",".join(format_rational(rng.rational()) for _ in range(31))
+        code, out, _ = run_cli(capsys, "det", "--matrix", "A", "--ell", "30", "--s", "0", f"--a={a}")
+        fields = out_fields(out)
+        assert (code, fields["agree"]) == (0, "true")
+        assert fields["det_direct"] != "0"
+
+    MATRIX_ARGS = {
+        "A": lambda ell: ["--s", "0", "--a", ",".join(["1"] * (ell + 1))],
+        "Asub": lambda ell: ["--kappa", "1"],
+    }
+
+    @pytest.mark.parametrize("kind", ["A", "Asub"])
+    def test_matrix_past_the_cap_exits_2(self, capsys, monkeypatch, kind):
+        def no_elimination(m):
+            raise AssertionError("eliminated past the cap")
+
+        monkeypatch.setattr("degdet.cli.det_fraction_free", no_elimination)
+        ell = MATRIX_MAX_ELL + 1
+        code, out, err = run_cli(capsys, "det", "--matrix", kind, "--ell", str(ell), *self.MATRIX_ARGS[kind](ell))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"degdet: error: det --matrix {kind} takes ell <= 64, got {ell}: ")
+        assert "degree --mode closed-form" in err
+
+    @pytest.mark.parametrize("kind", ["A", "Asub"])
+    def test_matrix_at_the_cap_reaches_the_elimination(self, monkeypatch, kind):
+        def stub(m):
+            raise Eliminated(m.rows)
+
+        monkeypatch.setattr("degdet.cli.det_fraction_free", stub)
+        ell = MATRIX_MAX_ELL
+        with pytest.raises(Eliminated):
+            main(["det", "--matrix", kind, "--ell", str(ell), *self.MATRIX_ARGS[kind](ell)])
 
 
 class TestVerifyCommand:
