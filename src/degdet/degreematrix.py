@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import cached_property
 
 from .combinat import binomial
 from .exactnum import ExactMatrix, Rational, last_row_cofactors, over_common_denominator, rat
@@ -102,16 +103,11 @@ def det_A_sub_closed_form(ell: int, kappa: int) -> int:
 
 def alternating_weighted_sum(ell: int, s: int, a) -> Rational:
     """The combinatorial core sum_{j=0}^{ell} (-1)^j C(ell, j) j^s a_j,
-    with 0^0 = 1.  At s = 0 this is (-1)^ell times the ell-th forward
-    difference of a."""
+    with 0^0 = 1, summed term by term in Fractions.  At s = 0 this is
+    (-1)^ell times the ell-th forward difference of a.  The reference the
+    tests check AlternatingSums against; no production route calls it."""
     values = _checked_values(ell, s, a)
-    # Clear denominators once, so the sum runs in plain ints.
-    common, nums = over_common_denominator(values)
-    total = 0
-    for j, nj in enumerate(nums):
-        term = binomial(ell, j) * j**s * nj
-        total += -term if j % 2 else term
-    return Fraction(total, common)
+    return sum((Fraction((-1) ** j * binomial(ell, j) * j**s) * aj for j, aj in enumerate(values)), Fraction(0))
 
 
 class AlternatingSums:
@@ -121,18 +117,24 @@ class AlternatingSums:
     made in s order on first read and kept, so stopping at s = 0 costs one."""
 
     def __init__(self, ell: int, a):
+        self.ell = ell
         self.common, nums = over_common_denominator(_checked_values(ell, 0, a))
         self._weights = [(-1) ** j * binomial(ell, j) * n for j, n in enumerate(nums)]
         self._sums = [sum(self._weights)]
 
     def __getitem__(self, s: int) -> int:
+        if s < 0:
+            raise ValueError(f"degree matrix needs s >= 0, got {s}")
         while len(self._sums) <= s:
             self._weights = list(map(operator.mul, range(len(self._weights)), self._weights))
             self._sums.append(sum(self._weights))
         return self._sums[s]
 
+    @cached_property
+    def _sigma(self) -> int:
+        return sigma_ell(self.ell)
 
-def det_A_closed_form(ell: int, s: int, a) -> Rational:
-    """Closed-form determinant sigma_ell * alternating_weighted_sum(ell, s, a);
-    the sum comes first, so its checks of (ell, s, a) run first."""
-    return alternating_weighted_sum(ell, s, a) * sigma_ell(ell)
+    def det(self, s: int) -> Rational:
+        """det build_A(ell, s, a) = sigma_ell(ell) * S_s (Theorem 1) as one
+        Fraction; sigma_ell is computed on the first call and kept."""
+        return Fraction(self[s] * self._sigma, self.common)  # self[s] first: s < 0 fails before sigma_ell

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .combinat import elementary_symmetric, tau
-from .degreematrix import AlternatingSums, det_A_from_cofactors, power_row_cofactors, sigma_ell
+from .degreematrix import AlternatingSums, det_A_from_cofactors, power_row_cofactors
 from .exactnum import (
     NEG_INF,
     Degree,
@@ -193,9 +193,10 @@ def interpolate_eq14(problem: EquidistantProblem) -> Poly:
         (-1)^ell / ell! * sum_{m=0}^{ell} sum_{k=0}^{m}
             (-1)^(k+m) tau(ell, m-k, 0) S_k  t^(ell-m)
 
-    where S_k is alternating_weighted_sum(ell, k, a), summed in plain ints as
-    L * S_k with one division per coefficient.  Shifting the direct
-    interpolant by (xi, h) reproduces this polynomial exactly.
+    where S_k = sum_j (-1)^j C(ell, j) j^k a_j, read from problem.sums as
+    L * S_k and summed in plain ints, with one division per coefficient.
+    Shifting the direct interpolant by (xi, h) reproduces this polynomial
+    exactly.
     """
     ell, sums = problem.ell, problem.sums
     sym = [tau(ell, m, 0) for m in range(ell + 1)]
@@ -242,17 +243,15 @@ class DegreeDetection:
 def _determinant_route(problem: EquidistantProblem, mode: str) -> Callable[[int], Rational]:
     """The map s -> determinant for one detection.
 
-    Closed-form mode evaluates sigma_ell here, once, and reads
-    problem.sums.  Matrix mode eliminates the ell power rows, which every s
-    shares, once (power_row_cofactors); each determinant is then their
-    Laplace expansion along the last row, det_A_from_cofactors.
+    Closed-form mode reads problem.sums.det, which computes sigma_ell on
+    its first read and keeps it.  Matrix mode eliminates the ell power rows,
+    which every s shares, once (power_row_cofactors); each determinant is
+    then their Laplace expansion along the last row, det_A_from_cofactors.
     """
-    ell, a = problem.ell, problem.a
     if mode == MODE_CLOSED_FORM:
-        sigma, sums = sigma_ell(ell), problem.sums
-        return lambda s: Fraction(sigma * sums[s], sums.common)
+        return problem.sums.det
     if mode == MODE_MATRIX:
-        cofactors = power_row_cofactors(ell)
+        cofactors, a = power_row_cofactors(problem.ell), problem.a
         return lambda s: det_A_from_cofactors(cofactors, s, a)
     raise ValueError(f"unknown detection mode {mode!r}; choose one of {DETECTION_MODES}")
 
@@ -261,15 +260,15 @@ def detect_degree(problem: EquidistantProblem, mode: str = MODE_CLOSED_FORM) -> 
     """Degree of the interpolant read off the determinant family: the degree
     is ell - m for the smallest m with a nonzero determinant.
 
-    The closed-form mode evaluates each determinant as sigma_ell times an
-    alternating binomial sum (O(ell) per step and independent of xi and h),
-    computing sigma_ell once per detection.  The matrix mode is the
-    cross-check on the explicit matrices: one fraction-free elimination of
-    the ell power rows that every matrix in the family shares gives the
-    integer last-row cofactors, and each determinant is then their dot
-    product with the last row (O(ell) per step); it never computes
-    sigma_ell.  Only the all-zero value vector makes every determinant
-    vanish, which is the zero interpolant.
+    The closed-form mode reads each determinant as sigma_ell times an
+    alternating binomial sum from problem.sums.det (O(ell) per step and
+    independent of xi and h), computing sigma_ell once per detection.  The
+    matrix mode is the cross-check on the explicit matrices: one
+    fraction-free elimination of the ell power rows that every matrix in
+    the family shares gives the integer last-row cofactors, and each
+    determinant is then their dot product with the last row (O(ell) per
+    step); it never computes sigma_ell.  Only the all-zero value vector
+    makes every determinant vanish, which is the zero interpolant.
     """
     ell = problem.ell
     determinant = _determinant_route(problem, mode)

@@ -18,9 +18,9 @@ from typing import Callable
 
 from .combinat import tau, tau_via_recurrence
 from .degreematrix import (
+    AlternatingSums,
     build_A,
     build_A_sub,
-    det_A_closed_form,
     det_A_from_cofactors,
     det_A_sub_closed_form,
     power_row_cofactors,
@@ -207,9 +207,9 @@ def _suite_prop3(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: in
 
 
 def _suite_prop2(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
-    """Each direct determinant is the Laplace expansion along the last row,
-    det_A_from_cofactors; (s, trial) = (0, 0) is also eliminated on its own,
-    once per ell."""
+    """AlternatingSums.det against the Laplace expansion along the last row,
+    det_A_from_cofactors; (s, trial) = (0, 0) is eliminated on its own
+    instead, once per ell."""
     for ell in range(1, max_ell + 1):
         cofactors = power_row_cofactors(ell)
         for s in range(ell + 1):
@@ -222,7 +222,7 @@ def _suite_prop2(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: in
                 report.case(
                     lambda: f"ell={ell} s={s} trial={trial} a={_csv(a)}",
                     direct,
-                    det_A_closed_form(ell, s, a),
+                    AlternatingSums(ell, a).det(s),
                 )
 
 

@@ -9,7 +9,6 @@ from degdet.degreematrix import (
     alternating_weighted_sum,
     build_A,
     build_A_sub,
-    det_A_closed_form,
     det_A_from_cofactors,
     det_A_sub_closed_form,
     power_row_cofactors,
@@ -59,7 +58,11 @@ def det_A_by_cofactors(ell, s, a):
     return det_A_from_cofactors(power_row_cofactors(ell), s, a)
 
 
-@pytest.mark.parametrize("fn", [build_A, det_A_closed_form, alternating_weighted_sum, det_A_by_cofactors])
+def det_A_by_sums(ell, s, a):
+    return AlternatingSums(ell, a).det(s)
+
+
+@pytest.mark.parametrize("fn", [build_A, det_A_by_sums, alternating_weighted_sum, det_A_by_cofactors])
 @pytest.mark.parametrize(
     "ell,s,a,message",
     [
@@ -179,25 +182,13 @@ class TestAlternatingWeightedSum:
                 a = [rng.rational() for _ in range(ell + 1)]
                 assert alternating_weighted_sum(ell, 0, a) == (-1) ** ell * forward_difference(a, ell)
 
-    def test_matches_term_by_term_fraction_sum(self):
-        # the common-denominator integer route against the plain Fraction sum,
-        # with unrelated denominators, integers and zeros among the values
-        rng = SplitMix64(2025)
-        for ell in (1, 2, 7, 20, 40):
-            a = [rng.rational() if j % 3 else Fraction(rng.below(5)) for j in range(ell + 1)]
-            for s in (0, 1, ell, ell + 3):
-                expected = sum(
-                    (Fraction((-1) ** j * binomial(ell, j) * j**s) * aj for j, aj in enumerate(a)), Fraction(0)
-                )
-                assert alternating_weighted_sum(ell, s, a) == expected
-
     def test_length_enforced(self):
         with pytest.raises(ValueError):
             alternating_weighted_sum(2, 0, [1, 2])
 
 
 class TestAlternatingSums:
-    """The integer vector route against the single-s sum, its oracle."""
+    """The integer vector route against the term-by-term reference sum."""
 
     @staticmethod
     def assert_matches_single_sums(ell, a):
@@ -232,6 +223,16 @@ class TestAlternatingSums:
         a = [Fraction(rng.int_between(-9, 9) * big + rng.below(10), rng.int_between(1, 5)) for _ in range(ell + 1)]
         self.assert_matches_single_sums(ell, a)
 
+    def test_matches_the_reference_past_ell(self):
+        # unrelated denominators, integers and zeros among the values, and
+        # s up to ell + 3
+        rng = SplitMix64(2025)
+        for ell in (1, 2, 7, 20, 40):
+            a = [rng.rational() if j % 3 else Fraction(rng.below(5)) for j in range(ell + 1)]
+            sums = AlternatingSums(ell, a)
+            for s in (0, 1, ell, ell + 3):
+                assert Fraction(sums[s], sums.common) == alternating_weighted_sum(ell, s, a)
+
     def test_reading_order_does_not_matter(self):
         a = [Fraction(1, 2), -3, Fraction(5, 7), 0, 11]
         backwards = AlternatingSums(4, a)
@@ -240,6 +241,34 @@ class TestAlternatingSums:
         assert read == {s: forwards[s] for s in (0, 2, 4, 6)}
         # s above ell is legal, as for the single sum
         assert Fraction(read[6], backwards.common) == alternating_weighted_sum(4, 6, a)
+
+    @pytest.mark.parametrize("read_first", [(), (0,), (0, 1, 2)])
+    def test_negative_s_rejected(self, read_first):
+        # on a fresh vector and on one with sums already kept, whose last
+        # one a negative index would otherwise return
+        sums = AlternatingSums(2, [1, 2, 4])
+        for s in read_first:
+            sums[s]
+        for read in (sums.__getitem__, sums.det):
+            with pytest.raises(ValueError) as exc:
+                read(-1)
+            assert str(exc.value) == "degree matrix needs s >= 0, got -1"
+
+    def test_det_computes_sigma_ell_once(self, monkeypatch):
+        calls = []
+
+        def counting_sigma_ell(ell):
+            calls.append(ell)
+            return sigma_ell(ell)
+
+        monkeypatch.setattr("degdet.degreematrix.sigma_ell", counting_sigma_ell)
+        a = [Fraction(1, 2), -3, Fraction(5, 7), 0, 11]
+        sums = AlternatingSums(4, a)
+        sums[3]
+        assert calls == []
+        dets = [sums.det(s) for s in (2, 0, 6, 2)]
+        assert calls == [4]
+        assert dets == [sigma_ell(4) * alternating_weighted_sum(4, s, a) for s in (2, 0, 6, 2)]
 
     def test_rejects_what_the_single_sum_rejects(self):
         with pytest.raises(ValueError, match="degree matrix needs ell >= 1"):
@@ -258,7 +287,7 @@ class TestFullDeterminant:
         ],
     )
     def test_examples(self, ell, s, a, expected):
-        assert det_A_closed_form(ell, s, a) == expected
+        assert det_A_by_sums(ell, s, a) == expected
         assert det_fraction_free(build_A(ell, s, a)) == expected
 
     def test_closed_form_matches_elimination_on_random_vectors(self):
@@ -267,7 +296,7 @@ class TestFullDeterminant:
             for s in range(ell + 1):
                 for _ in range(10):
                     a = [rng.rational() for _ in range(ell + 1)]
-                    assert det_fraction_free(build_A(ell, s, a)) == det_A_closed_form(ell, s, a)
+                    assert det_fraction_free(build_A(ell, s, a)) == det_A_by_sums(ell, s, a)
 
     def test_last_row_cofactor_expansion(self):
         # expanding along the value row writes the determinant as a signed
@@ -308,9 +337,9 @@ class TestFullDeterminant:
         rng = SplitMix64(13)
         for ell in range(1, 5):
             a = [rng.rational() for _ in range(ell + 1)]
-            assert det_A_closed_form(ell, 1, [2 * x for x in a]) == 2 * det_A_closed_form(ell, 1, a)
-        assert det_A_closed_form(3, 0, [0, 0, 0, 0]) == 0
+            assert det_A_by_sums(ell, 1, [2 * x for x in a]) == 2 * det_A_by_sums(ell, 1, a)
+        assert det_A_by_sums(3, 0, [0, 0, 0, 0]) == 0
 
     def test_s_above_ell_is_legal(self):
         a = [1, Fraction(1, 2), -3]
-        assert det_fraction_free(build_A(2, 5, a)) == det_A_closed_form(2, 5, a)
+        assert det_fraction_free(build_A(2, 5, a)) == det_A_by_sums(2, 5, a)

@@ -233,7 +233,6 @@ class TestNewtonOracle:
             "degdet.degreematrix.alternating_weighted_sum",
             "degdet.degreematrix.sigma_ell",
             "degdet.interp.AlternatingSums",
-            "degdet.interp.sigma_ell",
             "degdet.interp.poly_K",
             "degdet.interp.tau",
         ):
@@ -464,7 +463,7 @@ class TestDegreeDetection:
             calls.append(ell)
             return sigma_ell(ell)
 
-        monkeypatch.setattr("degdet.interp.sigma_ell", counting_sigma_ell)
+        monkeypatch.setattr("degdet.degreematrix.sigma_ell", counting_sigma_ell)
         detection = detect_degree(EquidistantProblem(10, 0, 1, [3] * 11), mode)
         assert detection.witness_m == 10
         assert len(calls) == expected_calls

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -55,3 +57,20 @@ def test_traced_degree_layers(tmp_path):
     assert layers["degreematrix.sigma_ell.calls"] == 1
     assert layers["interp.detect_degree.dets_inspected"] == 5.0
     assert layers["degreematrix.alternating_weighted_sum.calls"] == 0
+
+
+@pytest.mark.parametrize(
+    "op,eliminations",
+    [
+        (["det", "--matrix", "A", "--ell", "2", "--s", "1", "--a", "1,1/2,-3"], 0),
+        (["verify", "--suite", "prop2", "--max-ell", "2", "--trials", "1"], 2),
+    ],
+    ids=["det-A", "prop2"],
+)
+def test_traced_routes_of_A(tmp_path, op, eliminations):
+    # the closed form is AlternatingSums.det, never the reference sum; det
+    # --matrix A eliminates only the power rows, and prop2 runs one full
+    # Bareiss per ell
+    layers = traced_pass(tmp_path, [op])["layers"]
+    assert layers["degreematrix.alternating_weighted_sum.calls"] == 0
+    assert layers["exactnum.det_fraction_free.calls"] == eliminations

@@ -5,6 +5,7 @@ outside `__init__.py`, or be named in the benchmark's span tracer
 oracle, and belongs in tests/oracles.py."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 from test_perfbench_names import traced_pairs
@@ -12,36 +13,38 @@ from test_perfbench_names import traced_pairs
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "degdet"
 
 
-def referenced_names(tree: ast.AST, skip: ast.AST) -> set[str]:
-    """Names that tree loads, reads as an attribute or imports, not counting
-    the subtree skip (a definition's own body and decorators)."""
-    names: set[str] = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
-        stack.extend(ast.iter_child_nodes(node))
+def referenced_names(node: ast.AST) -> Counter:
+    """How often the subtree at node loads each name, reads it as an
+    attribute or imports it."""
+    names: Counter = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            names[child.attr] += 1
+        elif isinstance(child, ast.alias):
+            names[child.name] += 1
     return names
 
 
 def test_every_definition_is_used_in_the_package_or_traced():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     assert "vandermonde" in trees
-    users = [tree for module, tree in trees.items() if module != "__init__"]
+    # one walk per top-level statement: the package's reference counts, and
+    # each definition's own, which do not count as uses of it
+    uses: Counter = Counter()
+    definitions = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            counts = referenced_names(node)
+            if module != "__init__":
+                uses += counts
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((module, node.name, counts if module != "__init__" else Counter()))
     traced = set(traced_pairs())
     unused = [
-        f"{module}:{node.name}"
-        for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and (module, node.name) not in traced
-        and not any(node.name in referenced_names(other, node) for other in users)
+        f"{module}:{name}"
+        for module, name, own in definitions
+        if (module, name) not in traced and uses[name] == own[name]
     ]
     assert not unused

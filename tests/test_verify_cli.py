@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import itertools
 import json
@@ -35,6 +36,18 @@ def run_cli(capsys, *argv):
 
 class Eliminated(Exception):
     """Raised by a stubbed elimination: the run got past the size checks."""
+
+
+@contextlib.contextmanager
+def digit_limit(digits):
+    """Run with the interpreter's int/str digit limit set to digits (4300
+    is its default, 0 lifts it)."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def out_fields(text):
@@ -446,28 +459,55 @@ class TestDetCommand:
         "A": lambda ell: ["--s", "0", "--a", ",".join(["1"] * (ell + 1))],
         "Asub": lambda ell: ["--kappa", "1"],
     }
+    # the elimination each kind's direct side runs
+    ELIMINATION = {"A": "degdet.cli.power_row_cofactors", "Asub": "degdet.cli.det_fraction_free"}
 
     @pytest.mark.parametrize("kind", ["A", "Asub"])
     def test_matrix_past_the_cap_exits_2(self, capsys, monkeypatch, kind):
-        def no_elimination(m):
+        def no_elimination(arg):
             raise AssertionError("eliminated past the cap")
 
-        monkeypatch.setattr("degdet.cli.det_fraction_free", no_elimination)
+        monkeypatch.setattr(self.ELIMINATION[kind], no_elimination)
         ell = MATRIX_MAX_ELL + 1
         code, out, err = run_cli(capsys, "det", "--matrix", kind, "--ell", str(ell), *self.MATRIX_ARGS[kind](ell))
         assert (code, out) == (2, "")
         assert err.startswith(f"degdet: error: det --matrix {kind} takes ell <= 64, got {ell}: ")
         assert "degree --mode closed-form" in err
 
+    # Asub's closed form at ell = 64 has more than 4300 digits, so it prints
+    # only with the digit limit lifted
     @pytest.mark.parametrize("kind", ["A", "Asub"])
     def test_matrix_at_the_cap_reaches_the_elimination(self, monkeypatch, kind):
-        def stub(m):
-            raise Eliminated(m.rows)
+        def stub(arg):
+            raise Eliminated(kind)
 
-        monkeypatch.setattr("degdet.cli.det_fraction_free", stub)
+        monkeypatch.setattr(self.ELIMINATION[kind], stub)
         ell = MATRIX_MAX_ELL
-        with pytest.raises(Eliminated):
+        with digit_limit(0), pytest.raises(Eliminated):
             main(["det", "--matrix", kind, "--ell", str(ell), *self.MATRIX_ARGS[kind](ell)])
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["A", "--ell", "64", "--s", "0", "--a", "1,2"], "value vector must have ell+1 = 65 entries, got 2"),
+            (["A", "--ell", "64", "--s", "-1", "--a", ",".join(["1"] * 65)], "degree matrix needs s >= 0, got -1"),
+            (["Asub", "--ell", "64", "--kappa", "0"], "column index kappa=0 outside [1, 65]"),
+            (["Asub", "--ell", "0", "--kappa", "1"], "submatrix needs ell >= 1, got 0"),
+            # sigma_ell(50) has more digits than the interpreter's default limit
+            (["Asub", "--ell", "50", "--kappa", "1"], "Exceeds the limit (4300 digits) for integer string conversion"),
+        ],
+        ids=["A-short-values", "A-negative-s", "Asub-kappa-0", "Asub-ell-0", "Asub-unprintable"],
+    )
+    def test_fails_before_any_elimination(self, capsys, monkeypatch, argv, message):
+        def no_elimination(arg):
+            raise AssertionError("eliminated before the closed form was checked")
+
+        for target in self.ELIMINATION.values():
+            monkeypatch.setattr(target, no_elimination)
+        with digit_limit(4300):
+            code, out, err = run_cli(capsys, "det", "--matrix", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"degdet: error: {message}")
 
 
 class TestVerifyCommand:
@@ -629,10 +669,10 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "suite,formula,nth,wrong,label,expected,actual",
         [
-            ("prop2", "det_A_closed_form", 7, lambda x: x + 1, "ell=2 s=1 trial=0 a=-2,-4/3,-1/3", "-6", "-5"),
-            ("eq10", "derivative_at_left_node", 8, lambda x: x + 1,
+            ("prop2", (AlternatingSums, "det"), 7, lambda x: x + 1, "ell=2 s=1 trial=0 a=-2,-4/3,-1/3", "-6", "-5"),
+            ("eq10", (verify, "derivative_at_left_node"), 8, lambda x: x + 1,
              "ell=2 s=1 trial=1 xi=7/3 h=-5/3 a=-7/4,1,-7/2", "-153/40", "-113/40"),
-            ("theorem4", "regularity_check", 6, lambda x: not x,
+            ("theorem4", (verify, "regularity_check"), 6, lambda x: not x,
              "k=2 ell=1 trial=1 alpha=2,-1/2 beta=1,-1 r=5/4,2", "false", "true"),
         ],
         ids=["prop2", "eq10", "theorem4"],
@@ -640,7 +680,8 @@ class TestVerifyCommand:
     def test_failure_labels_the_failing_case(self, monkeypatch, suite, formula, nth, wrong, label, expected, actual):
         # the formula side is made wrong on its nth call; the labels were
         # recorded when every case built its label before it ran
-        original = getattr(verify, formula)
+        owner, name = formula
+        original = getattr(owner, name)
         calls = []
 
         def one_wrong(*args):
@@ -648,7 +689,7 @@ class TestVerifyCommand:
             value = original(*args)
             return wrong(value) if len(calls) == nth else value
 
-        monkeypatch.setattr(verify, formula, one_wrong)
+        monkeypatch.setattr(owner, name, one_wrong)
         report = run_suite(suite, max_ell=2, trials=2, seed=DEFAULT_SEED)
         assert report.cases_run - report.cases_passed == 1
         assert report.to_dict()["failures"] == [{"inputs": label, "expected": expected, "actual": actual}]
