@@ -111,21 +111,23 @@ def alternating_weighted_sum(ell: int, s: int, a) -> Rational:
 
 
 class AlternatingSums:
-    """self[s], s >= 0, is the integer L * alternating_weighted_sum(ell, s, a)
-    with L (common) the lcm of the denominators of a: sum(w) for
-    w_j = (-1)^j C(ell, j) L a_j j^s, stepped by w_j <- j w_j.  The sums are
-    made in s order on first read and kept, so stopping at s = 0 costs one."""
+    """self[s], s >= 0, is the integer L * alternating_weighted_sum(ell, s, a),
+    L (common) the lcm of the denominators of a: sum(w) for the weights
+    w_j = (-1)^j C(ell, j) L a_j j^s.  In-order reads step w_j <- j w_j and keep
+    each sum; a read further on takes ell + 1 powers j^s and keeps nothing."""
 
     def __init__(self, ell: int, a):
         self.ell = ell
         self.common, nums = over_common_denominator(_checked_values(ell, 0, a))
-        self._weights = [(-1) ** j * binomial(ell, j) * n for j, n in enumerate(nums)]
+        self._weights = self._base = [(-1) ** j * binomial(ell, j) * n for j, n in enumerate(nums)]
         self._sums = [sum(self._weights)]
 
     def __getitem__(self, s: int) -> int:
         if s < 0:
             raise ValueError(f"degree matrix needs s >= 0, got {s}")
-        while len(self._sums) <= s:
+        if s > len(self._sums):
+            return sum(map(operator.mul, self._base, (j**s for j in range(self.ell + 1))))
+        if s == len(self._sums):
             self._weights = list(map(operator.mul, range(len(self._weights)), self._weights))
             self._sums.append(sum(self._weights))
         return self._sums[s]

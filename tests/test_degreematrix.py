@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -241,6 +242,21 @@ class TestAlternatingSums:
         assert read == {s: forwards[s] for s in (0, 2, 4, 6)}
         # s above ell is legal, as for the single sum
         assert Fraction(read[6], backwards.common) == alternating_weighted_sum(4, 6, a)
+
+    def test_one_large_s_keeps_no_sums(self):
+        # a read past the next sum is ell + 1 powers, not every sum up to s:
+        # stepping to s = 20000 would keep about 25 MB of sums here
+        tracemalloc.start()
+        try:
+            sums = AlternatingSums(2, [1, 1, 1])
+            big = sums[20000]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert big == 2**20000 - 2
+        assert peak < 1_000_000
+        # in-order reads still step from the kept sums
+        assert [sums[s] for s in range(4)] == [0, 0, 2, 6]
 
     @pytest.mark.parametrize("read_first", [(), (0,), (0, 1, 2)])
     def test_negative_s_rejected(self, read_first):

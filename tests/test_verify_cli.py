@@ -433,6 +433,15 @@ class TestDetCommand:
         assert out == ""
         assert err == "degdet: error: degree matrix needs s >= 0, got -1\n"
 
+    def test_full_matrix_at_a_large_s(self, capsys):
+        # each side costs ell + 1 powers j^s, not a pass over every s below
+        with digit_limit(0):
+            code, out, _ = run_cli(capsys, "det", "--matrix", "A", "--ell", "2", "--s", "100000", "--a", "1,1,1")
+            expected = str(-3 * (2**100000 - 2))
+        fields = out_fields(out)
+        assert (code, fields["agree"]) == (0, "true")
+        assert fields["det_closed_form"] == expected
+
     def test_invalid_data_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "det", "--matrix", "B", "--k", "2", "--ell", "2",
