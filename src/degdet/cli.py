@@ -18,7 +18,8 @@ import json
 import os
 import sys
 
-from .degreematrix import AlternatingSums, build_A_sub, det_A_from_cofactors, det_A_sub_closed_form, power_row_cofactors
+from .degreematrix import (AlternatingSums, _checked_values, build_A_sub, det_A_from_cofactors,
+                           det_A_sub_closed_form, power_row_cofactors)
 from .exactnum import (
     Rational,
     det_fraction_free,
@@ -223,7 +224,8 @@ def cmd_det(args: argparse.Namespace) -> int:
     if args.matrix == "A":
         _require(args, ["ell", "s", "a"], "A")
         _check_matrix_ell(args.ell, "det --matrix A")
-        a = _parse_csv_rationals(args.a, "--a")
+        # ell, then s, then the length of a, before the vector is built
+        a = _checked_values(args.ell, args.s, _parse_csv_rationals(args.a, "--a"))
         closed_form = AlternatingSums(args.ell, a).det(args.s)
         direct = lambda: det_A_from_cofactors(power_row_cofactors(args.ell), args.s, a)
         lines += [f"ell: {args.ell}", f"s: {args.s}", f"a: {', '.join(map(format_rational, a))}"]

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 
 from .combinat import binomial
 from .exactnum import ExactMatrix, Rational, last_row_cofactors, over_common_denominator, rat
@@ -96,6 +96,8 @@ def sigma_ell(ell: int) -> int:
 def det_A_sub_closed_form(ell: int, kappa: int) -> int:
     """Closed form (-1)^ell * sigma_ell * C(ell, kappa-1) for the submatrix
     determinant."""
+    if ell < 1:
+        raise ValueError(f"submatrix needs ell >= 1, got {ell}")
     if not 1 <= kappa <= ell + 1:
         raise ValueError(f"column index kappa={kappa} outside [1, {ell + 1}]")
     return (-1) ** ell * sigma_ell(ell) * binomial(ell, kappa - 1)
@@ -110,6 +112,12 @@ def alternating_weighted_sum(ell: int, s: int, a) -> Rational:
     return sum((Fraction((-1) ** j * binomial(ell, j) * j**s) * aj for j, aj in enumerate(values)), Fraction(0))
 
 
+@lru_cache(maxsize=128)
+def _signed_binomials(ell: int) -> tuple[int, ...]:
+    """(-1)^j C(ell, j) for j = 0..ell; the last 128 ells are kept."""
+    return tuple((-1) ** j * binomial(ell, j) for j in range(ell + 1))
+
+
 class AlternatingSums:
     """self[s], s >= 0, is the integer L * alternating_weighted_sum(ell, s, a),
     L (common) the lcm of the denominators of a: sum(w) for the weights
@@ -119,8 +127,9 @@ class AlternatingSums:
     def __init__(self, ell: int, a):
         self.ell = ell
         self.common, nums = over_common_denominator(_checked_values(ell, 0, a))
-        self._weights = self._base = [(-1) ** j * binomial(ell, j) * n for j, n in enumerate(nums)]
+        self._weights = self._base = list(map(operator.mul, _signed_binomials(ell), nums))
         self._sums = [sum(self._weights)]
+        self._sigma = None  # sigma_ell(ell), set by the first det call
 
     def __getitem__(self, s: int) -> int:
         if s < 0:
@@ -132,11 +141,10 @@ class AlternatingSums:
             self._sums.append(sum(self._weights))
         return self._sums[s]
 
-    @cached_property
-    def _sigma(self) -> int:
-        return sigma_ell(self.ell)
-
     def det(self, s: int) -> Rational:
         """det build_A(ell, s, a) = sigma_ell(ell) * S_s (Theorem 1) as one
         Fraction; sigma_ell is computed on the first call and kept."""
-        return Fraction(self[s] * self._sigma, self.common)  # self[s] first: s < 0 fails before sigma_ell
+        total = self[s]  # first, so that s < 0 fails before sigma_ell runs
+        if self._sigma is None:
+            self._sigma = sigma_ell(self.ell)
+        return Fraction(total * self._sigma, self.common)

@@ -287,9 +287,10 @@ def det_fraction_free(m: ExactMatrix) -> Rational:
 # gcd of their entries) to the row's scale.  The power rows of the degree
 # matrix cross it at step 2 to 6 for ell 16..64 and then share thousands of
 # bits; the content step halves their elimination time at ell 28..48 (2-vCPU
-# x86-64 VM).  verify's 17,800 eliminations per `--suite all`, with pivots of
-# at most about 160 bits, never reach it; a 64-bit gate fired on about 1,100
-# of them and gained nothing.
+# x86-64 VM).  verify's 7,969 eliminations per `--suite all` at seed 42 (its
+# other 9,831 determinants are 1x1 or 2x2 and skip _bareiss), with pivots of
+# at most 161 bits, never reach it; a 64-bit gate, which fired on about 1,100
+# of the 17,800 eliminations before those base cases, gained nothing.
 CONTENT_BITS = 512
 
 
@@ -359,8 +360,15 @@ def _bareiss(rows: list[list[int]], width: int) -> tuple[int, list[int], int] | 
 def det_integer_rows(rows: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix by Bareiss elimination.
     The rows are modified in place: they are left holding _bareiss's stored
-    rows, each a nonzero multiple of its eliminated row."""
-    eliminated = _bareiss(rows, len(rows))
+    rows, each a nonzero multiple of its eliminated row.  A 1x1 or 2x2
+    matrix is its own base case, a or ad - bc, and is left unmodified."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    eliminated = _bareiss(rows, n)
     if eliminated is None:
         return 0
     sign, _, pivot = eliminated

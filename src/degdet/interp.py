@@ -10,7 +10,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Sequence
 
 from .combinat import elementary_symmetric, tau
@@ -42,7 +41,10 @@ def equidistant_nodes(ell: int, xi: Rational, h: Rational) -> tuple[Rational, ..
 
 @dataclass(frozen=True)
 class EquidistantProblem:
-    """One interpolation instance on the grid x_i = xi + i*h, i = 0..ell."""
+    """One interpolation instance on the grid x_i = xi + i*h, i = 0..ell.
+
+    sums, not a field since a determines it, is the AlternatingSums of the
+    values, built here and shared by every closed form below."""
 
     ell: int
     xi: Rational
@@ -55,21 +57,17 @@ class EquidistantProblem:
         step = rat(h)
         if step == 0:
             raise ValueError("problem needs a nonzero step h")
-        values = tuple(rat(x) for x in a)
+        values = tuple(map(rat, a))
         if len(values) != ell + 1:
             raise ValueError(f"value vector must have ell+1 = {ell + 1} entries, got {len(values)}")
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "xi", rat(xi))
         object.__setattr__(self, "h", step)
         object.__setattr__(self, "a", values)
+        object.__setattr__(self, "sums", AlternatingSums(ell, values))
 
     def nodes(self) -> tuple[Rational, ...]:
         return equidistant_nodes(self.ell, self.xi, self.h)
-
-    @cached_property
-    def sums(self) -> AlternatingSums:
-        """The integer alternating sums, shared by every closed form below."""
-        return AlternatingSums(self.ell, self.a)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,10 @@ _DISTINCT_SIGNED = len({q for row in _RATIONALS for q in row})
 _DISTINCT_POSITIVE = len({q for row in _RATIONALS[10:] for q in row})
 # The rejection limit 2^64 - (2^64 mod bound) of each bound below() has seen.
 _LIMITS: dict[int, int] = {}
+# The limits of the numerator draws of rational() and positive_rational().
+# A denominator draw, below(4), never rejects, since 4 divides 2^64.
+_LIMIT_19 = (1 << 64) - (1 << 64) % 19
+_LIMIT_9 = (1 << 64) - (1 << 64) % 9
 
 
 class SplitMix64:
@@ -95,8 +99,13 @@ class SplitMix64:
         return lo + self.below(hi - lo + 1)
 
     def rational(self) -> Fraction:
-        """Numerator uniform in [-9, 9], denominator uniform in [1, 4]."""
-        return _RATIONALS[self.below(19)][self.below(4)]
+        """Numerator uniform in [-9, 9], denominator uniform in [1, 4]:
+        _RATIONALS[below(19)][below(4)], with both draws inline."""
+        buffer = self._buffer
+        while True:
+            z = (buffer or self._fill()).pop()
+            if z < _LIMIT_19:
+                return _RATIONALS[z % 19][(buffer or self._fill()).pop() % 4]
 
     def nonzero_rational(self) -> Fraction:
         while True:
@@ -105,8 +114,13 @@ class SplitMix64:
                 return value
 
     def positive_rational(self) -> Fraction:
-        """Same scheme restricted to positive numerators (uniform in [1, 9])."""
-        return _RATIONALS[10 + self.below(9)][self.below(4)]
+        """Same scheme restricted to positive numerators (uniform in [1, 9]):
+        _RATIONALS[10 + below(9)][below(4)], with both draws inline."""
+        buffer = self._buffer
+        while True:
+            z = (buffer or self._fill()).pop()
+            if z < _LIMIT_9:
+                return _RATIONALS[10 + z % 9][(buffer or self._fill()).pop() % 4]
 
     def distinct_rationals(self, count: int) -> tuple[Fraction, ...]:
         """Pairwise distinct rationals by redrawing collisions."""

@@ -31,7 +31,11 @@ class HypothesisViolation(ValueError):
 @dataclass(frozen=True)
 class AffineData:
     """Input triple (alpha, beta, r) for a k x k matrix of (ell-1)-th powers
-    of the affine combinations alpha_i + r_j beta_i.  r must be injective."""
+    of the affine combinations alpha_i + r_j beta_i.  r must be injective.
+
+    integer_form, not a field since the fields determine it, is (A, B, D, Q,
+    R) in plain ints with alpha_i = A_i/D_i and beta_i = B_i/D_i (D_i the
+    lcm of their two denominators) and r_j = R_j/Q (Q the lcm of r's)."""
 
     k: int
     ell: int
@@ -44,19 +48,30 @@ class AffineData:
             raise ValueError(f"affine data needs k >= 1, got {k}")
         if ell < 1:
             raise ValueError(f"affine data needs ell >= 1, got {ell}")
-        alpha_t = tuple(rat(x) for x in alpha)
-        beta_t = tuple(rat(x) for x in beta)
-        r_t = tuple(rat(x) for x in r)
+        alpha_t = tuple(map(rat, alpha))
+        beta_t = tuple(map(rat, beta))
+        r_t = tuple(map(rat, r))
         for name, seq in (("alpha", alpha_t), ("beta", beta_t), ("r", r_t)):
             if len(seq) != k:
                 raise ValueError(f"{name} must have k = {k} entries, got {len(seq)}")
-        if len({(x.numerator, x.denominator) for x in r_t}) != k:
+        Q, R = over_common_denominator(r_t)
+        if len(set(R)) != k:
             raise ValueError(f"r must be injective, got {tuple(map(format_rational, r_t))}")
+        A: list[int] = []
+        B: list[int] = []
+        D: list[int] = []
+        for a, b in zip(alpha_t, beta_t):
+            da, db = a.denominator, b.denominator
+            d = da * db // math.gcd(da, db)
+            A.append(a.numerator * (d // da))
+            B.append(b.numerator * (d // db))
+            D.append(d)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "alpha", alpha_t)
         object.__setattr__(self, "beta", beta_t)
         object.__setattr__(self, "r", r_t)
+        object.__setattr__(self, "integer_form", (A, B, D, Q, R))
 
     def rho(self) -> tuple[Rational, ...]:
         """The ratios beta_i / alpha_i; defined only when every alpha_i is nonzero."""
@@ -71,22 +86,6 @@ class AffineData:
         return tuple(a / b for a, b in zip(self.alpha, self.beta))
 
 
-def _integer_form(data: AffineData) -> tuple[list[int], list[int], list[int], int, list[int]]:
-    """(A, B, D, Q, R) in plain ints with alpha_i = A_i/D_i and beta_i = B_i/D_i
-    (D_i the lcm of their two denominators) and r_j = R_j/Q (Q the lcm of r's)."""
-    A: list[int] = []
-    B: list[int] = []
-    D: list[int] = []
-    for a, b in zip(data.alpha, data.beta):
-        da, db = a.denominator, b.denominator
-        d = da * db // math.gcd(da, db)
-        A.append(a.numerator * (d // da))
-        B.append(b.numerator * (d // db))
-        D.append(d)
-    Q, R = over_common_denominator(data.r)
-    return A, B, D, Q, R
-
-
 def _scaled_B_rows(A: list[int], B: list[int], Q: int, R: list[int], power: int) -> list[list[int]]:
     """Row i of B times (D_i Q)^power: the integers (A_i Q + R_j B_i)^power."""
     return [[(a * Q + rj * b) ** power for rj in R] for a, b in zip(A, B)]
@@ -94,11 +93,20 @@ def _scaled_B_rows(A: list[int], B: list[int], Q: int, R: list[int], power: int)
 
 def build_B(data: AffineData) -> ExactMatrix:
     """The k x k matrix with entries (alpha_i + r_j beta_i)^(ell-1); 0^0 = 1."""
-    A, B, D, Q, R = _integer_form(data)
+    A, B, D, Q, R = data.integer_form
     power = data.ell - 1
     scales = [(d * Q) ** power for d in D]
     rows = _scaled_B_rows(A, B, Q, R, power)
     return ExactMatrix.from_rows([[Fraction(e, s) for e in row] for row, s in zip(rows, scales)])
+
+
+def det_B(data: AffineData) -> Rational:
+    """det build_B(data) by Bareiss on the integer rows (A_i Q + R_j B_i)^(ell-1),
+    row i being row i of B times (D_i Q)^(ell-1), over the product of those
+    scales: one Fraction, and no k x k matrix of them."""
+    A, B, D, Q, R = data.integer_form
+    power = data.ell - 1
+    return Fraction(det_integer_rows(_scaled_B_rows(A, B, Q, R, power)), math.prod(d * Q for d in D) ** power)
 
 
 def _power_table(points: Sequence[Rational], ell: int) -> tuple[int, list[list[int]]]:
@@ -180,8 +188,7 @@ def det_B_zero_check(data: AffineData) -> bool:
     """For k > ell the power matrix cannot have full rank; confirm det(B) = 0."""
     if data.k <= data.ell:
         raise ValueError("zero check applies only to k > ell")
-    A, B, _, Q, R = _integer_form(data)
-    return det_integer_rows(_scaled_B_rows(A, B, Q, R, data.ell - 1)) == 0
+    return det_B(data) == 0
 
 
 def regularity_check(data: AffineData) -> bool:
@@ -191,12 +198,11 @@ def regularity_check(data: AffineData) -> bool:
     (injectivity is already a type invariant).  Under these hypotheses the
     result equals (k <= ell).
 
-    The hypotheses and the determinant are decided on the integer form:
-    with alpha_i = A_i/D_i and beta_i = B_i/D_i over one positive D_i, the
-    ratio is positive iff A_i B_i > 0, and the cross product vanishes iff
-    A_i B_j - B_i A_j does; each row of the integer matrix is a row of B
-    times a positive scale, which keeps det(B) != 0 unchanged."""
-    A, B, _, Q, R = _integer_form(data)
+    The hypotheses are decided on data.integer_form: with alpha_i = A_i/D_i
+    and beta_i = B_i/D_i over one positive D_i, the ratio is positive iff
+    A_i B_i > 0, and the cross product vanishes iff A_i B_j - B_i A_j does.
+    det(B) comes from det_B."""
+    A, B, _, _, R = data.integer_form
     for i, (a, b) in enumerate(zip(data.alpha, data.beta)):
         if A[i] * B[i] <= 0:
             raise HypothesisViolation(
@@ -213,4 +219,4 @@ def regularity_check(data: AffineData) -> bool:
     for i, value in enumerate(data.r):
         if R[i] <= 0:
             raise HypothesisViolation("r-positive", f"r_{i + 1} = {format_rational(value)} is not positive")
-    return det_integer_rows(_scaled_B_rows(A, B, Q, R, data.ell - 1)) != 0
+    return det_B(data) != 0

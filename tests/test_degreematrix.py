@@ -141,6 +141,17 @@ class TestSubDeterminant:
         assert det_A_sub_closed_form(ell, kappa) == expected
         assert det_fraction_free(build_A_sub(ell, kappa)) == expected
 
+    @pytest.mark.parametrize("kappa", [1, 0, 5])
+    def test_closed_form_checks_ell_first(self, kappa):
+        # the family's own message, as build_A_sub gives it, and not
+        # sigma_ell's or the kappa range's
+        with pytest.raises(ValueError) as exc:
+            det_A_sub_closed_form(0, kappa)
+        assert str(exc.value) == "submatrix needs ell >= 1, got 0"
+        with pytest.raises(ValueError) as exc:
+            build_A_sub(0, kappa)
+        assert str(exc.value) == "submatrix needs ell >= 1, got 0"
+
     def test_closed_form_matches_elimination_exhaustively(self):
         for ell in range(1, 7):
             for kappa in range(1, ell + 2):

@@ -291,6 +291,19 @@ class TestDetIntegerRows:
                 rows = [[0 if rng.below(3) == 0 else rng.int_between(-9, 9) for _ in range(n)] for _ in range(n)]
                 self.assert_matches_cofactor(rows)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0]], [[-7]], [[3]], [[-(2**200)]],
+            [[0, 0], [0, 0]], [[0, 5], [-3, 0]], [[0, 1], [1, 0]], [[-2, 3], [4, -6]],
+            [[-4, -1], [7, -9]], [[2**100, -3], [5, -(2**90)]],
+        ],
+    )
+    def test_one_by_one_and_two_by_two(self, rows):
+        # the base cases a and ad - bc, with zero (so no pivot) and
+        # negative entries, against the permutation expansion
+        self.assert_matches_cofactor(rows)
+
     def test_zero_pivot_needs_a_swap(self):
         assert self.assert_matches_cofactor([[0, 2, 1], [3, 1, 4], [1, 5, 9]]) != 0
         assert self.assert_matches_cofactor([[1, 2, 3], [2, 4, 7], [5, 1, 0]]) != 0

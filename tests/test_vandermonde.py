@@ -16,6 +16,7 @@ from degdet.vandermonde import (
     _binomial_vandermonde_sum,
     _complement,
     build_B,
+    det_B,
     det_B_expansion,
     det_B_expansion_complement,
     det_B_zero_check,
@@ -86,6 +87,33 @@ class TestBuildB:
                 data = random_affine(rng, k, ell)
                 expected = [[(a + rj * b) ** (ell - 1) for rj in data.r] for a, b in zip(data.alpha, data.beta)]
                 assert rows_of(build_B(data)) == expected
+
+
+class TestDetB:
+    """det_B, Bareiss on the integer-scaled rows of B, against elimination
+    of the Fraction matrix build_B."""
+
+    def test_matches_elimination_of_build_B(self):
+        # alpha and beta may be 0, and k runs past ell, where det(B) = 0
+        rng = SplitMix64(17)
+        for ell in range(1, 6):
+            for k in range(1, ell + 3):
+                for _ in range(6):
+                    data = random_affine(rng, k, ell)
+                    value = det_B(data)
+                    assert isinstance(value, Fraction)
+                    assert value == det_fraction_free(build_B(data))
+                    if k > ell:
+                        assert value == 0
+
+    def test_zero_alpha_and_beta_entries(self):
+        # a zero row (alpha_i = beta_i = 0, ell > 1), then a zero alpha_i and a zero beta_i
+        data = AffineData(3, 3, [0, 1, 0], [0, Fraction(-1, 2), 3], [Fraction(1, 3), 2, -1])
+        assert det_B(data) == det_fraction_free(build_B(data)) == 0
+        data = AffineData(2, 3, [0, Fraction(2, 3)], [Fraction(5, 4), 0], [1, Fraction(-3, 2)])
+        value = det_B(data)
+        assert value == det_fraction_free(build_B(data)) == det_cofactor(build_B(data))
+        assert value != 0
 
 
 class TestGenVandermonde:

@@ -500,12 +500,14 @@ class TestDetCommand:
         [
             (["A", "--ell", "64", "--s", "0", "--a", "1,2"], "value vector must have ell+1 = 65 entries, got 2"),
             (["A", "--ell", "64", "--s", "-1", "--a", ",".join(["1"] * 65)], "degree matrix needs s >= 0, got -1"),
+            # s is checked before the length of --a
+            (["A", "--ell", "2", "--s", "-1", "--a", "1,2"], "degree matrix needs s >= 0, got -1"),
             (["Asub", "--ell", "64", "--kappa", "0"], "column index kappa=0 outside [1, 65]"),
             (["Asub", "--ell", "0", "--kappa", "1"], "submatrix needs ell >= 1, got 0"),
             # sigma_ell(50) has more digits than the interpreter's default limit
             (["Asub", "--ell", "50", "--kappa", "1"], "Exceeds the limit (4300 digits) for integer string conversion"),
         ],
-        ids=["A-short-values", "A-negative-s", "Asub-kappa-0", "Asub-ell-0", "Asub-unprintable"],
+        ids=["A-short-values", "A-negative-s", "A-negative-s-short-values", "Asub-kappa-0", "Asub-ell-0", "Asub-unprintable"],
     )
     def test_fails_before_any_elimination(self, capsys, monkeypatch, argv, message):
         def no_elimination(arg):
@@ -767,6 +769,25 @@ class TestSplitMix64Stream:
                 assert rng.below(19) == next(z for z in expected if z < limit) % 19
             else:
                 assert rng.next_u64() == next(expected)
+
+    @pytest.mark.parametrize("draw,bound,offset", [("rational", 19, 0), ("positive_rational", 9, 10)])
+    def test_table_draws_reject_as_below_does(self, draw, bound, offset):
+        # outputs at and above the rejection limit on top of the buffer,
+        # ahead of the numerator draw and then of the denominator draw: the
+        # inline draw skips exactly what below() skips, and since 4 divides
+        # 2**64 a denominator output is never skipped
+        from degdet.rng import _RATIONALS
+
+        limit = (1 << 64) - (1 << 64) % bound
+        inline, reference = SplitMix64(11), SplitMix64(11)
+        for rng in (inline, reference):
+            rng.next_u64()
+        for planted in ([limit], [limit + 5, (1 << 64) - 1], [7, limit], [limit, 3, limit]):
+            for rng in (inline, reference):
+                rng._buffer.extend(reversed(planted))
+            for _ in range(3):
+                assert getattr(inline, draw)() is _RATIONALS[offset + reference.below(bound)][reference.below(4)]
+            assert inline._buffer == reference._buffer
 
     def test_rational_draws_pinned(self):
         # sha256 of 5,000 draws of each rational kind, in turn, from one
