@@ -42,9 +42,11 @@ ENV_SEED = "DEGDET_SEED"
 _PROBLEM_FIELDS = ("ell", "xi", "h", "values")
 
 # The matrix routes eliminate explicit integer matrices of ell power rows,
-# whose cost grows about as ell^7.5: about 17 s at ell = 64 on a
-# 2-vCPU x86-64 VM.  Larger ell is refused before any elimination.
-MATRIX_MAX_ELL = 64
+# whose cost grows about as ell^7.5 (2.5 s at ell = 48 on a 2-vCPU x86-64
+# VM).  From ell = 46 on, sigma_ell alone has more than 4,300 digits, so no
+# report prints under Python's default int-to-str digit limit; such ell is
+# refused before any elimination.
+MATRIX_MAX_ELL = 45
 
 
 class ProblemFileError(ValueError):
@@ -129,9 +131,11 @@ def _parse_csv_rationals(text: str, option: str) -> tuple[Rational, ...]:
 def _check_matrix_ell(ell: int, route: str) -> None:
     if ell > MATRIX_MAX_ELL:
         raise ValueError(
-            f"{route} takes ell <= {MATRIX_MAX_ELL}, got {ell}: its exact elimination takes about "
-            f"17 s at ell = {MATRIX_MAX_ELL} and grows about as ell^7.5; "
-            f"degree --mode {MODE_CLOSED_FORM} computes the same determinants in closed form"
+            f"{route} takes ell <= {MATRIX_MAX_ELL}, got {ell}: from ell = {MATRIX_MAX_ELL + 1} on, "
+            f"sigma_ell has more than 4,300 digits, so the report cannot print under Python's default "
+            f"digit limit, and the exact elimination grows about as ell^7.5; "
+            f"degree --mode {MODE_CLOSED_FORM} computes the same determinants in closed form "
+            f"and prints them with the limit lifted (python -X int_max_str_digits=0)"
         )
 
 

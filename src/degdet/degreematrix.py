@@ -120,14 +120,15 @@ def _signed_binomials(ell: int) -> tuple[int, ...]:
 
 class AlternatingSums:
     """self[s], s >= 0, is the integer L * alternating_weighted_sum(ell, s, a),
-    L (common) the lcm of the denominators of a: sum(w) for the weights
+    L (common) the lcm of the denominators of a and numerators the values
+    a_j = N_j / L as ints: sum(w) for the weights
     w_j = (-1)^j C(ell, j) L a_j j^s.  In-order reads step w_j <- j w_j and keep
     each sum; a read further on takes ell + 1 powers j^s and keeps nothing."""
 
     def __init__(self, ell: int, a):
         self.ell = ell
-        self.common, nums = over_common_denominator(_checked_values(ell, 0, a))
-        self._weights = self._base = list(map(operator.mul, _signed_binomials(ell), nums))
+        self.common, self.numerators = over_common_denominator(_checked_values(ell, 0, a))
+        self._weights = self._base = list(map(operator.mul, _signed_binomials(ell), self.numerators))
         self._sums = [sum(self._weights)]
         self._sigma = None  # sigma_ell(ell), set by the first det call
 

@@ -30,13 +30,21 @@ MODE_MATRIX = "matrix"
 DETECTION_MODES = (MODE_CLOSED_FORM, MODE_MATRIX)
 
 
-def equidistant_nodes(ell: int, xi: Rational, h: Rational) -> tuple[Rational, ...]:
-    """The grid xi + i*h, i = 0..ell; with xi = p/q and h = r/t, node i is
-    the single Fraction (p*t + i*r*q) / (q*t)."""
+def _integer_grid(ell: int, xi: Rational, h: Rational) -> tuple[int, list[int]]:
+    """The grid xi + i*h, i = 0..ell, as (Q, X) in plain ints: with xi = p/q
+    and h = r/t, node i is X_i / Q for Q = q*t and X_i = p*t + i*r*q.  Q is
+    a common denominator of the nodes, not always their least one."""
     p, q = xi.numerator, xi.denominator
     r, t = h.numerator, h.denominator
-    start, step, den = p * t, r * q, q * t
-    return tuple(Fraction(start + i * step, den) for i in range(ell + 1))
+    start, step = p * t, r * q
+    return q * t, [start + i * step for i in range(ell + 1)]
+
+
+def equidistant_nodes(ell: int, xi: Rational, h: Rational) -> tuple[Rational, ...]:
+    """The grid xi + i*h, i = 0..ell, as Fractions: node i is X_i / Q, one
+    reduced Fraction each, from the integer grid (Q, X) of _integer_grid."""
+    den, grid = _integer_grid(ell, xi, h)
+    return tuple(Fraction(x, den) for x in grid)
 
 
 @dataclass(frozen=True)
@@ -44,7 +52,8 @@ class EquidistantProblem:
     """One interpolation instance on the grid x_i = xi + i*h, i = 0..ell.
 
     sums, not a field since a determines it, is the AlternatingSums of the
-    values, built here and shared by every closed form below."""
+    values, built here and shared by every closed form below; integer_form
+    gives the grid and the values in plain ints to the Newton oracle."""
 
     ell: int
     xi: Rational
@@ -68,6 +77,14 @@ class EquidistantProblem:
 
     def nodes(self) -> tuple[Rational, ...]:
         return equidistant_nodes(self.ell, self.xi, self.h)
+
+    @property
+    def integer_form(self) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:
+        """((Q, X), (L, N)) in plain ints for newton_from_integer_form: the
+        nodes X_i / Q (_integer_grid) and the values N_i / L over their lcm
+        L, as sums cleared them once.  Built on each read, so a problem that
+        never reads it pays nothing."""
+        return _integer_grid(self.ell, self.xi, self.h), (self.sums.common, self.sums.numerators)
 
 
 @dataclass(frozen=True)
@@ -142,18 +159,10 @@ def lagrange_interpolate(nodes: Sequence[RationalLike], values: Sequence[Rationa
 
 def newton_interpolate(nodes: Sequence[RationalLike], values: Sequence[RationalLike]) -> Poly:
     """Unique polynomial of degree <= len(nodes)-1 through the given points,
-    from Newton divided differences in plain integers.
-
-    With Q and D the lcms of the node and value denominators, the nodes
-    become the integers X_i = Q x_i and the values V_i = D v_i.  Level k of
-    the divided-difference table on the X_i is kept as integer numerators
-    over one denominator E_k = E_(k-1) * lcm_i |X_(i+k) - X_i|, so every E_k
-    divides L = E_ell and the Newton coefficients are n_k / L with integer
-    n_k.  Horner's rule expands sum_k n_k prod_(j<k) (u - X_j) = sum_j c_j u^j
-    in integers, and with u = Q x the coefficient of x^j is
-    c_j Q^j / (L D), the only Fraction arithmetic.  It shares no code with
-    the closed forms it is the oracle for.
-    """
+    from Newton divided differences in plain integers: the nodes and the
+    values are cleared over the lcms of their denominators and handed to
+    newton_from_integer_form.  The equidistant suites skip this front and
+    hand the kernel a problem's integer_form."""
     points = [rat(x) for x in nodes]
     data = [rat(v) for v in values]
     if len(points) != len(data):
@@ -163,7 +172,25 @@ def newton_interpolate(nodes: Sequence[RationalLike], values: Sequence[RationalL
         raise ValueError("nodes must be pairwise distinct")
     if not xs:
         return Poly()
-    d, column = over_common_denominator(data)
+    return newton_from_integer_form((q, xs), over_common_denominator(data))
+
+
+def newton_from_integer_form(grid: tuple[int, Sequence[int]], values: tuple[int, Sequence[int]]) -> Poly:
+    """The interpolant through the nodes x_i = X_i / Q with the values
+    v_i = V_i / D, given as grid = (Q, X) and values = (D, V) in plain ints,
+    the X_i pairwise distinct and at least one of them.
+
+    Level k of the divided-difference table on the X_i is kept as integer
+    numerators over one denominator E_k = E_(k-1) * lcm_i |X_(i+k) - X_i|,
+    so every E_k divides L = E_ell and the Newton coefficients are n_k / L
+    with integer n_k.  Horner's rule expands
+    sum_k n_k prod_(j<k) (u - X_j) = sum_j c_j u^j in integers, and with
+    u = Q x the coefficient of x^j is c_j Q^j / (L D), the only Fraction
+    arithmetic; it reduces, so any common denominator Q gives the same
+    Poly.  It shares no code with the closed forms it is the oracle for.
+    """
+    q, xs = grid
+    d, column = values
     leading = [column[0]]
     denominators = [1]
     for k in range(1, len(xs)):

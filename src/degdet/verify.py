@@ -44,7 +44,7 @@ from .interp import (
     detect_degree,
     equidistant_nodes,
     interpolate_eq14,
-    newton_interpolate,
+    newton_from_integer_form,
     poly_K,
 )
 from .rng import _DISTINCT_POSITIVE, _DISTINCT_SIGNED, SplitMix64
@@ -277,7 +277,7 @@ def _suite_eq10(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int
         for s in range(ell + 1):
             for trial in range(trials):
                 problem = _random_problem(rng, ell)
-                oracle = newton_interpolate(problem.nodes(), problem.a).derivative(ell - s)(problem.xi)
+                oracle = newton_from_integer_form(*problem.integer_form).derivative(ell - s)(problem.xi)
                 report.case(
                     lambda: f"ell={ell} s={s} trial={trial} xi={format_rational(problem.xi)}"
                     f" h={format_rational(problem.h)} a={_csv(problem.a)}",
@@ -290,7 +290,7 @@ def _suite_eq14(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int
     for ell in range(1, max_ell + 1):
         for trial in range(trials):
             problem = _random_problem(rng, ell)
-            shifted = poly_shift_scale(newton_interpolate(problem.nodes(), problem.a), problem.xi, problem.h)
+            shifted = poly_shift_scale(newton_from_integer_form(*problem.integer_form), problem.xi, problem.h)
             report.case(
                 lambda: f"ell={ell} trial={trial} xi={format_rational(problem.xi)}"
                 f" h={format_rational(problem.h)} a={_csv(problem.a)}",
@@ -320,7 +320,7 @@ def _suite_theorem1(report: VerifyReport, rng: SplitMix64, max_ell: int, trials:
             problem = _random_problem(rng, ell)
             report.case(
                 lambda: f"detector-vs-interpolant ell={ell} trial={trial} a={_csv(problem.a)}",
-                newton_interpolate(problem.nodes(), problem.a).degree,
+                newton_from_integer_form(*problem.integer_form).degree,
                 detect_degree(problem).degree,
             )
 
@@ -367,7 +367,8 @@ class _SuiteSpec:
 
 
 # eq5 and eq5c sum all C(ell, k) exponent sequences per case: at the default
-# trials max_ell 10 takes 5-7 s and 11 takes 14 s on a 2-vCPU VM.
+# trials max_ell 10 takes 1.9 s (eq5) and 2.1 s (eq5c), 11 takes 4.7 s and
+# 5.3 s (single unscaled runs on a shared 2-vCPU x86-64 VM).
 _EXPANSION_CAP = 10
 _EXPANSION_COST = "its expansion over all C(ell, k) exponent sequences takes more than 10 s above that"
 

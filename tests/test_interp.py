@@ -24,6 +24,7 @@ from degdet.interp import (
     general_expansion,
     interpolate_eq14,
     lagrange_interpolate,
+    newton_from_integer_form,
     newton_interpolate,
     poly_K,
 )
@@ -250,6 +251,51 @@ class TestNewtonOracle:
         for suite in ("eq10", "eq14", "theorem1", "remark5"):
             assert run_suite(suite, max_ell=4, trials=2, seed=5).passed
         assert calls == []
+
+
+def integer_form_problems():
+    """Seeded problems for the integer Newton path, ell = 1..12: random data,
+    a fractional xi with a negative fractional h, the all-zero vector, and a
+    grid of half-integers whose Q = q*t = 4 is twice the nodes' lcm."""
+    rng = SplitMix64(76)
+    problems = []
+    for ell in range(1, 13):
+        values = [rng.rational() for _ in range(ell + 1)]
+        problems.append(random_problem(rng, ell))
+        problems.append(EquidistantProblem(
+            ell, rng.rational() + Fraction(1, 3), -abs(rng.nonzero_rational()) - Fraction(1, 7), values))
+        problems.append(EquidistantProblem(ell, rng.rational(), rng.nonzero_rational(), [0] * (ell + 1)))
+        problems.append(EquidistantProblem(
+            ell, Fraction(2 * rng.int_between(-4, 4) + 1, 2), Fraction(2 * rng.int_between(-4, 4) + 1, 2), values))
+    return problems
+
+
+class TestIntegerForm:
+    def test_round_trips_to_the_nodes_and_values(self):
+        for p in integer_form_problems():
+            (Q, X), (L, N) = p.integer_form
+            assert Q == p.xi.denominator * p.h.denominator
+            assert L == math.lcm(*(v.denominator for v in p.a))
+            assert tuple(Fraction(x, Q) for x in X) == p.nodes() == tuple(p.xi + i * p.h for i in range(p.ell + 1))
+            assert tuple(Fraction(n, L) for n in N) == p.a
+
+    def test_kernel_equals_the_front(self):
+        problems = integer_form_problems()
+        assert {p.ell for p in problems} == set(range(1, 13))
+        assert any(p.h < 0 and p.h.denominator > 1 and p.xi.denominator > 1 for p in problems)
+        assert any(not any(p.a) for p in problems)
+        strict = [p for p in problems if math.lcm(*(x.denominator for x in p.nodes())) < p.integer_form[0][0]]
+        assert len(strict) >= 12
+        for p in problems:
+            assert newton_from_integer_form(*p.integer_form) == newton_interpolate(p.nodes(), p.a)
+
+    def test_equidistant_suites_build_no_nodes(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the equidistant suites hand the Newton kernel integer_form")
+
+        monkeypatch.setattr(EquidistantProblem, "nodes", forbidden)
+        for suite in ("eq10", "eq14", "theorem1"):
+            assert run_suite(suite, max_ell=4, trials=2, seed=6).passed
 
 
 class TestCoefficientFormula:

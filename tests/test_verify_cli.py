@@ -324,8 +324,8 @@ class TestDegreeCommand:
         path = self.write(tmp_path, problem_text(EquidistantProblem(ell, 0, 1, [1] * (ell + 1))))
         code, out, err = run_cli(capsys, "degree", "--input", path, "--mode", "matrix")
         assert (code, out) == (2, "")
-        assert err.startswith(f"degdet: error: degree --mode matrix takes ell <= 64, got {ell}: ")
-        assert "about 17 s at ell = 64" in err
+        assert err.startswith(f"degdet: error: degree --mode matrix takes ell <= 45, got {ell}: ")
+        assert "from ell = 46 on, sigma_ell has more than 4,300 digits" in err
         assert "degree --mode closed-form" in err
 
     def test_matrix_mode_at_the_cap_reaches_the_elimination(self, tmp_path, monkeypatch):
@@ -334,7 +334,7 @@ class TestDegreeCommand:
 
         monkeypatch.setattr("degdet.interp.power_row_cofactors", stub)
         path = self.write(tmp_path, problem_text(EquidistantProblem(MATRIX_MAX_ELL, 0, 1, [1] * (MATRIX_MAX_ELL + 1))))
-        with pytest.raises(Eliminated, match="^64$"):
+        with pytest.raises(Eliminated, match="^45$"):
             main(["degree", "--input", path, "--mode", "matrix"])
 
     def test_bad_file_exits_2(self, capsys, tmp_path):
@@ -480,11 +480,10 @@ class TestDetCommand:
         ell = MATRIX_MAX_ELL + 1
         code, out, err = run_cli(capsys, "det", "--matrix", kind, "--ell", str(ell), *self.MATRIX_ARGS[kind](ell))
         assert (code, out) == (2, "")
-        assert err.startswith(f"degdet: error: det --matrix {kind} takes ell <= 64, got {ell}: ")
+        assert err.startswith(f"degdet: error: det --matrix {kind} takes ell <= 45, got {ell}: ")
         assert "degree --mode closed-form" in err
 
-    # Asub's closed form at ell = 64 has more than 4300 digits, so it prints
-    # only with the digit limit lifted
+    # at the cap both closed forms print under the default digit limit
     @pytest.mark.parametrize("kind", ["A", "Asub"])
     def test_matrix_at_the_cap_reaches_the_elimination(self, monkeypatch, kind):
         def stub(arg):
@@ -492,22 +491,24 @@ class TestDetCommand:
 
         monkeypatch.setattr(self.ELIMINATION[kind], stub)
         ell = MATRIX_MAX_ELL
-        with digit_limit(0), pytest.raises(Eliminated):
+        with digit_limit(4300), pytest.raises(Eliminated):
             main(["det", "--matrix", kind, "--ell", str(ell), *self.MATRIX_ARGS[kind](ell)])
 
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["A", "--ell", "64", "--s", "0", "--a", "1,2"], "value vector must have ell+1 = 65 entries, got 2"),
-            (["A", "--ell", "64", "--s", "-1", "--a", ",".join(["1"] * 65)], "degree matrix needs s >= 0, got -1"),
+            (["A", "--ell", "45", "--s", "0", "--a", "1,2"], "value vector must have ell+1 = 46 entries, got 2"),
+            (["A", "--ell", "45", "--s", "-1", "--a", ",".join(["1"] * 46)], "degree matrix needs s >= 0, got -1"),
             # s is checked before the length of --a
             (["A", "--ell", "2", "--s", "-1", "--a", "1,2"], "degree matrix needs s >= 0, got -1"),
-            (["Asub", "--ell", "64", "--kappa", "0"], "column index kappa=0 outside [1, 65]"),
+            (["Asub", "--ell", "45", "--kappa", "0"], "column index kappa=0 outside [1, 46]"),
             (["Asub", "--ell", "0", "--kappa", "1"], "submatrix needs ell >= 1, got 0"),
-            # sigma_ell(50) has more digits than the interpreter's default limit
-            (["Asub", "--ell", "50", "--kappa", "1"], "Exceeds the limit (4300 digits) for integer string conversion"),
+            # sigma_ell(45) * 10^300 has more digits than the interpreter's
+            # default limit; every Asub closed form up to the cap prints
+            (["A", "--ell", "45", "--s", "0", "--a", ",".join(["1" + "0" * 300] + ["0"] * 45)],
+             "Exceeds the limit (4300 digits) for integer string conversion"),
         ],
-        ids=["A-short-values", "A-negative-s", "A-negative-s-short-values", "Asub-kappa-0", "Asub-ell-0", "Asub-unprintable"],
+        ids=["A-short-values", "A-negative-s", "A-negative-s-short-values", "Asub-kappa-0", "Asub-ell-0", "A-unprintable"],
     )
     def test_fails_before_any_elimination(self, capsys, monkeypatch, argv, message):
         def no_elimination(arg):
