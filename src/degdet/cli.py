@@ -15,17 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
-from .degreematrix import (AlternatingSums, _checked_values, build_A_sub, det_A_from_cofactors,
-                           det_A_sub_closed_form, power_row_cofactors)
-from .exactnum import (
-    Rational,
-    det_fraction_free,
-    format_rational,
-    parse_rational,
-)
+from .degreematrix import (AlternatingSums, _checked_values, det_A_from_cofactors, det_A_sub_closed_form,
+                           det_A_sub_from_cofactors, power_row_cofactors)
+from .exactnum import Rational, format_rational, parse_rational
 from .interp import (
     DETECTION_MODES,
     MODE_CLOSED_FORM,
@@ -34,7 +30,7 @@ from .interp import (
     detect_degree,
     interpolate_eq14,
 )
-from .vandermonde import AffineData, build_B, det_B_expansion
+from .vandermonde import AffineData, det_B, det_B_expansion, expansion_cost
 from .verify import DEFAULT_SEED, SUITE_NAMES, SUITES, run_all, run_suite
 
 ENV_SEED = "DEGDET_SEED"
@@ -47,6 +43,10 @@ _PROBLEM_FIELDS = ("ell", "xi", "h", "values")
 # report prints under Python's default int-to-str digit limit; such ell is
 # refused before any elimination.
 MATRIX_MAX_ELL = 45
+
+# det --matrix B's largest accepted expansion_cost.  Near it the slowest expansions
+# took 4.7 s (k = 1, 6, 20; single runs on a shared 2-vCPU x86-64 VM).
+EXPANSION_MAX_COST = 2 * 10**10
 
 
 class ProblemFileError(ValueError):
@@ -126,6 +126,12 @@ def _parse_csv_rationals(text: str, option: str) -> tuple[Rational, ...]:
         return tuple(parse_rational(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"option {option}: {exc}") from None
+
+
+def _count(n: int) -> str:
+    """n with thousands separators; from 10^30 on only that bound, since
+    past 4,300 digits n would not print at all."""
+    return f"{n:,}" if n < 10**30 else "more than 10^30"
 
 
 def _check_matrix_ell(ell: int, route: str) -> None:
@@ -236,9 +242,8 @@ def cmd_det(args: argparse.Namespace) -> int:
     elif args.matrix == "Asub":
         _require(args, ["ell", "kappa"], "Asub")
         _check_matrix_ell(args.ell, "det --matrix Asub")
-        matrix = build_A_sub(args.ell, args.kappa)
         closed_form = Rational(det_A_sub_closed_form(args.ell, args.kappa))
-        direct = lambda: det_fraction_free(matrix)
+        direct = lambda: det_A_sub_from_cofactors(power_row_cofactors(args.ell), args.kappa)
         lines += [f"ell: {args.ell}", f"kappa: {args.kappa}"]
     else:
         _require(args, ["k", "ell", "alpha", "beta", "r"], "B")
@@ -246,7 +251,7 @@ def cmd_det(args: argparse.Namespace) -> int:
         beta = _parse_csv_rationals(args.beta, "--beta")
         r = _parse_csv_rationals(args.r, "--r")
         data = AffineData(args.k, args.ell, alpha, beta, r)
-        direct = lambda: det_fraction_free(build_B(data))
+        direct = lambda: det_B(data)
         lines += [
             f"k: {args.k}",
             f"ell: {args.ell}",
@@ -257,6 +262,12 @@ def cmd_det(args: argparse.Namespace) -> int:
         if args.k > args.ell:
             closed_form = Rational(0)
         elif all(x != 0 for x in alpha):
+            cost = expansion_cost(data)
+            if cost > EXPANSION_MAX_COST:
+                raise ValueError(
+                    f"det --matrix B: the closed form sums C(ell, k) = {_count(math.comb(args.ell, args.k))} "
+                    f"terms, an estimated {_count(cost)} digit steps, above the bound {EXPANSION_MAX_COST:,}"
+                )
             closed_form = det_B_expansion(data)
         else:
             closed_form_note = "n/a (expansion needs every alpha_i nonzero)"

@@ -13,7 +13,7 @@ from .combinat import binomial
 from .exactnum import ExactMatrix, Rational, last_row_cofactors, over_common_denominator, rat
 
 
-def _checked_values(ell: int, s: int, a) -> list[Rational]:
+def _checked_values(ell: int, s: int, a) -> tuple[Rational, ...]:
     """The value vector of one determinant instance (ell, s, a) as
     rationals, after checking ell >= 1, s >= 0 and len(a) == ell + 1; s
     above ell is legal, the alternating sum is still well defined."""
@@ -21,7 +21,7 @@ def _checked_values(ell: int, s: int, a) -> list[Rational]:
         raise ValueError(f"degree matrix needs ell >= 1, got {ell}")
     if s < 0:
         raise ValueError(f"degree matrix needs s >= 0, got {s}")
-    values = [rat(x) for x in a]
+    values = tuple(map(rat, a))
     if len(values) != ell + 1:
         raise ValueError(f"value vector must have ell+1 = {ell + 1} entries, got {len(values)}")
     return values
@@ -61,6 +61,15 @@ def det_A_from_cofactors(cofactors: list[int], s: int, a) -> Rational:
     the values a over the lcm L of their denominators."""
     common, nums = over_common_denominator(_checked_values(len(cofactors) - 1, s, a))
     return Fraction(sum(map(operator.mul, cofactors, weighted_value_row(s, nums))), common)
+
+
+def det_A_sub_from_cofactors(cofactors: list[int], kappa: int) -> int:
+    """det build_A_sub(ell, kappa), build_A without its last row and column
+    kappa: the signed cofactor (-1)^(ell+1+kappa) c_kappa of power_row_cofactors(ell)."""
+    ell = len(cofactors) - 1
+    if not 1 <= kappa <= ell + 1:
+        raise ValueError(f"column index kappa={kappa} outside [1, {ell + 1}]")
+    return (-1) ** (ell + 1 + kappa) * cofactors[kappa - 1]
 
 
 def sub_column_offsets(ell: int, kappa: int) -> tuple[int, ...]:
@@ -120,14 +129,15 @@ def _signed_binomials(ell: int) -> tuple[int, ...]:
 
 class AlternatingSums:
     """self[s], s >= 0, is the integer L * alternating_weighted_sum(ell, s, a),
-    L (common) the lcm of the denominators of a and numerators the values
-    a_j = N_j / L as ints: sum(w) for the weights
+    with values the checked rationals a_j, L (common) the lcm of their
+    denominators and numerators the a_j = N_j / L as ints: sum(w) for the weights
     w_j = (-1)^j C(ell, j) L a_j j^s.  In-order reads step w_j <- j w_j and keep
     each sum; a read further on takes ell + 1 powers j^s and keeps nothing."""
 
     def __init__(self, ell: int, a):
         self.ell = ell
-        self.common, self.numerators = over_common_denominator(_checked_values(ell, 0, a))
+        self.values = _checked_values(ell, 0, a)
+        self.common, self.numerators = over_common_denominator(self.values)
         self._weights = self._base = list(map(operator.mul, _signed_binomials(ell), self.numerators))
         self._sums = [sum(self._weights)]
         self._sigma = None  # sigma_ell(ell), set by the first det call

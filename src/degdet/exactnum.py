@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -53,6 +54,7 @@ def format_rational(value: Rational) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+@total_ordering
 class NegativeInfinity:
     """Sentinel for the degree of the zero polynomial.
 
@@ -70,21 +72,6 @@ class NegativeInfinity:
     def __lt__(self, other):
         if isinstance(other, int) or other is self:
             return other is not self
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, int) or other is self:
-            return True
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, int) or other is self:
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, int) or other is self:
-            return other is self
         return NotImplemented
 
     def __repr__(self):

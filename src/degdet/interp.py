@@ -66,14 +66,12 @@ class EquidistantProblem:
         step = rat(h)
         if step == 0:
             raise ValueError("problem needs a nonzero step h")
-        values = tuple(map(rat, a))
-        if len(values) != ell + 1:
-            raise ValueError(f"value vector must have ell+1 = {ell + 1} entries, got {len(values)}")
+        sums = AlternatingSums(ell, a)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "xi", rat(xi))
         object.__setattr__(self, "h", step)
-        object.__setattr__(self, "a", values)
-        object.__setattr__(self, "sums", AlternatingSums(ell, values))
+        object.__setattr__(self, "a", sums.values)
+        object.__setattr__(self, "sums", sums)
 
     def nodes(self) -> tuple[Rational, ...]:
         return equidistant_nodes(self.ell, self.xi, self.h)

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import degdet
-from degdet.cli import MATRIX_MAX_ELL, ProblemFileError, main, parse_problem_file
-from degdet.degreematrix import AlternatingSums, alternating_weighted_sum
+from degdet.cli import EXPANSION_MAX_COST, MATRIX_MAX_ELL, ProblemFileError, main, parse_problem_file
+from degdet.degreematrix import AlternatingSums, alternating_weighted_sum, build_A_sub
 from degdet import verify
 from degdet.exactnum import (
+    ExactMatrix,
     Poly,
     det_fraction_free,
     format_rational,
@@ -24,6 +25,7 @@ from degdet.exactnum import (
 )
 from degdet.interp import EquidistantProblem, newton_interpolate
 from degdet.rng import SplitMix64
+from degdet.vandermonde import AffineData, build_B
 from degdet.verify import DEFAULT_SEED, SUITES, run_suite
 from oracles import splitmix64_scalar
 
@@ -56,6 +58,12 @@ def out_fields(text):
         key, _, value = line.partition(":")
         fields[key.strip()] = value.strip()
     return fields
+
+
+def det_B_argv(data):
+    """The det --matrix B command line for an AffineData."""
+    return ["det", "--matrix", "B", "--k", str(data.k), "--ell", str(data.ell),
+            *(f"--{name}={','.join(map(format_rational, getattr(data, name)))}" for name in ("alpha", "beta", "r"))]
 
 
 def problem_text(p):
@@ -469,7 +477,7 @@ class TestDetCommand:
         "Asub": lambda ell: ["--kappa", "1"],
     }
     # the elimination each kind's direct side runs
-    ELIMINATION = {"A": "degdet.cli.power_row_cofactors", "Asub": "degdet.cli.det_fraction_free"}
+    ELIMINATION = {"A": "degdet.cli.power_row_cofactors", "Asub": "degdet.cli.power_row_cofactors"}
 
     @pytest.mark.parametrize("kind", ["A", "Asub"])
     def test_matrix_past_the_cap_exits_2(self, capsys, monkeypatch, kind):
@@ -520,6 +528,101 @@ class TestDetCommand:
             code, out, err = run_cli(capsys, "det", "--matrix", *argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"degdet: error: {message}")
+
+    @pytest.mark.parametrize(
+        "k,ell,terms",
+        [(6, 40, "3,838,380"), (1, 10**6, "1,000,000"), (2, 10**40, "more than 10^30")],
+        ids=["k6-ell40", "k1-huge-ell", "uncountable"],
+    )
+    def test_B_past_the_cost_bound_exits_2(self, capsys, monkeypatch, k, ell, terms):
+        def no_work(data):
+            raise AssertionError("expanded or eliminated past the cost bound")
+
+        monkeypatch.setattr("degdet.cli.det_B", no_work)
+        monkeypatch.setattr("degdet.cli.det_B_expansion", no_work)
+        code, out, err = run_cli(capsys, *det_B_argv(AffineData(k, ell, range(1, k + 1), [1] * k, range(k))))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"degdet: error: det --matrix B: the closed form sums C(ell, k) = {terms} terms, ")
+        assert err.endswith(f" digit steps, above the bound {EXPANSION_MAX_COST:,}\n")
+
+    # zero alpha means no expansion and k > ell a closed form of 0, so the
+    # bound never applies; both print even where C(ell, k) is large
+    @pytest.mark.parametrize(
+        "ell,alpha,closed_form",
+        [(40, [0, 2, 3, 4, 5, 6], "n/a (expansion needs every alpha_i nonzero)"), (5, [1, 2, 3, 4, 5, 6], "0")],
+    )
+    def test_B_without_an_expansion_is_not_bounded(self, capsys, ell, alpha, closed_form):
+        data = AffineData(6, ell, alpha, [1] * 6, range(6))
+        code, out, _ = run_cli(capsys, *det_B_argv(data))
+        fields = out_fields(out)
+        assert code == 0
+        assert fields["det_closed_form"] == closed_form
+        assert parse_rational(fields["det_direct"]) == det_fraction_free(build_B(data))
+
+
+class TestDetDirectSides:
+    """det's direct sides are the integer routes the suites check; the
+    Fraction-matrix elimination is computed here, as the oracle."""
+
+    @pytest.mark.parametrize("ell", range(1, 11))
+    def test_submatrix_matches_the_fraction_elimination(self, capsys, ell):
+        for kappa in range(1, ell + 2):
+            code, out, _ = run_cli(capsys, "det", "--matrix", "Asub", "--ell", str(ell), "--kappa", str(kappa))
+            assert code == 0
+            assert parse_rational(out_fields(out)["det_direct"]) == det_fraction_free(build_A_sub(ell, kappa))
+
+    def test_affine_matrix_matches_the_fraction_elimination(self, capsys):
+        rng = SplitMix64(19)
+        for ell in range(1, 7):
+            for k in range(1, ell + 2):
+                for trial in range(3):
+                    alpha = [rng.rational() for _ in range(k)]
+                    beta = [rng.rational() for _ in range(k)]
+                    # trial 1 zeroes an alpha (no expansion), trial 2 a beta
+                    if trial == 1:
+                        alpha[-1] = Fraction(0)
+                    if trial == 2:
+                        beta[0] = Fraction(0)
+                    data = AffineData(k, ell, alpha, beta, rng.distinct_rationals(k))
+                    code, out, _ = run_cli(capsys, *det_B_argv(data))
+                    fields = out_fields(out)
+                    assert code == 0
+                    assert fields["agree"] == ("n/a" if 0 in data.alpha and k <= ell else "true")
+                    assert parse_rational(fields["det_direct"]) == det_fraction_free(build_B(data))
+
+
+class TestNoFractionMatrix:
+    """degree and det build no Fraction matrix: with ExactMatrix and every
+    det_fraction_free forbidden, each report keeps its bytes."""
+
+    def test_reports_unchanged_with_the_fraction_matrix_layer_forbidden(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "golden.txt"
+        path.write_text(GOLDEN_PROBLEM, encoding="utf-8")
+        runs = [
+            ["degree", "--input", str(path), "--mode", "closed-form"],
+            ["degree", "--input", str(path), "--mode", "matrix"],
+            ["det", "--matrix", "A", "--ell", "4", "--s", "3", "--a", "1/2,3,-7,0,5/3"],
+            ["det", "--matrix", "Asub", "--ell", "12", "--kappa", "5"],
+            ["det", "--matrix", "B", "--k", "3", "--ell", "4", "--alpha", "1/2,2,-3", "--beta", "0,1,5/7",
+             "--r", "1/3,2,5"],
+            ["det", "--matrix", "B", "--k", "2", "--ell", "3", "--alpha", "0,3", "--beta", "1,1", "--r", "2,3"],
+            ["det", "--matrix", "B", "--k", "4", "--ell", "2", "--alpha", "1,2,3,4", "--beta", "1,0,1,2",
+             "--r", "1,2,3,4"],
+        ]
+        expected = [run_cli(capsys, *argv)[:2] for argv in runs]
+        assert [code for code, _ in expected] == [0] * len(runs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a production route built a Fraction matrix")
+
+        monkeypatch.setattr(ExactMatrix, "__init__", forbidden)
+        patched = []
+        for name, module in list(sys.modules.items()):
+            if (name == "degdet" or name.startswith("degdet.")) and hasattr(module, "det_fraction_free"):
+                monkeypatch.setattr(module, "det_fraction_free", forbidden)
+                patched.append(name)
+        assert "degdet.exactnum" in patched
+        assert [run_cli(capsys, *argv)[:2] for argv in runs] == expected
 
 
 class TestVerifyCommand:
@@ -676,7 +779,7 @@ class TestVerifyCommand:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr == (f"degdet: error: suite {capped!r} needs max_ell <= 10: its expansion over all"
-                               f" C(ell, k) exponent sequences takes more than 10 s above that, got {max_ell}\n")
+                               f" C(ell, k) exponent sequences takes about 4 s at 11 and 10 s at 12, got {max_ell}\n")
 
     @pytest.mark.parametrize(
         "suite,formula,nth,wrong,label,expected,actual",
