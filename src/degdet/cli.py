@@ -30,7 +30,7 @@ from .interp import (
     detect_degree,
     interpolate_eq14,
 )
-from .vandermonde import AffineData, det_B, det_B_expansion, expansion_cost
+from .vandermonde import AffineData, det_B, det_B_expansion, elimination_cost, expansion_cost
 from .verify import DEFAULT_SEED, SUITE_NAMES, SUITES, run_all, run_suite
 
 ENV_SEED = "DEGDET_SEED"
@@ -44,8 +44,10 @@ _PROBLEM_FIELDS = ("ell", "xi", "h", "values")
 # refused before any elimination.
 MATRIX_MAX_ELL = 45
 
-# det --matrix B's largest accepted expansion_cost.  Near it the slowest expansions
-# took 4.7 s (k = 1, 6, 20; single runs on a shared 2-vCPU x86-64 VM).
+# det --matrix B's largest accepted expansion_cost, and elimination_cost of its
+# direct side.  Near it the slowest expansions took 4.7 s (k = 1, 6, 20) and
+# the slowest eliminations 4.6 s (k = ell = 20, 10-digit fractions; single
+# runs on a shared 2-vCPU x86-64 VM).
 EXPANSION_MAX_COST = 2 * 10**10
 
 
@@ -259,15 +261,23 @@ def cmd_det(args: argparse.Namespace) -> int:
             f"beta: {', '.join(map(format_rational, beta))}",
             f"r: {', '.join(map(format_rational, r))}",
         ]
+        expand = args.k <= args.ell and all(x != 0 for x in alpha)
+        cost = expansion_cost(data) if expand else 0
+        if cost > EXPANSION_MAX_COST:
+            raise ValueError(
+                f"det --matrix B: the closed form sums C(ell, k) = {_count(math.comb(args.ell, args.k))} "
+                f"terms, an estimated {_count(cost)} digit steps, above the bound {EXPANSION_MAX_COST:,}"
+            )
+        cost = elimination_cost(data)
+        if cost > EXPANSION_MAX_COST:
+            raise ValueError(
+                f"det --matrix B: the direct side eliminates a {args.k} x {args.k} matrix of powers of degree "
+                f"{_count(args.ell - 1)}, an estimated {_count(cost)} digit steps, above the bound "
+                f"{EXPANSION_MAX_COST:,}"
+            )
         if args.k > args.ell:
             closed_form = Rational(0)
-        elif all(x != 0 for x in alpha):
-            cost = expansion_cost(data)
-            if cost > EXPANSION_MAX_COST:
-                raise ValueError(
-                    f"det --matrix B: the closed form sums C(ell, k) = {_count(math.comb(args.ell, args.k))} "
-                    f"terms, an estimated {_count(cost)} digit steps, above the bound {EXPANSION_MAX_COST:,}"
-                )
+        elif expand:
             closed_form = det_B_expansion(data)
         else:
             closed_form_note = "n/a (expansion needs every alpha_i nonzero)"

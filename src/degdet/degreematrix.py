@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import binomial
-from .exactnum import ExactMatrix, Rational, last_row_cofactors, over_common_denominator, rat
+from .exactnum import Rational, last_row_cofactors, over_common_denominator, rat
 
 
 def _checked_values(ell: int, s: int, a) -> tuple[Rational, ...]:
@@ -39,12 +39,12 @@ def _power_rows(ell: int, offsets) -> list[list[int]]:
     return [[((i - 1) * (ell + 1) + j) ** (ell - 1) for j in offsets] for i in range(1, ell + 1)]
 
 
-def build_A(ell: int, s: int, a) -> ExactMatrix:
-    """The (ell+1)x(ell+1) matrix: row i in 1..ell holds the (ell-1)-th powers
-    of the consecutive integers (i-1)(ell+1)+1 .. i(ell+1); the last row is
-    weighted_value_row(s, a)."""
+def build_A(ell: int, s: int, a) -> list[list[Rational]]:
+    """The rows of the (ell+1)x(ell+1) matrix: row i in 1..ell holds the
+    (ell-1)-th powers of the consecutive integers (i-1)(ell+1)+1 .. i(ell+1),
+    as ints; the last row is weighted_value_row(s, a)."""
     values = _checked_values(ell, s, a)
-    return ExactMatrix.from_rows(_power_rows(ell, range(1, ell + 2)) + [weighted_value_row(s, values)])
+    return _power_rows(ell, range(1, ell + 2)) + [weighted_value_row(s, values)]
 
 
 def power_row_cofactors(ell: int) -> list[int]:
@@ -79,12 +79,12 @@ def sub_column_offsets(ell: int, kappa: int) -> tuple[int, ...]:
     return tuple(j if j <= kappa - 1 else j + 1 for j in range(1, ell + 1))
 
 
-def build_A_sub(ell: int, kappa: int) -> ExactMatrix:
-    """The ell x ell submatrix left after removing the last row and the
-    kappa-th column; independent of s and a."""
+def build_A_sub(ell: int, kappa: int) -> list[list[int]]:
+    """The integer rows of the ell x ell submatrix left after removing the
+    last row and the kappa-th column; independent of s and a."""
     if ell < 1:
         raise ValueError(f"submatrix needs ell >= 1, got {ell}")
-    return ExactMatrix.from_rows(_power_rows(ell, sub_column_offsets(ell, kappa)))
+    return _power_rows(ell, sub_column_offsets(ell, kappa))
 
 
 def sigma_ell(ell: int) -> int:

@@ -2,9 +2,11 @@
 
 Rationals are arbitrary-precision fractions.Fraction values; the kernels
 clear denominators and work in plain ints, and no floating point enters any
-code path.  Poly and ExactMatrix are immutable.  The integer Bareiss kernels
-(det_integer_rows, last_row_cofactors) work in place on the integer rows
-they are given; every other function returns new values.
+code path.  Poly is immutable.  A matrix is a list of its rows: the integer
+Bareiss kernels (det_integer_rows, last_row_cofactors) work in place on the
+integer rows they are given, and det_fraction_free, the rational route that
+only the tests call, clears each row of rationals over its lcm first; every
+other function returns new values.
 """
 
 from __future__ import annotations
@@ -205,43 +207,6 @@ def poly_shift_scale(p: Poly, xi: RationalLike, h: RationalLike) -> Poly:
     return Poly([Fraction(c, scale) for c in acc])
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Dense matrix over exact rationals, stored row-major and immutable."""
-
-    rows: int
-    cols: int
-    entries: tuple[Rational, ...]
-
-    def __init__(self, rows: int, cols: int, entries: Iterable[RationalLike]):
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        items = tuple(rat(e) for e in entries)
-        if len(items) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(items)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", items)
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[RationalLike]]) -> "ExactMatrix":
-        if not rows:
-            raise ValueError("matrix needs at least one row")
-        width = len(rows[0])
-        for r in rows:
-            if len(r) != width:
-                raise ValueError("all rows must have the same length")
-        flat = [e for r in rows for e in r]
-        return ExactMatrix(len(rows), width, flat)
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def row(self, i: int) -> tuple[Rational, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-
 def over_common_denominator(values: Sequence[Rational]) -> tuple[int, list[int]]:
     """The lcm d of the denominators and the numerators over d, as plain ints:
     values[i] = nums[i] / d.  An entry p/q becomes p * (d // q), exact because
@@ -252,22 +217,21 @@ def over_common_denominator(values: Sequence[Rational]) -> tuple[int, list[int]]
     return d, [v.numerator if q == d else v.numerator * (d // q) for v, q in zip(values, denominators)]
 
 
-def det_fraction_free(m: ExactMatrix) -> Rational:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def det_fraction_free(rows: Sequence[Sequence[Rational]]) -> Rational:
+    """Exact determinant of a square matrix of rationals, given as its rows,
+    by fraction-free (Bareiss) elimination.
 
     Each row is first scaled to integers by the lcm of its denominators,
     the integer determinant comes from det_integer_rows, and the single
     rational division by the product of those lcms happens at the end.
     """
-    if not m.is_square:
-        raise ValueError(f"determinant requires a square matrix, got {m.rows}x{m.cols}")
-    scale = 1
-    rows: list[list[int]] = []
-    for i in range(m.rows):
-        d, row = over_common_denominator(m.row(i))
-        scale *= d
-        rows.append(row)
-    return Fraction(det_integer_rows(rows), scale)
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        lengths = sorted({len(r) for r in rows})
+        raise ValueError(f"determinant requires a square matrix, n >= 1 rows of length n; "
+                         f"got {n} rows of lengths {lengths}")
+    scales, integer_rows = zip(*map(over_common_denominator, rows))
+    return Fraction(det_integer_rows(list(integer_rows)), math.prod(scales))
 
 
 # Pivot rows whose pivot is wider than this many bits lose their content (the

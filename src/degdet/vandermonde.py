@@ -10,7 +10,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exactnum import (
-    ExactMatrix,
     Rational,
     det_integer_rows,
     format_rational,
@@ -90,13 +89,14 @@ def _scaled_B_rows(A: list[int], B: list[int], Q: int, R: list[int], power: int)
     return [[(a * Q + rj * b) ** power for rj in R] for a, b in zip(A, B)]
 
 
-def build_B(data: AffineData) -> ExactMatrix:
-    """The k x k matrix with entries (alpha_i + r_j beta_i)^(ell-1); 0^0 = 1."""
+def build_B(data: AffineData) -> list[list[Rational]]:
+    """The rows of the k x k matrix with entries (alpha_i + r_j beta_i)^(ell-1);
+    0^0 = 1."""
     A, B, D, Q, R = data.integer_form
     power = data.ell - 1
     scales = [(d * Q) ** power for d in D]
     rows = _scaled_B_rows(A, B, Q, R, power)
-    return ExactMatrix.from_rows([[Fraction(e, s) for e in row] for row, s in zip(rows, scales)])
+    return [[Fraction(e, s) for e in row] for row, s in zip(rows, scales)]
 
 
 def det_B(data: AffineData) -> Rational:
@@ -157,6 +157,21 @@ def expansion_cost(data: AffineData) -> int:
                for d, nums in map(over_common_denominator, (data.r, data.rho())))
     n = 1 + k * (2 * ell - k - 1) // 2 * bits // 30
     return math.comb(ell, k) * (k * k * (k + 3) + 16) * n * math.isqrt(n)
+
+
+def elimination_cost(data: AffineData) -> int:
+    """det_B's work in the digit steps of expansion_cost, estimated as fitted
+    to measured runs: n 30-bit digits an entry, (ell-1) times the bits of the
+    largest |A_i Q + R_j B_i|; (k-t)^2 updates at Bareiss step t = 1 ..
+    min(k-1, ell), the rank bound, each dominated by an exact division of
+    t n digits at (t n)^2 steps; k^2 powers at n^2; and the final Fraction's
+    gcd at 3 (m n)^2, m = min(k, ell)."""
+    A, B, _, Q, R = data.integer_form
+    ell, k = data.ell, data.k
+    bits = max(abs(a * Q + rj * b).bit_length() for a, b in zip(A, B) for rj in (min(R), max(R)))
+    n = 1 + (ell - 1) * bits // 30
+    updates = sum((k - t) ** 2 * (t * n) ** 2 for t in range(1, min(k - 1, ell) + 1))
+    return updates + (k * n) ** 2 + 3 * (min(k, ell) * n) ** 2
 
 
 def det_B_expansion(data: AffineData) -> Rational:

@@ -32,8 +32,9 @@ from .exactnum import (
     NegativeInfinity,
     Poly,
     Rational,
-    det_fraction_free,
+    det_integer_rows,
     format_rational,
+    over_common_denominator,
     poly_shift_scale,
 )
 from .interp import (
@@ -142,8 +143,6 @@ def _fmt(value) -> str:
         return str(value)
     if isinstance(value, Poly):
         return ",".join(format_rational(c) for c in value.coeffs) if value.coeffs else "0"
-    if isinstance(value, (tuple, list)):
-        return ",".join(_fmt(v) for v in value)
     raise TypeError(f"no stable formatting for {type(value).__name__}")
 
 
@@ -195,13 +194,14 @@ def _random_regular_data(rng: SplitMix64, k: int, ell: int) -> AffineData:
 
 def _suite_prop3(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
     """det A_sub(ell, kappa) by det_A_sub_from_cofactors, the signed
-    last-row cofactors; kappa = 1 is eliminated on its own instead, so
-    Bareiss stays checked against the closed form once per ell."""
+    last-row cofactors; kappa = 1 is eliminated on its own instead, its
+    integer rows by det_integer_rows, so Bareiss stays checked against the
+    closed form once per ell."""
     for ell in range(1, max_ell + 1):
         cofactors = power_row_cofactors(ell)
         for kappa in range(1, ell + 2):
             if kappa == 1:
-                direct = det_fraction_free(build_A_sub(ell, kappa))
+                direct = det_integer_rows(build_A_sub(ell, kappa))
             else:
                 direct = det_A_sub_from_cofactors(cofactors, kappa)
             report.case(lambda: f"ell={ell} kappa={kappa}", direct, det_A_sub_closed_form(ell, kappa))
@@ -210,14 +210,18 @@ def _suite_prop3(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: in
 def _suite_prop2(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
     """AlternatingSums.det against the Laplace expansion along the last row,
     det_A_from_cofactors; (s, trial) = (0, 0) is eliminated on its own
-    instead, once per ell."""
+    instead, once per ell: build_A's rational value row is cleared over its
+    lcm, det_integer_rows runs on the integer rows, and one division by that
+    lcm follows."""
     for ell in range(1, max_ell + 1):
         cofactors = power_row_cofactors(ell)
         for s in range(ell + 1):
             for trial in range(trials):
                 a = _random_vector(rng, ell + 1)
                 if s == trial == 0:
-                    direct = det_fraction_free(build_A(ell, s, a))
+                    rows = build_A(ell, s, a)
+                    common, rows[-1] = over_common_denominator(rows[-1])
+                    direct = Fraction(det_integer_rows(rows), common)
                 else:
                     direct = det_A_from_cofactors(cofactors, s, a)
                 report.case(

@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from degdet.combinat import binomial, tau
-from degdet.exactnum import ExactMatrix, Poly, Rational, RationalLike, det_fraction_free, format_rational, rat
+from degdet.exactnum import Poly, Rational, RationalLike, det_fraction_free, format_rational, rat
 from degdet.interp import poly_K
 
 
@@ -53,22 +53,17 @@ def lagrange_basis_hat(ell: int, j: int) -> Poly:
     return quotient * Fraction(sign * binomial(ell, j), math.factorial(ell))
 
 
-def rows_of(m: ExactMatrix) -> list[list[Rational]]:
-    """The entries of m as a list of row lists."""
-    return [list(m.row(i)) for i in range(m.rows)]
-
-
-def det_cofactor(m: ExactMatrix) -> Rational:
-    """Determinant by first-row cofactor expansion.
+def det_cofactor(rows: Sequence[Sequence[Rational]]) -> Rational:
+    """Determinant of the square matrix with these rows by first-row
+    cofactor expansion.
 
     Factorial cost; kept as the independent small-size oracle for
     det_fraction_free, not for production use.
     """
-    if not m.is_square:
-        raise ValueError(f"determinant requires a square matrix, got {m.rows}x{m.cols}")
-    grid = rows_of(m)
+    if not rows or any(len(r) != len(rows) for r in rows):
+        raise ValueError(f"determinant requires a square matrix, got rows of lengths {[len(r) for r in rows]}")
 
-    def expand(rows: list[list[Rational]]) -> Rational:
+    def expand(rows: Sequence[Sequence[Rational]]) -> Rational:
         size = len(rows)
         if size == 1:
             return rows[0][0]
@@ -81,7 +76,7 @@ def det_cofactor(m: ExactMatrix) -> Rational:
             total += term if j % 2 == 0 else -term
         return total
 
-    return expand(grid)
+    return expand(rows)
 
 
 def sigma_lsk(ell: int, s: int, k: int) -> Rational:
@@ -104,7 +99,7 @@ def gen_vandermonde_det(nu: Sequence[RationalLike], mu: Sequence[int]) -> Ration
     oracle of the eq. 5/5c power-table minors in degdet.vandermonde."""
     if not mu:
         return Fraction(1)
-    return det_fraction_free(ExactMatrix.from_rows([[rat(x) ** e for e in mu] for x in nu]))
+    return det_fraction_free([[rat(x) ** e for e in mu] for x in nu])
 
 
 def vandermonde_product(nu: Sequence[RationalLike]) -> Rational:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from degdet.exactnum import (
     CONTENT_BITS,
     NEG_INF,
-    ExactMatrix,
     Poly,
     det_fraction_free,
     det_integer_rows,
@@ -42,7 +41,7 @@ def square_matrices(max_size):
     return st.integers(min_value=1, max_value=max_size).flatmap(
         lambda n: st.lists(
             st.lists(small_rationals, min_size=n, max_size=n), min_size=n, max_size=n
-        ).map(ExactMatrix.from_rows)
+        )
     )
 
 
@@ -210,33 +209,34 @@ class TestPoly:
             divide_linear(Poly([1, 1]), 5)
 
 
-class TestExactMatrix:
-    def test_entry_count_enforced(self):
-        with pytest.raises(ValueError):
-            ExactMatrix(2, 2, [1, 2, 3])
-        with pytest.raises(ValueError):
-            ExactMatrix.from_rows([[1, 2], [3]])
+class TestDetFractionFree:
+    """det_fraction_free on rows of rationals, against the cofactor oracle."""
 
-    def test_dimensions_positive(self):
-        with pytest.raises(ValueError):
-            ExactMatrix(0, 1, [])
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2], [3, 4], [5]]])
+    def test_rejects_ragged_rows(self, rows):
+        with pytest.raises(ValueError, match="square matrix"):
+            det_fraction_free(rows)
+
+    def test_rejects_the_empty_matrix(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            det_fraction_free([])
 
     def test_det_2x2_example(self):
-        m = ExactMatrix.from_rows([[2, 3], [5, 6]])
+        m = [[2, 3], [5, 6]]
         assert det_fraction_free(m) == -3
         assert det_cofactor(m) == -3
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_det_identity(self, n):
-        identity = ExactMatrix(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         assert det_fraction_free(identity) == 1
 
     def test_det_repeated_row_vanishes(self):
-        m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [1, 2, 3]])
+        m = [[1, 2, 3], [4, 5, 6], [1, 2, 3]]
         assert det_fraction_free(m) == 0
 
     def test_det_rejects_non_square(self):
-        m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        m = [[1, 2, 3], [4, 5, 6]]
         with pytest.raises(ValueError):
             det_fraction_free(m)
         with pytest.raises(ValueError):
@@ -248,26 +248,24 @@ class TestExactMatrix:
 
     def test_bareiss_matches_cofactor_at_size_five(self):
         # pivoting gets exercised by the zero diagonal
-        m = ExactMatrix.from_rows(
-            [
-                [0, 2, Fraction(1, 2), -1, 3],
-                [1, 0, 4, Fraction(-2, 3), 0],
-                [2, 2, 0, 1, -5],
-                [Fraction(3, 4), -1, 1, 0, 2],
-                [0, 1, -3, 2, 0],
-            ]
-        )
+        m = [
+            [0, 2, Fraction(1, 2), -1, 3],
+            [1, 0, 4, Fraction(-2, 3), 0],
+            [2, 2, 0, 1, -5],
+            [Fraction(3, 4), -1, 1, 0, 2],
+            [0, 1, -3, 2, 0],
+        ]
         assert det_fraction_free(m) == det_cofactor(m)
 
     def test_bareiss_matches_cofactor_on_seeded_sweep(self):
         rng = SplitMix64(17)
         for n in range(1, 6):
             for _ in range(10):
-                m = ExactMatrix(n, n, [rng.rational() for _ in range(n * n)])
+                m = [[rng.rational() for _ in range(n)] for _ in range(n)]
                 assert det_fraction_free(m) == det_cofactor(m)
 
     def test_singular_via_elimination(self):
-        m = ExactMatrix.from_rows([[1, 2], [2, 4]])
+        m = [[1, 2], [2, 4]]
         assert det_fraction_free(m) == 0
 
 
@@ -277,7 +275,7 @@ class TestDetIntegerRows:
 
     @staticmethod
     def assert_matches_cofactor(rows):
-        expected = det_cofactor(ExactMatrix.from_rows(rows))
+        expected = det_cofactor(rows)
         value = det_integer_rows([list(r) for r in rows])
         assert isinstance(value, int)
         assert value == expected
@@ -353,7 +351,7 @@ class TestLastRowCofactors:
         assert len(cofactors) == n
         assert all(type(c) is int for c in cofactors)
         for last_row in last_rows:
-            m = ExactMatrix.from_rows(head + [list(last_row)])
+            m = head + [list(last_row)]
             value = Fraction(sum((c * r for c, r in zip(cofactors, last_row)), Fraction(0)), scale)
             assert value == det_fraction_free(m)
             if n <= 6:
@@ -430,7 +428,7 @@ class TestContentStep:
     def det_and_cofactors_match_oracle(rows):
         """det_integer_rows of rows, and last_row_cofactors of all rows but
         the last, against det_cofactor; returns the determinant."""
-        expected = det_cofactor(ExactMatrix.from_rows(rows))
+        expected = det_cofactor(rows)
         assert det_integer_rows([list(r) for r in rows]) == expected
         cofactors = last_row_cofactors([list(r) for r in rows[:-1]])
         assert sum(c * x for c, x in zip(cofactors, rows[-1])) == expected

@@ -1,8 +1,9 @@
 """One traced benchmark pass (perfbench/one_pass.py with "trace": true) on a
 small plan.  The span tracer reads arguments and results of some traced
-functions (det_fraction_free's matrix, detect_degree's determinants), so a
-signature change there breaks traced runs even when every call site in
-degdet is updated; this runs the tracer end to end inside tier-1."""
+functions (detect_degree's determinants, sigma_ell's value), so a signature
+change there breaks traced runs even when every call site in degdet is
+updated; this runs the tracer end to end inside tier-1, on every command and
+on every verify suite."""
 
 import json
 import os
@@ -42,6 +43,7 @@ def test_traced_pass_runs_every_op(tmp_path):
         ["degree", "--input", problem, "--mode", "matrix"],
         ["det", "--matrix", "A", "--ell", "2", "--s", "1", "--a", "1,1/2,-3"],
         ["verify", "--suite", "prop2", "--max-ell", "2", "--trials", "1"],
+        ["verify", "--suite", "all", "--max-ell", "2", "--trials", "1"],
     ]
     assert traced_pass(tmp_path, ops)["layers"]
 
@@ -60,17 +62,26 @@ def test_traced_degree_layers(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "op,eliminations",
+    "op",
     [
-        (["det", "--matrix", "A", "--ell", "2", "--s", "1", "--a", "1,1/2,-3"], 0),
-        (["verify", "--suite", "prop2", "--max-ell", "2", "--trials", "1"], 2),
+        ["det", "--matrix", "A", "--ell", "2", "--s", "1", "--a", "1,1/2,-3"],
+        ["verify", "--suite", "prop2", "--max-ell", "2", "--trials", "1"],
     ],
     ids=["det-A", "prop2"],
 )
-def test_traced_routes_of_A(tmp_path, op, eliminations):
+def test_traced_routes_of_A(tmp_path, op):
     # the closed form is AlternatingSums.det, never the reference sum; det
-    # --matrix A eliminates only the power rows, and prop2 runs one full
-    # Bareiss per ell
+    # --matrix A eliminates only the power rows, and prop2's one full
+    # Bareiss per ell runs on integer rows, not through det_fraction_free
     layers = traced_pass(tmp_path, [op])["layers"]
     assert layers["degreematrix.alternating_weighted_sum.calls"] == 0
-    assert layers["exactnum.det_fraction_free.calls"] == eliminations
+    assert layers["exactnum.det_fraction_free.calls"] == 0
+
+
+def test_traced_verify_all_eliminates_no_fraction_matrix(tmp_path):
+    # every suite, traced: none reaches det_fraction_free or build_B, the
+    # Fraction-matrix oracles that only the tests call
+    layers = traced_pass(tmp_path, [["verify", "--suite", "all", "--max-ell", "2", "--trials", "1"]])["layers"]
+    assert layers["verify.run_suite.calls"] == 10
+    assert layers["exactnum.det_fraction_free.calls"] == 0
+    assert layers["vandermonde.build_B.calls"] == 0

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from degdet.combinat import binomial
-from degdet.exactnum import ExactMatrix, det_fraction_free
+from degdet.exactnum import det_fraction_free
 from degdet.rng import SplitMix64
 from degdet.verify import run_suite
 from degdet.vandermonde import (
@@ -20,10 +20,11 @@ from degdet.vandermonde import (
     det_B_expansion,
     det_B_expansion_complement,
     det_B_zero_check,
+    elimination_cost,
     regularity_check,
 )
 
-from oracles import det_cofactor, gen_vandermonde_det, rows_of, schur_eval, vandermonde_product
+from oracles import det_cofactor, gen_vandermonde_det, schur_eval, vandermonde_product
 
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -58,15 +59,15 @@ class TestAffineData:
 class TestBuildB:
     def test_exponent_zero_gives_all_ones(self):
         data = AffineData(2, 1, [3, -2], [1, 5], [0, 1])
-        assert rows_of(build_B(data)) == [[1, 1], [1, 1]]
+        assert build_B(data) == [[1, 1], [1, 1]]
 
     def test_squared_offsets(self):
         data = AffineData(2, 3, [0, 3], [1, 1], [2, 3])
-        assert rows_of(build_B(data)) == [[4, 9], [25, 36]]
+        assert build_B(data) == [[4, 9], [25, 36]]
 
     def test_single_entry(self):
         data = AffineData(1, 2, [1], [1], [5])
-        assert rows_of(build_B(data)) == [[6]]
+        assert build_B(data) == [[6]]
 
     @pytest.mark.parametrize("ell", [1, 2, 3, 5])
     def test_entries_match_the_rational_powers(self, ell):
@@ -77,7 +78,7 @@ class TestBuildB:
         r = [1, Fraction(3, 2), 0, Fraction(-2, 5)]
         data = AffineData(4, ell, alpha, beta, r)
         expected = [[(a + rj * b) ** (ell - 1) for rj in r] for a, b in zip(alpha, beta)]
-        assert rows_of(build_B(data)) == expected
+        assert build_B(data) == expected
         assert expected[0][0] == expected[1][1] == expected[2][2] == (1 if ell == 1 else 0)
 
     def test_seeded_entries_match_the_rational_powers(self):
@@ -86,7 +87,7 @@ class TestBuildB:
             for k in range(1, 5):
                 data = random_affine(rng, k, ell)
                 expected = [[(a + rj * b) ** (ell - 1) for rj in data.r] for a, b in zip(data.alpha, data.beta)]
-                assert rows_of(build_B(data)) == expected
+                assert build_B(data) == expected
 
 
 class TestDetB:
@@ -114,6 +115,24 @@ class TestDetB:
         value = det_B(data)
         assert value == det_fraction_free(build_B(data)) == det_cofactor(build_B(data))
         assert value != 0
+
+
+class TestEliminationCost:
+    """elimination_cost, det_B's estimated work in digit steps."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 40])
+    def test_stops_at_the_rank_bound(self, k):
+        # at ell = 1 every entry is 1 (n = 1 digit) and the rank is 1, so one
+        # step of (k-1)^2 updates, k^2 powers and the final gcd's 3 remain
+        data = AffineData(k, 1, range(k), [1] * k, range(k))
+        assert elimination_cost(data) == (k - 1) ** 2 + k * k + 3
+
+    def test_entries_are_sized_by_the_largest_base(self):
+        # bases A_i Q + R_j B_i = 7 + 2j for j < 3 (Q = 1): at most 11, 4 bits;
+        # with ell - 1 = 15 an entry has 1 + 60 // 30 = 3 digits, and
+        # steps 1 and 2 take 4 and 1 updates of 3 and 6 digits
+        data = AffineData(3, 16, [7] * 3, [2] * 3, range(3))
+        assert elimination_cost(data) == 4 * 3**2 + 1 * 6**2 + (3 * 3) ** 2 + 3 * (3 * 3) ** 2
 
 
 class TestGenVandermonde:
@@ -146,7 +165,7 @@ class TestGenVandermonde:
         ],
     )
     def test_matches_cofactor_of_the_power_matrix(self, nu, entries):
-        powers = ExactMatrix.from_rows([[Fraction(x) ** e for e in entries] for x in nu])
+        powers = [[Fraction(x) ** e for e in entries] for x in nu]
         assert gen_vandermonde_det(nu, entries) == det_cofactor(powers)
 
     def test_seeded_sweep_matches_cofactor(self):
@@ -155,7 +174,7 @@ class TestGenVandermonde:
             for k in range(1, ell + 1):
                 for mu in itertools.islice(itertools.combinations(range(ell), k), 4):
                     nu = [rng.rational() for _ in range(k)]
-                    powers = ExactMatrix.from_rows([[x**e for e in mu] for x in nu])
+                    powers = [[x**e for e in mu] for x in nu]
                     assert gen_vandermonde_det(nu, mu) == det_cofactor(powers)
 
     def test_initial_exponents_match_product_formula(self):

@@ -15,9 +15,9 @@ from degdet.cli import EXPANSION_MAX_COST, MATRIX_MAX_ELL, ProblemFileError, mai
 from degdet.degreematrix import AlternatingSums, alternating_weighted_sum, build_A_sub
 from degdet import verify
 from degdet.exactnum import (
-    ExactMatrix,
     Poly,
     det_fraction_free,
+    det_integer_rows,
     format_rational,
     last_row_cofactors,
     parse_rational,
@@ -26,7 +26,7 @@ from degdet.exactnum import (
 from degdet.interp import EquidistantProblem, newton_interpolate
 from degdet.rng import SplitMix64
 from degdet.vandermonde import AffineData, build_B
-from degdet.verify import DEFAULT_SEED, SUITES, run_suite
+from degdet.verify import DEFAULT_SEED, SUITES, VerifyReport, run_suite
 from oracles import splitmix64_scalar
 
 
@@ -545,13 +545,38 @@ class TestDetCommand:
         assert err.startswith(f"degdet: error: det --matrix B: the closed form sums C(ell, k) = {terms} terms, ")
         assert err.endswith(f" digit steps, above the bound {EXPANSION_MAX_COST:,}\n")
 
+    @pytest.mark.parametrize(
+        "k,ell,alpha,degree",
+        [
+            (60, 60, [0, *range(2, 61)], "59"),
+            (60, 50, range(1, 61), "49"),
+            (2, 10**40, [0, 1], "more than 10^30"),
+        ],
+        ids=["zero-alpha", "k-above-ell", "zero-alpha-huge-ell"],
+    )
+    def test_B_past_the_elimination_bound_exits_2(self, capsys, monkeypatch, k, ell, alpha, degree):
+        # no expansion (a zero alpha_i, or k > ell with its closed form 0),
+        # but the direct side's Bareiss on k x k powers would take minutes
+        def no_work(data):
+            raise AssertionError("expanded or eliminated past the cost bound")
+
+        monkeypatch.setattr("degdet.cli.det_B", no_work)
+        monkeypatch.setattr("degdet.cli.det_B_expansion", no_work)
+        data = AffineData(k, ell, alpha, [1] * k, [Fraction(1, j) for j in range(1, k + 1)])
+        code, out, err = run_cli(capsys, *det_B_argv(data))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"degdet: error: det --matrix B: the direct side eliminates a {k} x {k} matrix "
+                              f"of powers of degree {degree}, an estimated ")
+        assert err.endswith(f" digit steps, above the bound {EXPANSION_MAX_COST:,}\n")
+
     # zero alpha means no expansion and k > ell a closed form of 0, so the
-    # bound never applies; both print even where C(ell, k) is large
+    # expansion bound never applies; both print even where C(ell, k) is
+    # large, since their eliminations are small
     @pytest.mark.parametrize(
         "ell,alpha,closed_form",
         [(40, [0, 2, 3, 4, 5, 6], "n/a (expansion needs every alpha_i nonzero)"), (5, [1, 2, 3, 4, 5, 6], "0")],
     )
-    def test_B_without_an_expansion_is_not_bounded(self, capsys, ell, alpha, closed_form):
+    def test_B_without_an_expansion_skips_the_expansion_bound(self, capsys, ell, alpha, closed_form):
         data = AffineData(6, ell, alpha, [1] * 6, range(6))
         code, out, _ = run_cli(capsys, *det_B_argv(data))
         fields = out_fields(out)
@@ -592,8 +617,8 @@ class TestDetDirectSides:
 
 
 class TestNoFractionMatrix:
-    """degree and det build no Fraction matrix: with ExactMatrix and every
-    det_fraction_free forbidden, each report keeps its bytes."""
+    """degree, det and verify build no Fraction matrix: with every
+    det_fraction_free and build_B forbidden, each report keeps its bytes."""
 
     def test_reports_unchanged_with_the_fraction_matrix_layer_forbidden(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "golden.txt"
@@ -608,6 +633,7 @@ class TestNoFractionMatrix:
             ["det", "--matrix", "B", "--k", "2", "--ell", "3", "--alpha", "0,3", "--beta", "1,1", "--r", "2,3"],
             ["det", "--matrix", "B", "--k", "4", "--ell", "2", "--alpha", "1,2,3,4", "--beta", "1,0,1,2",
              "--r", "1,2,3,4"],
+            ["verify", "--suite", "all", "--max-ell", "3", "--trials", "2"],
         ]
         expected = [run_cli(capsys, *argv)[:2] for argv in runs]
         assert [code for code, _ in expected] == [0] * len(runs)
@@ -615,13 +641,14 @@ class TestNoFractionMatrix:
         def forbidden(*args, **kwargs):
             raise AssertionError("a production route built a Fraction matrix")
 
-        monkeypatch.setattr(ExactMatrix, "__init__", forbidden)
         patched = []
         for name, module in list(sys.modules.items()):
-            if (name == "degdet" or name.startswith("degdet.")) and hasattr(module, "det_fraction_free"):
-                monkeypatch.setattr(module, "det_fraction_free", forbidden)
-                patched.append(name)
-        assert "degdet.exactnum" in patched
+            if name == "degdet" or name.startswith("degdet."):
+                for builder in ("det_fraction_free", "build_B"):
+                    if hasattr(module, builder):
+                        monkeypatch.setattr(module, builder, forbidden)
+                        patched.append(f"{name}.{builder}")
+        assert {"degdet.exactnum.det_fraction_free", "degdet.vandermonde.build_B"} <= set(patched)
         assert [run_cli(capsys, *argv)[:2] for argv in runs] == expected
 
 
@@ -814,21 +841,29 @@ class TestVerifyCommand:
         det_calls = []
         cofactor_calls = []
 
-        def counting_det(m):
-            det_calls.append(m.rows)
-            return det_fraction_free(m)
+        def counting_det(rows):
+            det_calls.append(len(rows))
+            return det_integer_rows(rows)
 
         def counting_cofactors(rows):
             cofactor_calls.append(len(rows) + 1)
             return last_row_cofactors(rows)
 
-        monkeypatch.setattr(verify, "det_fraction_free", counting_det)
+        monkeypatch.setattr(verify, "det_integer_rows", counting_det)
         monkeypatch.setattr("degdet.degreematrix.last_row_cofactors", counting_cofactors)
         report = run_suite(suite, max_ell=16, trials=trials)
         assert report.passed
         assert report.cases_run == 152
         assert len(det_calls) == 16
         assert cofactor_calls == list(range(2, 18))
+
+    @pytest.mark.parametrize("value", [(1, 2), [Fraction(1, 2)], 0.5])
+    def test_failure_with_an_unformattable_value_raises(self, value):
+        # a case records ints, Fractions, booleans, degrees and Polys; any
+        # other value has no stable text, so recording it as a failure raises
+        report = VerifyReport("prop2", DEFAULT_SEED, 1, 1)
+        with pytest.raises(TypeError, match="no stable formatting"):
+            report.case(lambda: "label", value, None)
 
     def test_every_registered_suite_passes_small(self):
         for name, spec in SUITES.items():
