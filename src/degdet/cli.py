@@ -14,7 +14,6 @@ times go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -199,6 +198,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     suites_passed = sum(r.passed for r in reports)
     status = "PASS" if suites_passed == len(reports) else "FAIL"
     if args.json:
+        import json  # only --json needs it: kept out of every command's start-up
         document = {
             "reports": [r.to_dict() for r in reports],
             "summary": {"suites_run": len(reports), "suites_passed": suites_passed, "status": status},

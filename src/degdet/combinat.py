@@ -4,8 +4,8 @@ excluded-value symmetric sums (tau) built on them."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 
 def binomial(n: int, k: int) -> int:

@@ -12,14 +12,13 @@ other function returns new values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 
 def rat(value: RationalLike) -> Rational:
@@ -82,24 +81,69 @@ class NegativeInfinity:
 
 NEG_INF = NegativeInfinity()
 
-Degree = Union[int, NegativeInfinity]
+Degree = int | NegativeInfinity
 
 
-@dataclass(frozen=True)
-class Poly:
+class Record:
+    """An immutable value.  A subclass names its fields, in constructor
+    order, in _fields and every attribute it stores in __slots__.  Equality,
+    hashing, repr, copying and pickling read the fields alone, not the
+    attributes derived from them.  __init__ stores the fields; a record
+    built on a hot path stores each itself with object.__setattr__, without
+    the loop.  Any later assignment or deletion raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class Poly(Record):
     """Dense univariate polynomial over exact rationals.
 
     coeffs[k] multiplies t**k; trailing zeros are never stored, so the
     zero polynomial has an empty coefficient tuple and degree NEG_INF.
     """
 
-    coeffs: tuple[Rational, ...]
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         items = [rat(c) for c in coeffs]
         while items and items[-1] == 0:
             items.pop()
         object.__setattr__(self, "coeffs", tuple(items))
+
+    def __eq__(self, other):
+        # one direct tuple compare: every suite compares Polys
+        if other.__class__ is not Poly:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    __hash__ = Record.__hash__
 
     @staticmethod
     def linear_root(root: RationalLike) -> "Poly":

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .combinat import elementary_symmetric, tau
 from .degreematrix import AlternatingSums, det_A_from_cofactors, power_row_cofactors
@@ -20,6 +19,7 @@ from .exactnum import (
     Poly,
     Rational,
     RationalLike,
+    Record,
     format_rational,
     over_common_denominator,
     rat,
@@ -47,18 +47,15 @@ def equidistant_nodes(ell: int, xi: Rational, h: Rational) -> tuple[Rational, ..
     return tuple(Fraction(x, den) for x in grid)
 
 
-@dataclass(frozen=True)
-class EquidistantProblem:
+class EquidistantProblem(Record):
     """One interpolation instance on the grid x_i = xi + i*h, i = 0..ell.
 
-    sums, not a field since a determines it, is the AlternatingSums of the
+    sums, derived from a and so not compared, is the AlternatingSums of the
     values, built here and shared by every closed form below; integer_form
     gives the grid and the values in plain ints to the Newton oracle."""
 
-    ell: int
-    xi: Rational
-    h: Rational
-    a: tuple[Rational, ...]
+    _fields = ("ell", "xi", "h", "a")
+    __slots__ = _fields + ("sums",)
 
     def __init__(self, ell: int, xi: RationalLike, h: RationalLike, a):
         if ell < 1:
@@ -85,12 +82,10 @@ class EquidistantProblem:
         return _integer_grid(self.ell, self.xi, self.h), (self.sums.common, self.sums.numerators)
 
 
-@dataclass(frozen=True)
-class GeneralProblem:
+class GeneralProblem(Record):
     """An interpolation instance on arbitrary pairwise-distinct nodes."""
 
-    nodes: tuple[Rational, ...]
-    a: tuple[Rational, ...]
+    __slots__ = _fields = ("nodes", "a")
 
     def __init__(self, nodes, a):
         node_t = tuple(rat(x) for x in nodes)
@@ -101,8 +96,7 @@ class GeneralProblem:
             raise ValueError(f"nodes must be pairwise distinct, got {tuple(map(format_rational, node_t))}")
         if len(values) != len(node_t):
             raise ValueError(f"need one value per node: {len(values)} values for {len(node_t)} nodes")
-        object.__setattr__(self, "nodes", node_t)
-        object.__setattr__(self, "a", values)
+        super().__init__(node_t, values)
 
     @property
     def ell(self) -> int:
@@ -251,16 +245,18 @@ def derivative_at_left_node(problem: EquidistantProblem, s: int) -> Rational:
     return Fraction(total * math.factorial(order) * q**order, sums.common * math.factorial(ell) * p**order)
 
 
-@dataclass(frozen=True)
-class DegreeDetection:
+class DegreeDetection(Record):
     """Full detector output: the degree, the witness index m at which the
     determinant family first becomes nonzero (None when every determinant
     vanishes, i.e. the zero value vector), and the determinant values that
     were inspected, in order of s = 0, 1, ..."""
 
-    degree: Degree
-    witness_m: int | None
-    determinants: tuple[Rational, ...]
+    __slots__ = _fields = ("degree", "witness_m", "determinants")
+
+    def __init__(self, degree: Degree, witness_m: int | None, determinants: tuple[Rational, ...]):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "witness_m", witness_m)
+        object.__setattr__(self, "determinants", determinants)
 
 
 def _determinant_route(problem: EquidistantProblem, mode: str) -> Callable[[int], Rational]:
@@ -333,18 +329,13 @@ def general_expansion(problem: GeneralProblem) -> Poly:
     return Poly(_eq14_double_sum(elementary_symmetric(xs[1:]), inner))
 
 
-@dataclass(frozen=True)
-class GeneralExpansionComparison:
+class GeneralExpansionComparison(Record):
     """Structured comparison of the verbatim general expansion against the
     direct interpolant (newton_interpolate): either they match, or they
     differ by an exact constant ratio, or only the exact difference
     polynomial is reported.  Nothing is corrected silently."""
 
-    formula: Poly
-    oracle: Poly
-    match: bool
-    ratio: Rational | None
-    difference: Poly
+    __slots__ = _fields = ("formula", "oracle", "match", "ratio", "difference")
 
     @property
     def outcome(self) -> str:

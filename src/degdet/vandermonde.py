@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .exactnum import (
     Rational,
+    Record,
     det_integer_rows,
     format_rational,
     over_common_denominator,
@@ -26,20 +26,16 @@ class HypothesisViolation(ValueError):
         self.hypothesis = hypothesis
 
 
-@dataclass(frozen=True)
-class AffineData:
+class AffineData(Record):
     """Input triple (alpha, beta, r) for a k x k matrix of (ell-1)-th powers
     of the affine combinations alpha_i + r_j beta_i.  r must be injective.
 
-    integer_form, not a field since the fields determine it, is (A, B, D, Q,
-    R) in plain ints with alpha_i = A_i/D_i and beta_i = B_i/D_i (D_i the
+    integer_form, derived from the fields and so not compared, is (A, B, D,
+    Q, R) in plain ints with alpha_i = A_i/D_i and beta_i = B_i/D_i (D_i the
     lcm of their two denominators) and r_j = R_j/Q (Q the lcm of r's)."""
 
-    k: int
-    ell: int
-    alpha: tuple[Rational, ...]
-    beta: tuple[Rational, ...]
-    r: tuple[Rational, ...]
+    _fields = ("k", "ell", "alpha", "beta", "r")
+    __slots__ = _fields + ("integer_form",)
 
     def __init__(self, k: int, ell: int, alpha, beta, r):
         if k < 1:

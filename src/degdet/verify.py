@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .combinat import tau, tau_via_recurrence
 from .degreematrix import (
@@ -32,6 +31,7 @@ from .exactnum import (
     NegativeInfinity,
     Poly,
     Rational,
+    Record,
     det_integer_rows,
     format_rational,
     over_common_denominator,
@@ -62,24 +62,18 @@ from .vandermonde import (
 DEFAULT_SEED = 42
 
 
-@dataclass
-class CaseFailure:
-    inputs: str
-    expected: str
-    actual: str
+class CaseFailure(Record):
+    __slots__ = _fields = ("inputs", "expected", "actual")
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    seed: int
-    max_ell: int
-    trials: int
-    cases_run: int = 0
-    cases_passed: int = 0
-    failures: list[CaseFailure] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    elapsed_ms: int = 0
+    __slots__ = ("suite", "seed", "max_ell", "trials", "cases_run", "cases_passed", "failures", "notes", "elapsed_ms")
+
+    def __init__(self, suite: str, seed: int, max_ell: int, trials: int):
+        self.suite, self.seed, self.max_ell, self.trials = suite, seed, max_ell, trials
+        self.cases_run = self.cases_passed = self.elapsed_ms = 0
+        self.failures: list[CaseFailure] = []
+        self.notes: list[str] = []
 
     def case(self, inputs: Callable[[], str], expected, actual) -> None:
         """Record one case; inputs builds its label, and is called only
@@ -358,17 +352,17 @@ def _suite_remark5(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: 
                 report.case(lambda: f"{inputs} ratio-consistency", comparison.formula, comparison.oracle * comparison.ratio)
 
 
-@dataclass(frozen=True)
-class _SuiteSpec:
-    fn: Callable[[VerifyReport, SplitMix64, int, int], None]
-    max_ell: int
-    trials: int
-    summary: str
-    # The largest max_ell the suite accepts, and why: by default the pairwise
-    # distinct draws that rng's rationals can serve (remark5's nodes draw
-    # max_ell + 1 of them), above which the draws would repeat forever.
-    ell_cap: int | None = None
-    cap_reason: str = "its pairwise distinct random rationals run out above that"
+class _SuiteSpec(Record):
+    __slots__ = _fields = ("fn", "max_ell", "trials", "summary", "ell_cap", "cap_reason")
+
+    # ell_cap is the largest max_ell the suite accepts, and cap_reason why: by
+    # default the pairwise distinct draws that rng's rationals can serve
+    # (remark5's nodes draw max_ell + 1 of them), above which the draws would
+    # repeat forever.
+    def __init__(self, fn: Callable[[VerifyReport, SplitMix64, int, int], None], max_ell: int, trials: int,
+                 summary: str, ell_cap: int | None = None,
+                 cap_reason: str = "its pairwise distinct random rationals run out above that"):
+        super().__init__(fn, max_ell, trials, summary, ell_cap, cap_reason)
 
 
 # eq5 and eq5c sum all C(ell, k) exponent sequences per case: at the default
