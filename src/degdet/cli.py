@@ -151,9 +151,10 @@ def cmd_degree(args: argparse.Namespace) -> int:
     if args.mode == MODE_MATRIX:
         _check_matrix_ell(problem.ell, f"degree --mode {MODE_MATRIX}")
     detection = detect_degree(problem, args.mode)
-    # eq. 14 gives the coefficients c[k] of t**k with t = (x - xi)/h, so the
-    # coefficient of (x - xi)**k is c[k] / h**k, one Fraction with h = p/q.
+    # eq. 14 gives the coefficients n[k] / d of t**k with t = (x - xi)/h, so
+    # the coefficient of (x - xi)**k is n[k] q^k / (d p^k) with h = p/q.
     normalized = interpolate_eq14(problem)
+    nums = normalized.nums + (0,) * (problem.ell + 1 - len(normalized.nums))
     p, q = problem.h.numerator, problem.h.denominator
 
     # The whole report is built before any of it is written, so a failure
@@ -169,9 +170,7 @@ def cmd_degree(args: argparse.Namespace) -> int:
         f"witness_m: {'none' if detection.witness_m is None else detection.witness_m}",
     ]
     lines += [f"det[{s}]: {format_rational(value)}" for s, value in enumerate(detection.determinants)]
-    for k in range(problem.ell + 1):
-        c = normalized.coefficient(k)
-        lines.append(f"b[{k}]: {format_rational(Rational(c.numerator * q**k, c.denominator * p**k))}")
+    lines += [f"b[{k}]: {format_rational(Rational(n * q**k, normalized.den * p**k))}" for k, n in enumerate(nums)]
     print("\n".join(lines))
     return 0
 
@@ -261,7 +260,7 @@ def cmd_det(args: argparse.Namespace) -> int:
             f"beta: {', '.join(map(format_rational, beta))}",
             f"r: {', '.join(map(format_rational, r))}",
         ]
-        expand = args.k <= args.ell and all(x != 0 for x in alpha)
+        expand = args.k <= args.ell and all(alpha)
         cost = expansion_cost(data) if expand else 0
         if cost > EXPANSION_MAX_COST:
             raise ValueError(

@@ -2,11 +2,12 @@
 
 Rationals are arbitrary-precision fractions.Fraction values; the kernels
 clear denominators and work in plain ints, and no floating point enters any
-code path.  Poly is immutable.  A matrix is a list of its rows: the integer
-Bareiss kernels (det_integer_rows, last_row_cofactors) work in place on the
-integer rows they are given, and det_fraction_free, the rational route that
-only the tests call, clears each row of rationals over its lcm first; every
-other function returns new values.
+code path.  Poly is immutable: integer numerators over one denominator.
+A matrix is a list of its rows: the integer Bareiss kernels
+(det_integer_rows, last_row_cofactors) work in place on the integer rows
+they are given, and det_fraction_free, the rational route that only the
+tests call, clears each row of rationals over its lcm first; every other
+function returns new values.
 """
 
 from __future__ import annotations
@@ -123,27 +124,46 @@ class Record:
 
 
 class Poly(Record):
-    """Dense univariate polynomial over exact rationals.
-
-    coeffs[k] multiplies t**k; trailing zeros are never stored, so the
-    zero polynomial has an empty coefficient tuple and degree NEG_INF.
+    """Dense univariate polynomial over exact rationals, stored as integer
+    numerators over one denominator: t**k has the coefficient nums[k] / den,
+    with den > 0, gcd(den, *nums) == 1 and no trailing zero, so the zero
+    polynomial is (1, ()), of degree NEG_INF.  The field coeffs, one
+    Fraction per coefficient, is derived on each read.
     """
 
-    __slots__ = _fields = ("coeffs",)
+    _fields = ("coeffs",)
+    __slots__ = ("den", "nums")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        items = [rat(c) for c in coeffs]
-        while items and items[-1] == 0:
-            items.pop()
-        object.__setattr__(self, "coeffs", tuple(items))
+        den, nums = over_common_denominator([rat(c) for c in coeffs])
+        while nums and not nums[-1]:
+            nums.pop()
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", tuple(nums))
+
+    @staticmethod
+    def over(den: int, nums: Iterable[int]) -> "Poly":
+        """The coefficients nums[k] / den, den a nonzero int, in lowest terms."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        p = object.__new__(Poly)
+        object.__setattr__(p, "den", den // g)
+        object.__setattr__(p, "nums", tuple([n // g for n in nums]) if g != 1 else tuple(nums))
+        return p
+
+    @property
+    def coeffs(self) -> tuple[Rational, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __eq__(self, other):
-        # one direct tuple compare: every suite compares Polys
         if other.__class__ is not Poly:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
-    __hash__ = Record.__hash__
+    def __hash__(self):
+        return hash((self.den, self.nums))
 
     @staticmethod
     def linear_root(root: RationalLike) -> "Poly":
@@ -152,84 +172,64 @@ class Poly(Record):
 
     @property
     def degree(self) -> Degree:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.nums) - 1 if self.nums else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading_coefficient(self) -> Rational:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coefficient(self, power: int) -> Rational:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
+        return not self.nums
 
     def __call__(self, x: RationalLike) -> Rational:
-        """Horner's rule in plain ints: with the coefficients n_k / d and
-        x = X / m, the value is sum_k n_k X^k m^(n-k) / (d m^n)."""
+        """Horner's rule in plain ints: with x = X / m, the value is
+        sum_k nums[k] X^k m^(n-k) / (den m^n)."""
         point = rat(x)
         X, m = point.numerator, point.denominator
-        d, nums = over_common_denominator(self.coeffs)
         acc, power = 0, 1
-        for c in reversed(nums):
+        for c in reversed(self.nums):
             acc = acc * X + c * power
             power *= m
-        return Fraction(acc * m, d * power)
+        return Fraction(acc * m, self.den * power)
 
     def __add__(self, other):
         if isinstance(other, (Fraction, int, str)):
             other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coefficient(k) + other.coefficient(k) for k in range(n)])
+        d = math.lcm(self.den, other.den)
+        a, b = sorted(([n * (d // p.den) for n in p.nums] for p in (self, other)), key=len)
+        return Poly.over(d, [x + y for x, y in zip(a, b)] + b[len(a):])
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly.over(self.den, [-n for n in self.nums])
 
     def __sub__(self, other):
-        if isinstance(other, (Fraction, int, str)):
-            other = Poly([other])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return -(-self + other)
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int, str)):
             scalar = rat(other)
-            return Poly([c * scalar for c in self.coeffs])
+            return Poly.over(self.den * scalar.denominator, [n * scalar.numerator for n in self.nums])
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(other.nums, i):
+                    out[j] += a * b
+        return Poly.over(self.den * other.den, out)
 
     def derivative(self, n: int = 1) -> "Poly":
         """The n-th derivative in one pass: t^k becomes k!/(k-n)! t^(k-n)."""
         if n < 0:
             raise ValueError("derivative order must be nonnegative")
-        return Poly([math.perm(k, n) * c for k, c in enumerate(self.coeffs)][n:])
+        return Poly.over(self.den, [math.perm(k, n) * c for k, c in enumerate(self.nums)][n:])
 
 
 def poly_shift_scale(p: Poly, xi: RationalLike, h: RationalLike) -> Poly:
     """Return p̂ with p̂(t) = p(xi + t*h); h must be nonzero so the substitution inverts.
 
-    With p's coefficients n_k / d over one denominator and xi + t*h =
-    (start + slope t) / m in integers, Horner's rule expands
-    sum_k n_k m^(n-k) (start + slope t)^k in plain ints, and coefficient j
-    of p̂ is that sum's coefficient j over d m^n, the only Fraction
-    arithmetic.
+    With xi + t*h = (start + slope t) / m in integers, Horner's rule expands
+    sum_k nums[k] m^(n-k) (start + slope t)^k in plain ints, and p̂ is that
+    sum over den m^n.
     """
     step = rat(h)
     if step == 0:
@@ -239,7 +239,7 @@ def poly_shift_scale(p: Poly, xi: RationalLike, h: RationalLike) -> Poly:
     shift = rat(xi)
     m = shift.denominator * step.denominator
     start, slope = shift.numerator * step.denominator, step.numerator * shift.denominator
-    d, nums = over_common_denominator(p.coeffs)
+    nums = p.nums
     acc = [nums[-1]]
     power = 1
     for c in reversed(nums[:-1]):
@@ -247,15 +247,14 @@ def poly_shift_scale(p: Poly, xi: RationalLike, h: RationalLike) -> Poly:
         acc = [start * acc[0] + c * power] + [
             start * high + slope * low for low, high in zip(acc, acc[1:])
         ] + [slope * acc[-1]]
-    scale = d * power
-    return Poly([Fraction(c, scale) for c in acc])
+    return Poly.over(p.den * power, acc)
 
 
 def over_common_denominator(values: Sequence[Rational]) -> tuple[int, list[int]]:
     """The lcm d of the denominators and the numerators over d, as plain ints:
-    values[i] = nums[i] / d.  An entry p/q becomes p * (d // q), exact because
-    q divides d; an entry already over d keeps its numerator, so integer
-    entries are reused, not copied."""
+    values[i] = nums[i] / d, and gcd(d, *nums) == 1.  An entry p/q becomes
+    p * (d // q), exact because q divides d; an entry already over d keeps
+    its numerator, so integer entries are reused, not copied."""
     denominators = [v.denominator for v in values]
     d = math.lcm(*denominators)
     return d, [v.numerator if q == d else v.numerator * (d // q) for v, q in zip(values, denominators)]

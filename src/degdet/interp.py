@@ -41,8 +41,8 @@ def _integer_grid(ell: int, xi: Rational, h: Rational) -> tuple[int, list[int]]:
 
 
 def equidistant_nodes(ell: int, xi: Rational, h: Rational) -> tuple[Rational, ...]:
-    """The grid xi + i*h, i = 0..ell, as Fractions: node i is X_i / Q, one
-    reduced Fraction each, from the integer grid (Q, X) of _integer_grid."""
+    """The grid xi + i*h, i = 0..ell, as the Fractions X_i / Q of the
+    integer grid (Q, X) from _integer_grid."""
     den, grid = _integer_grid(ell, xi, h)
     return tuple(Fraction(x, den) for x in grid)
 
@@ -119,11 +119,7 @@ def K_quotient_via_tau(ell: int, j: int) -> Poly:
     """
     if not 0 <= j <= ell:
         raise ValueError(f"root index j={j} outside [0, {ell}]")
-    coeffs = [Fraction(0)] * (ell + 1)
-    for m in range(ell + 1):
-        value = tau(ell, m, j)
-        coeffs[ell - m] = Fraction(-value if m % 2 else value)
-    return Poly(coeffs)
+    return Poly.over(1, [(-1) ** m * tau(ell, m, j) for m in range(ell, -1, -1)])
 
 
 def lagrange_interpolate(nodes: Sequence[RationalLike], values: Sequence[RationalLike]) -> Poly:
@@ -177,9 +173,9 @@ def newton_from_integer_form(grid: tuple[int, Sequence[int]], values: tuple[int,
     so every E_k divides L = E_ell and the Newton coefficients are n_k / L
     with integer n_k.  Horner's rule expands
     sum_k n_k prod_(j<k) (u - X_j) = sum_j c_j u^j in integers, and with
-    u = Q x the coefficient of x^j is c_j Q^j / (L D), the only Fraction
-    arithmetic; it reduces, so any common denominator Q gives the same
-    Poly.  It shares no code with the closed forms it is the oracle for.
+    u = Q x the coefficient of x^j is c_j Q^j / (L D), and Poly.over
+    reduces it, so any common denominator Q gives the same Poly.  It
+    shares no code with the closed forms it is the oracle for.
     """
     q, xs = grid
     d, column = values
@@ -198,8 +194,7 @@ def newton_from_integer_form(grid: tuple[int, Sequence[int]], values: tuple[int,
         acc = [-root * acc[0] + leading[k] * (common // denominators[k])] + [
             low - root * high for low, high in zip(acc, acc[1:])
         ] + [acc[-1]]
-    scale = common * d
-    return Poly([Fraction(c * q**j, scale) for j, c in enumerate(acc)])
+    return Poly.over(common * d, [c * q**j for j, c in enumerate(acc)])
 
 
 def interpolate_eq14(problem: EquidistantProblem) -> Poly:
@@ -211,14 +206,14 @@ def interpolate_eq14(problem: EquidistantProblem) -> Poly:
             (-1)^(k+m) tau(ell, m-k, 0) S_k  t^(ell-m)
 
     where S_k = sum_j (-1)^j C(ell, j) j^k a_j, read from problem.sums as
-    L * S_k and summed in plain ints, with one division per coefficient.
+    L * S_k and summed in plain ints, over one denominator.
     Shifting the direct interpolant by (xi, h) reproduces this polynomial
     exactly.
     """
     ell, sums = problem.ell, problem.sums
     sym = [tau(ell, m, 0) for m in range(ell + 1)]
     scale = (-1) ** ell * sums.common * math.factorial(ell)
-    return Poly([Fraction(c, scale) for c in _eq14_double_sum(sym, [sums[k] for k in range(ell + 1)])])
+    return Poly.over(scale, _eq14_double_sum(sym, [sums[k] for k in range(ell + 1)]))
 
 
 def _eq14_double_sum(sym: Sequence, inner: Sequence) -> list:
@@ -262,10 +257,12 @@ class DegreeDetection(Record):
 def _determinant_route(problem: EquidistantProblem, mode: str) -> Callable[[int], Rational]:
     """The map s -> determinant for one detection.
 
-    Closed-form mode reads problem.sums.det, which computes sigma_ell on
-    its first read and keeps it.  Matrix mode eliminates the ell power rows,
-    which every s shares, once (power_row_cofactors); each determinant is
-    then their Laplace expansion along the last row, det_A_from_cofactors.
+    Closed-form mode reads problem.sums.det, sigma_ell (computed on the
+    first read and kept) times an alternating binomial sum.  Matrix mode,
+    the cross-check on the explicit matrices, eliminates the ell power
+    rows, which every s shares, once (power_row_cofactors); each
+    determinant is then their Laplace expansion along the last row,
+    det_A_from_cofactors, and sigma_ell is never computed.
     """
     if mode == MODE_CLOSED_FORM:
         return problem.sums.det
@@ -277,18 +274,10 @@ def _determinant_route(problem: EquidistantProblem, mode: str) -> Callable[[int]
 
 def detect_degree(problem: EquidistantProblem, mode: str = MODE_CLOSED_FORM) -> DegreeDetection:
     """Degree of the interpolant read off the determinant family: the degree
-    is ell - m for the smallest m with a nonzero determinant.
-
-    The closed-form mode reads each determinant as sigma_ell times an
-    alternating binomial sum from problem.sums.det (O(ell) per step and
-    independent of xi and h), computing sigma_ell once per detection.  The
-    matrix mode is the cross-check on the explicit matrices: one
-    fraction-free elimination of the ell power rows that every matrix in
-    the family shares gives the integer last-row cofactors, and each
-    determinant is then their dot product with the last row (O(ell) per
-    step); it never computes sigma_ell.  Only the all-zero value vector
-    makes every determinant vanish, which is the zero interpolant.
-    """
+    is ell - m for the smallest m with a nonzero determinant, each one read
+    in O(ell) by the mode's route (_determinant_route).  Only the all-zero
+    value vector makes every determinant vanish, which is the zero
+    interpolant."""
     ell = problem.ell
     determinant = _determinant_route(problem, mode)
     dets: list[Rational] = []
@@ -318,10 +307,8 @@ def general_expansion(problem: GeneralProblem) -> Poly:
     """
     xs = problem.nodes
     ell = problem.ell
-    lam = []
-    for j, xj in enumerate(xs):
-        denom = math.prod((xi - xj for i, xi in enumerate(xs) if i != j), start=Fraction(1))
-        lam.append(1 / denom)
+    lam = [1 / math.prod((xi - xj for i, xi in enumerate(xs) if i != j), start=Fraction(1))
+           for j, xj in enumerate(xs)]
     inner = [
         sum((lam[j] * xs[j] ** k * problem.a[j] for j in range(ell + 1)), start=Fraction(0))
         for k in range(ell + 1)
@@ -343,8 +330,7 @@ class GeneralExpansionComparison(Record):
             return "match"
         if self.ratio is not None:
             return f"proportional ratio={format_rational(self.ratio)}"
-        inner = ",".join(format_rational(c) for c in self.difference.coeffs)
-        return f"difference coeffs={inner}"
+        return "difference coeffs=" + ",".join(map(format_rational, self.difference.coeffs))
 
 
 def compare_general_expansion(problem: GeneralProblem) -> GeneralExpansionComparison:
@@ -355,7 +341,7 @@ def compare_general_expansion(problem: GeneralProblem) -> GeneralExpansionCompar
         return GeneralExpansionComparison(formula, oracle, True, ratio, Poly())
     ratio = None
     if not oracle.is_zero and formula.degree == oracle.degree:
-        candidate = formula.leading_coefficient / oracle.leading_coefficient
+        candidate = formula.coeffs[-1] / oracle.coeffs[-1]
         if formula == oracle * candidate:
             ratio = candidate
     return GeneralExpansionComparison(formula, oracle, False, ratio, formula - oracle)

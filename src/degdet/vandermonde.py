@@ -51,57 +51,62 @@ class AffineData(Record):
         Q, R = over_common_denominator(r_t)
         if len(set(R)) != k:
             raise ValueError(f"r must be injective, got {tuple(map(format_rational, r_t))}")
-        A: list[int] = []
-        B: list[int] = []
-        D: list[int] = []
+        rows = []
         for a, b in zip(alpha_t, beta_t):
-            da, db = a.denominator, b.denominator
-            d = da * db // math.gcd(da, db)
-            A.append(a.numerator * (d // da))
-            B.append(b.numerator * (d // db))
-            D.append(d)
+            (p, da), (q, db) = a.as_integer_ratio(), b.as_integer_ratio()
+            d = math.lcm(da, db)
+            rows.append((a, b, p * (d // da), q * (d // db), d))
+        self._set(k, ell, rows, r_t, Q, R)
+
+    @classmethod
+    def _trusted(cls, k: int, ell: int, rows, r) -> "AffineData":
+        """The AffineData of data a drawer made valid, given as its rows
+        (alpha_i, beta_i, A_i, B_i, D_i) and r: nothing is converted or re-checked."""
+        data = object.__new__(cls)
+        data._set(k, ell, rows, r, *over_common_denominator(r))
+        return data
+
+    def _set(self, k, ell, rows, r, Q, R):
+        alpha, beta, A, B, D = zip(*rows)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "alpha", alpha_t)
-        object.__setattr__(self, "beta", beta_t)
-        object.__setattr__(self, "r", r_t)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "integer_form", (A, B, D, Q, R))
 
     def rho(self) -> tuple[Rational, ...]:
         """The ratios beta_i / alpha_i; defined only when every alpha_i is nonzero."""
-        if any(x == 0 for x in self.alpha):
+        if not all(self.alpha):
             raise ValueError("rho needs every alpha_i nonzero")
         return tuple(b / a for a, b in zip(self.alpha, self.beta))
 
     def inverse_rho(self) -> tuple[Rational, ...]:
         """The ratios alpha_i / beta_i; defined only when every beta_i is nonzero."""
-        if any(x == 0 for x in self.beta):
+        if not all(self.beta):
             raise ValueError("inverse rho needs every beta_i nonzero")
         return tuple(a / b for a, b in zip(self.alpha, self.beta))
 
 
-def _scaled_B_rows(A: list[int], B: list[int], Q: int, R: list[int], power: int) -> list[list[int]]:
-    """Row i of B times (D_i Q)^power: the integers (A_i Q + R_j B_i)^power."""
-    return [[(a * Q + rj * b) ** power for rj in R] for a, b in zip(A, B)]
+def _scaled_B_rows(data: AffineData) -> list[list[int]]:
+    """Row i of B times (D_i Q)^(ell-1): the integers (A_i Q + R_j B_i)^(ell-1)."""
+    A, B, _, Q, R = data.integer_form
+    return [[(a * Q + rj * b) ** (data.ell - 1) for rj in R] for a, b in zip(A, B)]
 
 
 def build_B(data: AffineData) -> list[list[Rational]]:
     """The rows of the k x k matrix with entries (alpha_i + r_j beta_i)^(ell-1);
     0^0 = 1."""
-    A, B, D, Q, R = data.integer_form
-    power = data.ell - 1
-    scales = [(d * Q) ** power for d in D]
-    rows = _scaled_B_rows(A, B, Q, R, power)
-    return [[Fraction(e, s) for e in row] for row, s in zip(rows, scales)]
+    _, _, D, Q, _ = data.integer_form
+    scales = [(d * Q) ** (data.ell - 1) for d in D]
+    return [[Fraction(e, s) for e in row] for row, s in zip(_scaled_B_rows(data), scales)]
 
 
 def det_B(data: AffineData) -> Rational:
-    """det build_B(data) by Bareiss on the integer rows (A_i Q + R_j B_i)^(ell-1),
-    row i being row i of B times (D_i Q)^(ell-1), over the product of those
-    scales: one Fraction, and no k x k matrix of them."""
-    A, B, D, Q, R = data.integer_form
-    power = data.ell - 1
-    return Fraction(det_integer_rows(_scaled_B_rows(A, B, Q, R, power)), math.prod(d * Q for d in D) ** power)
+    """det build_B(data) by Bareiss on _scaled_B_rows, over the product of
+    their scales (D_i Q)^(ell-1): one Fraction, and no k x k matrix of them."""
+    _, _, D, Q, _ = data.integer_form
+    return Fraction(det_integer_rows(_scaled_B_rows(data)), math.prod(d * Q for d in D) ** (data.ell - 1))
 
 
 def _power_table(points: Sequence[Rational], ell: int) -> tuple[int, list[list[int]]]:
@@ -201,7 +206,7 @@ def det_B_expansion_complement(data: AffineData) -> Rational:
     """
     if data.k > data.ell:
         raise ValueError("expansion needs k <= ell (the determinant is 0 for k > ell; see det_B_zero_check)")
-    if any(x == 0 for x in data.alpha):
+    if not all(data.alpha):
         raise ValueError("complementary expansion needs every alpha_i nonzero")
     total = _binomial_vandermonde_sum(data, data.beta, data.inverse_rho(), _complement)
     return -total if (data.k * (data.k - 1) // 2) % 2 else total
@@ -224,7 +229,7 @@ def regularity_check(data: AffineData) -> bool:
     The hypotheses are decided on data.integer_form: with alpha_i = A_i/D_i
     and beta_i = B_i/D_i over one positive D_i, the ratio is positive iff
     A_i B_i > 0, and the cross product vanishes iff A_i B_j - B_i A_j does.
-    det(B) comes from det_B."""
+    So is det(B) != 0, on det_B's integer rows: their scales are positive."""
     A, B, _, _, R = data.integer_form
     for i, (a, b) in enumerate(zip(data.alpha, data.beta)):
         if A[i] * B[i] <= 0:
@@ -242,4 +247,4 @@ def regularity_check(data: AffineData) -> bool:
     for i, value in enumerate(data.r):
         if R[i] <= 0:
             raise HypothesisViolation("r-positive", f"r_{i + 1} = {format_rational(value)} is not positive")
-    return det_B(data) != 0
+    return det_integer_rows(_scaled_B_rows(data)) != 0

@@ -49,7 +49,7 @@ from .interp import (
     newton_from_integer_form,
     poly_K,
 )
-from .rng import _DISTINCT_POSITIVE, _DISTINCT_SIGNED, SplitMix64
+from .rng import _DISTINCT_POSITIVE, _DISTINCT_SIGNED, _RATIONALS, SplitMix64
 from .vandermonde import (
     AffineData,
     det_B,
@@ -136,7 +136,7 @@ def _fmt(value) -> str:
     if isinstance(value, (int, NegativeInfinity)):
         return str(value)
     if isinstance(value, Poly):
-        return ",".join(format_rational(c) for c in value.coeffs) if value.coeffs else "0"
+        return _csv(value.coeffs) or "0"
     raise TypeError(f"no stable formatting for {type(value).__name__}")
 
 
@@ -167,23 +167,19 @@ def _random_affine(rng: SplitMix64, k: int, ell: int, nonzero_alpha: bool, nonze
 def _random_regular_data(rng: SplitMix64, k: int, ell: int) -> AffineData:
     """Data satisfying the regularity hypotheses: each ratio alpha_i/beta_i
     positive, ratios pairwise distinct (so all cross products are nonzero),
-    r positive and injective."""
-    alpha: list[Rational] = []
-    beta: list[Rational] = []
-    ratios: set[tuple[int, int]] = set()  # a/b as a reduced (numerator, denominator) pair
-    while len(alpha) < k:
-        negative = rng.int_between(0, 1) == 1
-        a = rng.positive_rational()
-        b = rng.positive_rational()
-        p, q = a.numerator * b.denominator, a.denominator * b.numerator
-        g = math.gcd(p, q)
-        ratio = (p // g, q // g)
-        if ratio in ratios:
-            continue
-        ratios.add(ratio)
-        alpha.append(-a if negative else a)
-        beta.append(-b if negative else b)
-    return AffineData(k, ell, alpha, beta, rng.distinct_positive_rationals(k))
+    r positive and injective; each row is built in integer form as it is
+    drawn, its values read from rng's table of rationals."""
+    drawn = {}  # reduced alpha_i / beta_i -> (alpha_i, beta_i, A_i, B_i, D_i)
+    while len(drawn) < k:
+        sign = -1 if rng.below(2) else 1
+        (p, da), (q, db) = rng.positive_rational().as_integer_ratio(), rng.positive_rational().as_integer_ratio()
+        d = math.lcm(da, db)
+        x, y = p * (d // da), q * (d // db)
+        g = math.gcd(x, y)
+        if (x // g, y // g) not in drawn:
+            drawn[x // g, y // g] = (_RATIONALS[9 + sign * p][da - 1], _RATIONALS[9 + sign * q][db - 1],
+                                     sign * x, sign * y, d)
+    return AffineData._trusted(k, ell, drawn.values(), rng.distinct_positive_rationals(k))
 
 
 def _suite_prop3(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:

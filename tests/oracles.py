@@ -43,6 +43,50 @@ def divide_linear(p: Poly, root: RationalLike) -> Poly:
     return Poly(quotient)
 
 
+def trimmed(coeffs: Sequence[RationalLike]) -> tuple[Rational, ...]:
+    """coeffs as a tuple of Fractions without its trailing zeros: the
+    coefficient tuple every reference below returns."""
+    out = [rat(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def coeffs_sum(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Rational, ...]:
+    """The coefficients of a + b, Fraction by Fraction."""
+    n = max(len(a), len(b))
+    return trimmed([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)])
+
+
+def coeffs_product(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Rational, ...]:
+    """The coefficients of a * b by the Cauchy product, Fraction by Fraction."""
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trimmed(out)
+
+
+def coeffs_derivative(a: Sequence[Rational], n: int) -> tuple[Rational, ...]:
+    """The coefficients of the n-th derivative: t^k becomes k (k-1) ... (k-n+1) t^(k-n)."""
+    return trimmed([math.prod(range(k - n + 1, k + 1)) * c for k, c in enumerate(a) if k >= n])
+
+
+def coeffs_value(a: Sequence[Rational], x: Rational) -> Rational:
+    """sum_k a_k x^k, term by term in Fractions."""
+    return sum((c * x**k for k, c in enumerate(a)), Fraction(0))
+
+
+def coeffs_shift_scale(a: Sequence[Rational], xi: Rational, h: Rational) -> tuple[Rational, ...]:
+    """The coefficients of t -> sum_k a_k (xi + h t)^k, each power expanded
+    by the binomial theorem, Fraction by Fraction."""
+    out = [Fraction(0)] * len(a)
+    for k, c in enumerate(a):
+        for j in range(k + 1):
+            out[j] += c * math.comb(k, j) * xi ** (k - j) * h**j
+    return trimmed(out)
+
+
 def lagrange_basis_hat(ell: int, j: int) -> Poly:
     """The j-th cardinal basis polynomial on the integer grid 0..ell:
     degree ell, value 1 at t = j and 0 at the other grid integers."""

@@ -21,7 +21,16 @@ from degdet.exactnum import (
 )
 from degdet.rng import SplitMix64
 
-from oracles import det_cofactor, divide_linear
+from oracles import (
+    coeffs_derivative,
+    coeffs_product,
+    coeffs_shift_scale,
+    coeffs_sum,
+    coeffs_value,
+    det_cofactor,
+    divide_linear,
+    trimmed,
+)
 
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 nonzero_rationals = small_rationals.filter(lambda q: q != 0)
@@ -207,6 +216,85 @@ class TestPoly:
     def test_divide_linear_rejects_non_root(self):
         with pytest.raises(ValueError):
             divide_linear(Poly([1, 1]), 5)
+
+
+def assert_canonical(p):
+    """p holds its value in lowest terms: den > 0, gcd(den, *nums) == 1 and
+    no trailing zero, with coeffs the Fractions nums[k] / den."""
+    assert type(p.den) is int and all(type(n) is int for n in p.nums)
+    assert p.den > 0
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert p.coeffs == tuple(Fraction(n, p.den) for n in p.nums)
+
+
+# numerator lists that end in zeros as often as not, and the empty list
+padded_numerators = st.tuples(
+    st.lists(st.integers(min_value=-60, max_value=60), max_size=6),
+    st.integers(min_value=0, max_value=3),
+).map(lambda pair: pair[0] + [0] * pair[1])
+nonzero_denominators = st.integers(min_value=-36, max_value=36).filter(lambda d: d != 0)
+rational_lists = st.lists(small_rationals, max_size=6)
+
+
+class TestPolyCanonicalForm:
+    @given(nonzero_denominators, padded_numerators)
+    def test_over_equals_the_public_constructor(self, den, nums):
+        p = Poly.over(den, nums)
+        q = Poly([Fraction(n, den) for n in nums])
+        assert p == q and hash(p) == hash(q)
+        assert (p.den, p.nums) == (q.den, q.nums)
+        assert_canonical(p)
+        assert_canonical(q)
+        assert p.coeffs == trimmed([Fraction(n, den) for n in nums])
+
+    @pytest.mark.parametrize(
+        "den,nums,form",
+        [(-6, [4, 2, 0], (3, (-2, -1))), (-5, [0, 0], (1, ())), (7, [], (1, ())), (4, (2, 6), (2, (1, 3))),
+         (1, [0, 5], (1, (0, 5)))],
+    )
+    def test_over_examples(self, den, nums, form):
+        p = Poly.over(den, nums)
+        assert (p.den, p.nums) == form
+        assert p == Poly([Fraction(n, den) for n in nums])
+
+    def test_equal_values_from_different_spellings_hash_equal(self):
+        values = [Poly([Fraction(1, 2), 1]), Poly.over(2, [1, 2]), Poly.over(-4, [-2, -4, 0]), Poly(["1/2", "2/2", 0])]
+        assert len(set(values)) == 1
+        assert Poly.over(2, [1, 2]) != Poly.over(2, [1, 3])
+
+    @given(rational_lists, rational_lists, small_rationals)
+    def test_sum_difference_and_products(self, a, b, scalar):
+        p, q = Poly(a), Poly(b)
+        cases = [
+            (p + q, coeffs_sum(a, b)),
+            (p - q, coeffs_sum(a, [-c for c in b])),
+            (-p, trimmed([-c for c in a])),
+            (p * q, coeffs_product(a, b)),
+            (p * scalar, coeffs_product(a, [scalar])),
+            (p + scalar, coeffs_sum(a, [scalar])),
+        ]
+        for result, reference in cases:
+            assert_canonical(result)
+            assert result.coeffs == reference
+
+    @given(rational_lists, st.integers(min_value=0, max_value=7))
+    def test_derivative(self, a, n):
+        result = Poly(a).derivative(n)
+        assert_canonical(result)
+        assert result.coeffs == coeffs_derivative(a, n)
+
+    @given(rational_lists, small_rationals)
+    def test_evaluation(self, a, x):
+        value = Poly(a)(x)
+        assert type(value) is Fraction
+        assert value == coeffs_value(a, x)
+
+    @given(rational_lists, small_rationals, nonzero_rationals)
+    def test_shift_scale(self, a, xi, h):
+        result = poly_shift_scale(Poly(a), xi, h)
+        assert_canonical(result)
+        assert result.coeffs == coeffs_shift_scale(a, xi, h)
 
 
 class TestDetFractionFree:

@@ -65,7 +65,7 @@ class TestNodalPolynomial:
         for ell in range(1, 8):
             k = poly_K(ell)
             assert k.degree == ell + 1
-            assert k.leading_coefficient == 1
+            assert k.coeffs[-1] == 1
             for j in range(ell + 1):
                 assert k(j) == 0
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from degdet.combinat import binomial
 from degdet.exactnum import det_fraction_free
 from degdet.rng import SplitMix64
-from degdet.verify import run_suite
+from degdet.verify import _random_regular_data, run_suite
 from degdet.vandermonde import (
     AffineData,
     HypothesisViolation,
@@ -410,6 +410,43 @@ class TestRegularity:
         assert calls == []
         assert report.passed
         assert report.cases_run == 5000
+
+
+def regular_data_by_the_checked_constructor(rng, k, ell):
+    """theorem4's drawer as it read through the checked AffineData(...):
+    the same draws in the same order, a ratio kept only when it is new, and
+    every value converted and checked again by the constructor."""
+    alpha, beta, ratios = [], [], set()
+    while len(alpha) < k:
+        negative = rng.int_between(0, 1) == 1
+        a = rng.positive_rational()
+        b = rng.positive_rational()
+        if a / b in ratios:
+            continue
+        ratios.add(a / b)
+        alpha.append(-a if negative else a)
+        beta.append(-b if negative else b)
+    return AffineData(k, ell, alpha, beta, rng.distinct_positive_rationals(k))
+
+
+class TestDrawnRegularData:
+    def test_the_drawn_data_is_the_checked_constructors(self):
+        # the drawer builds its AffineData on a trusted path that checks
+        # nothing; the checked constructor must give the same value, the
+        # same integer form, from the same stream, left in the same state
+        drawing, reference = SplitMix64(2022), SplitMix64(2022)
+        for k in range(1, 9):
+            for ell in range(1, 6):
+                for _ in range(12):
+                    drawn = _random_regular_data(drawing, k, ell)
+                    expected = regular_data_by_the_checked_constructor(reference, k, ell)
+                    assert drawn == expected and hash(drawn) == hash(expected)
+                    assert drawn.integer_form == expected.integer_form
+                    rebuilt = AffineData(k, ell, drawn.alpha, drawn.beta, drawn.r)
+                    assert rebuilt == drawn and rebuilt.integer_form == drawn.integer_form
+                    assert all(type(x) is Fraction for x in drawn.alpha + drawn.beta + drawn.r)
+                    assert regularity_check(drawn) is (k <= ell)
+                    assert drawing.next_u64() == reference.next_u64()
 
 
 def expansion_as_fraction_sum(data):
