@@ -127,6 +127,9 @@ def _signed_binomials(ell: int) -> tuple[int, ...]:
     return tuple((-1) ** j * binomial(ell, j) for j in range(ell + 1))
 
 
+_ZERO = Fraction(0)
+
+
 class AlternatingSums:
     """self[s], s >= 0, is the integer L * alternating_weighted_sum(ell, s, a),
     with values the checked rationals a_j, L (common) the lcm of their
@@ -140,7 +143,7 @@ class AlternatingSums:
         self.common, self.numerators = over_common_denominator(self.values)
         self._weights = self._base = list(map(operator.mul, _signed_binomials(ell), self.numerators))
         self._sums = [sum(self._weights)]
-        self._sigma = None  # sigma_ell(ell), set by the first det call
+        self._sigma = None  # sigma_ell(ell), set by the first nonzero det
 
     def __getitem__(self, s: int) -> int:
         if s < 0:
@@ -154,8 +157,11 @@ class AlternatingSums:
 
     def det(self, s: int) -> Rational:
         """det build_A(ell, s, a) = sigma_ell(ell) * S_s (Theorem 1) as one
-        Fraction; sigma_ell is computed on the first call and kept."""
+        Fraction.  A zero S_s reads _ZERO; sigma_ell is computed on the
+        first nonzero read and kept."""
         total = self[s]  # first, so that s < 0 fails before sigma_ell runs
+        if not total:
+            return _ZERO
         if self._sigma is None:
             self._sigma = sigma_ell(self.ell)
         return Fraction(total * self._sigma, self.common)

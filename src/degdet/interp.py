@@ -149,8 +149,10 @@ def newton_interpolate(nodes: Sequence[RationalLike], values: Sequence[RationalL
     """Unique polynomial of degree <= len(nodes)-1 through the given points,
     from Newton divided differences in plain integers: the nodes and the
     values are cleared over the lcms of their denominators and handed to
-    newton_from_integer_form.  The equidistant suites skip this front and
-    hand the kernel a problem's integer_form."""
+    newton_from_integer_form, which expands the table by Horner's rule.
+    The equidistant suites skip this front and hand a problem's
+    integer_form to that kernel, or to newton_degree, which reads only the
+    degree off the same table."""
     points = [rat(x) for x in nodes]
     data = [rat(v) for v in values]
     if len(points) != len(data):
@@ -163,22 +165,12 @@ def newton_interpolate(nodes: Sequence[RationalLike], values: Sequence[RationalL
     return newton_from_integer_form((q, xs), over_common_denominator(data))
 
 
-def newton_from_integer_form(grid: tuple[int, Sequence[int]], values: tuple[int, Sequence[int]]) -> Poly:
-    """The interpolant through the nodes x_i = X_i / Q with the values
-    v_i = V_i / D, given as grid = (Q, X) and values = (D, V) in plain ints,
-    the X_i pairwise distinct and at least one of them.
-
-    Level k of the divided-difference table on the X_i is kept as integer
-    numerators over one denominator E_k = E_(k-1) * lcm_i |X_(i+k) - X_i|,
-    so every E_k divides L = E_ell and the Newton coefficients are n_k / L
-    with integer n_k.  Horner's rule expands
-    sum_k n_k prod_(j<k) (u - X_j) = sum_j c_j u^j in integers, and with
-    u = Q x the coefficient of x^j is c_j Q^j / (L D), and Poly.over
-    reduces it, so any common denominator Q gives the same Poly.  It
-    shares no code with the closed forms it is the oracle for.
-    """
-    q, xs = grid
-    d, column = values
+def _divided_differences(xs: Sequence[int], column: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The divided-difference table on the distinct integer nodes X_i of the
+    values V_i / D: level k is kept as integer numerators over one
+    denominator E_k = E_(k-1) * lcm_i |X_(i+k) - X_i|, and its first entry
+    n_k gives Newton coefficient k, n_k / (E_k D), the coefficient of
+    prod_(j<k) (u - X_j), of degree exactly k.  Returns (n, E)."""
     leading = [column[0]]
     denominators = [1]
     for k in range(1, len(xs)):
@@ -187,6 +179,24 @@ def newton_from_integer_form(grid: tuple[int, Sequence[int]], values: tuple[int,
         column = [(b - a) * (step // g) for a, b, g in zip(column, column[1:], gaps)]
         leading.append(column[0])
         denominators.append(denominators[-1] * step)
+    return leading, denominators
+
+
+def newton_from_integer_form(grid: tuple[int, Sequence[int]], values: tuple[int, Sequence[int]]) -> Poly:
+    """The interpolant through the nodes x_i = X_i / Q with the values
+    v_i = V_i / D, given as grid = (Q, X) and values = (D, V) in plain ints,
+    the X_i pairwise distinct and at least one of them.
+
+    Every E_k of the table (_divided_differences) divides L = E_ell, so the
+    Newton coefficients are n_k (L / E_k) / L.  Horner's rule expands
+    sum_k n_k (L / E_k) prod_(j<k) (u - X_j) = sum_j c_j u^j in integers,
+    and with u = Q x the coefficient of x^j is c_j Q^j / (L D), and
+    Poly.over reduces it, so any common denominator Q gives the same Poly.
+    It shares no code with the closed forms it is the oracle for.
+    """
+    q, xs = grid
+    d, column = values
+    leading, denominators = _divided_differences(xs, column)
     common = denominators[-1]
     acc = [leading[-1]]
     for k in range(len(xs) - 2, -1, -1):
@@ -195,6 +205,17 @@ def newton_from_integer_form(grid: tuple[int, Sequence[int]], values: tuple[int,
             low - root * high for low, high in zip(acc, acc[1:])
         ] + [acc[-1]]
     return Poly.over(common * d, [c * q**j for j, c in enumerate(acc)])
+
+
+def newton_degree(grid: tuple[int, Sequence[int]], values: tuple[int, Sequence[int]]) -> Degree:
+    """newton_from_integer_form(grid, values).degree without the expansion:
+    the index of the last nonzero Newton coefficient of the same table, or
+    NEG_INF when every value is zero."""
+    leading = _divided_differences(grid[1], values[1])[0]
+    for k in range(len(leading) - 1, -1, -1):
+        if leading[k]:
+            return k
+    return NEG_INF
 
 
 def interpolate_eq14(problem: EquidistantProblem) -> Poly:
@@ -258,7 +279,7 @@ def _determinant_route(problem: EquidistantProblem, mode: str) -> Callable[[int]
     """The map s -> determinant for one detection.
 
     Closed-form mode reads problem.sums.det, sigma_ell (computed on the
-    first read and kept) times an alternating binomial sum.  Matrix mode,
+    first nonzero read and kept) times an alternating binomial sum.  Matrix mode,
     the cross-check on the explicit matrices, eliminates the ell power
     rows, which every s shares, once (power_row_cofactors); each
     determinant is then their Laplace expansion along the last row,

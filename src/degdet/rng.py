@@ -108,10 +108,16 @@ class SplitMix64:
                 return _RATIONALS[z % 19][(buffer or self._fill()).pop() % 4]
 
     def nonzero_rational(self) -> Fraction:
+        """rational() redrawn until nonzero, with both draws inline: a zero
+        numerator (z % 19 == 9) still takes its denominator draw, then
+        redraws."""
+        buffer = self._buffer
         while True:
-            value = self.rational()
-            if value != 0:
-                return value
+            z = (buffer or self._fill()).pop()
+            if z < _LIMIT_19:
+                d = (buffer or self._fill()).pop() % 4
+                if z % 19 != 9:
+                    return _RATIONALS[z % 19][d]
 
     def positive_rational(self) -> Fraction:
         """Same scheme restricted to positive numerators (uniform in [1, 9]):

@@ -46,6 +46,7 @@ from .interp import (
     detect_degree,
     equidistant_nodes,
     interpolate_eq14,
+    newton_degree,
     newton_from_integer_form,
     poly_K,
 )
@@ -315,7 +316,7 @@ def _suite_theorem1(report: VerifyReport, rng: SplitMix64, max_ell: int, trials:
             problem = _random_problem(rng, ell)
             report.case(
                 lambda: f"detector-vs-interpolant ell={ell} trial={trial} a={_csv(problem.a)}",
-                newton_from_integer_form(*problem.integer_form).degree,
+                newton_degree(*problem.integer_form),
                 detect_degree(problem).degree,
             )
 

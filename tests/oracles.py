@@ -175,3 +175,12 @@ def splitmix64_scalar(seed: int) -> Iterator[int]:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         yield z ^ (z >> 31)
+
+
+def nonzero_rational_reference(rng) -> Fraction:
+    """rng.rational() redrawn until it is nonzero: the two-step definition
+    that SplitMix64.nonzero_rational draws inline."""
+    while True:
+        value = rng.rational()
+        if value != 0:
+            return value

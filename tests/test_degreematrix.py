@@ -297,6 +297,43 @@ class TestAlternatingSums:
         assert calls == [4]
         assert dets == [sigma_ell(4) * alternating_weighted_sum(4, s, a) for s in (2, 0, 6, 2)]
 
+    def test_zero_sums_read_zero_without_sigma_ell(self, monkeypatch):
+        calls = []
+
+        def counting_sigma_ell(ell):
+            calls.append(ell)
+            return sigma_ell(ell)
+
+        monkeypatch.setattr("degdet.degreematrix.sigma_ell", counting_sigma_ell)
+        # all values equal: S_s = 0 for every s < ell
+        a = [Fraction(2, 3)] * 6
+        sums = AlternatingSums(5, a)
+        zeros = [sums.det(s) for s in range(5)]
+        assert zeros == [Fraction(0)] * 5
+        assert all(type(z) is Fraction for z in zeros)
+        assert calls == []
+        assert sums.det(5) == sigma_ell(5) * alternating_weighted_sum(5, 5, a) != 0
+        assert calls == [5]
+        assert sums.det(3) == 0
+        assert sums.det(7) == sigma_ell(5) * alternating_weighted_sum(5, 7, a)
+        assert calls == [5]
+
+    def test_every_read_is_sigma_ell_times_the_single_sum(self):
+        # random, zero, constant and quadratic value vectors, so that zero
+        # and nonzero reads mix in one instance
+        rng = SplitMix64(2026)
+        for ell in (1, 2, 3, 5, 8):
+            vectors = (
+                [rng.rational() for _ in range(ell + 1)],
+                [Fraction(0)] * (ell + 1),
+                [rng.nonzero_rational()] * (ell + 1),
+                [Fraction(j * j, 3) - 1 for j in range(ell + 1)],
+            )
+            for a in vectors:
+                sums = AlternatingSums(ell, a)
+                for s in range(ell + 3):
+                    assert sums.det(s) == sigma_ell(ell) * alternating_weighted_sum(ell, s, a)
+
     def test_rejects_what_the_single_sum_rejects(self):
         with pytest.raises(ValueError, match="degree matrix needs ell >= 1"):
             AlternatingSums(0, [1])

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from degdet.combinat import tau
 from degdet.degreematrix import alternating_weighted_sum, sigma_ell
@@ -10,11 +12,13 @@ from degdet.exactnum import (
     Poly,
     det_fraction_free,
     last_row_cofactors,
+    over_common_denominator,
     poly_shift_scale,
 )
 from degdet.interp import (
     MODE_CLOSED_FORM,
     MODE_MATRIX,
+    DegreeDetection,
     EquidistantProblem,
     GeneralProblem,
     K_quotient_via_tau,
@@ -24,6 +28,7 @@ from degdet.interp import (
     general_expansion,
     interpolate_eq14,
     lagrange_interpolate,
+    newton_degree,
     newton_from_integer_form,
     newton_interpolate,
     poly_K,
@@ -298,6 +303,50 @@ class TestIntegerForm:
             assert run_suite(suite, max_ell=4, trials=2, seed=6).passed
 
 
+# distinct integer nodes in any order, so grids come unsorted, negative and
+# unequally spaced
+distinct_grids = st.lists(st.integers(-60, 60), min_size=1, max_size=9, unique=True)
+
+
+class TestNewtonDegree:
+    @given(st.data(), distinct_grids, st.integers(1, 12), st.integers(1, 12))
+    def test_equals_the_expanded_degree(self, data, xs, q, d):
+        values = data.draw(st.lists(st.integers(-20, 20), min_size=len(xs), max_size=len(xs)))
+        assert newton_degree((q, xs), (d, values)) == newton_from_integer_form((q, xs), (d, values)).degree
+
+    @given(st.data(), distinct_grids, st.integers(1, 12))
+    def test_constructed_degrees(self, data, xs, q):
+        target = data.draw(st.integers(0, len(xs) - 1))
+        lower = data.draw(st.lists(st.integers(-9, 9), min_size=target, max_size=target))
+        poly = Poly([*lower, data.draw(st.sampled_from([-3, -1, 1, 2, Fraction(5, 2)]))])
+        values = over_common_denominator([poly(Fraction(x, q)) for x in xs])
+        assert newton_degree((q, xs), values) == target == newton_from_integer_form((q, xs), values).degree
+
+    @given(distinct_grids, st.integers(1, 12), st.integers(-9, 9), st.integers(1, 12))
+    def test_zero_and_constant_vectors(self, xs, q, c, d):
+        assert newton_degree((q, xs), (d, [0] * len(xs))) is NEG_INF
+        assert newton_degree((q, xs), (d, [c] * len(xs))) == (0 if c else NEG_INF)
+
+    def test_unsorted_unequal_grid(self):
+        xs = [5, -3, 0, 11, -7]
+        assert newton_degree((2, xs), (1, [x * x - 4 for x in xs])) == 2
+        assert newton_degree((1, xs), (3, [x**4 for x in xs])) == 4
+
+    def test_theorem1_catches_a_detector_off_by_one(self, monkeypatch):
+        # the converse half compares the detector against newton_degree, and
+        # must fail every case of a detector that is one degree high
+        def off_by_one(problem, mode=MODE_CLOSED_FORM):
+            detection = detect_degree(problem, mode)
+            degree = 0 if detection.degree is NEG_INF else detection.degree + 1
+            return DegreeDetection(degree, detection.witness_m, detection.determinants)
+
+        monkeypatch.setattr("degdet.verify.detect_degree", off_by_one)
+        report = run_suite("theorem1", max_ell=3, trials=2, seed=8)
+        converse = [f for f in report.failures if f.inputs.startswith("detector-vs-interpolant")]
+        assert len(converse) == 20 * 2 * 3
+        assert len(report.failures) == report.cases_run
+
+
 class TestCoefficientFormula:
     def test_linear_closed_form(self):
         rng = SplitMix64(22)
@@ -513,6 +562,19 @@ class TestDegreeDetection:
         detection = detect_degree(EquidistantProblem(10, 0, 1, [3] * 11), mode)
         assert detection.witness_m == 10
         assert len(calls) == expected_calls
+
+    def test_zero_vector_computes_no_sigma_ell(self, monkeypatch):
+        calls = []
+
+        def counting_sigma_ell(ell):
+            calls.append(ell)
+            return sigma_ell(ell)
+
+        monkeypatch.setattr("degdet.degreematrix.sigma_ell", counting_sigma_ell)
+        detection = detect_degree(EquidistantProblem(7, Fraction(1, 2), -3, [0] * 8))
+        assert detection.degree is NEG_INF
+        assert detection.determinants == (Fraction(0),) * 8
+        assert calls == []
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

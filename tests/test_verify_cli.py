@@ -27,7 +27,7 @@ from degdet.interp import EquidistantProblem, newton_interpolate
 from degdet.rng import SplitMix64
 from degdet.vandermonde import AffineData, build_B
 from degdet.verify import DEFAULT_SEED, SUITES, VerifyReport, run_suite
-from oracles import splitmix64_scalar
+from oracles import nonzero_rational_reference, splitmix64_scalar
 
 
 def run_cli(capsys, *argv):
@@ -928,6 +928,28 @@ class TestSplitMix64Stream:
             for _ in range(3):
                 assert getattr(inline, draw)() is _RATIONALS[offset + reference.below(bound)][reference.below(4)]
             assert inline._buffer == reference._buffer
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024, 12345, 2**64 - 1])
+    def test_nonzero_draw_equals_the_two_step_reference(self, seed):
+        # 20,000 draws per seed, 100,000 in all; a zero numerator (1 in 19
+        # numerator draws) still takes its denominator draw, so both
+        # generators stay at the same stream position throughout
+        inline, reference = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(20_000):
+            assert inline.nonzero_rational() is nonzero_rational_reference(reference)
+        assert (inline._state, inline._buffer) == (reference._state, reference._buffer)
+        assert [inline.next_u64() for _ in range(300)] == [reference.next_u64() for _ in range(300)]
+
+    def test_nonzero_draw_skips_planted_zero_numerators(self):
+        # zero numerators (z % 19 == 9) and a rejected output planted ahead
+        # of the draws: each zero is redrawn after its denominator draw
+        inline, reference = SplitMix64(13), SplitMix64(13)
+        limit = (1 << 64) - (1 << 64) % 19
+        planted = [9, 2, 19 * 5 + 9, 3, limit, 19 + 10, 1, 4]
+        for rng in (inline, reference):
+            rng._buffer.extend(reversed(planted))
+        assert inline.nonzero_rational() is nonzero_rational_reference(reference) == Fraction(1, 2)
+        assert inline._buffer == reference._buffer == [4]
 
     def test_rational_draws_pinned(self):
         # sha256 of 5,000 draws of each rational kind, in turn, from one
