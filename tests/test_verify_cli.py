@@ -13,7 +13,7 @@ import pytest
 import degdet
 from degdet.cli import EXPANSION_MAX_COST, MATRIX_MAX_ELL, ProblemFileError, main, parse_problem_file
 from degdet.degreematrix import AlternatingSums, alternating_weighted_sum, build_A_sub
-from degdet import verify
+from degdet import interp, verify
 from degdet.exactnum import (
     Poly,
     det_fraction_free,
@@ -729,6 +729,70 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "42", *flags)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @staticmethod
+    def wrong_derivative_every_fifth_call(monkeypatch):
+        """Make eq. 10's closed form off by one on every 5th call from now on."""
+        calls = itertools.count(1)
+
+        def every_fifth_wrong(problem, s):
+            value = interp.derivative_at_left_node(problem, s)
+            return value + 1 if next(calls) % 5 == 0 else value
+
+        monkeypatch.setattr(verify, "derivative_at_left_node", every_fifth_wrong)
+
+    # sha256 of the stdout of failing runs at the default seed, plain and
+    # --json, recorded while the report layout was written in verify.py.
+    @pytest.mark.parametrize(
+        "suite,flags,digest",
+        [
+            ("eq10", [], "529827263efc914ad10465bfe391f355e394f1154575fb5332a104e482c68fac"),
+            ("eq10", ["--json"], "d6293267dbdcb29e06dc3339226d4949b732c375289ac4f0e9bb482bf0fef390"),
+            ("all", [], "155c2327936926aab7477288a0aee4ec637f29ae6929709156f1c0b4bb457626"),
+            ("all", ["--json"], "d39b0b4fd9fe8cff2db9fef716c4f3f82b53cef164757a6ec0711092e0743481"),
+        ],
+        ids=["eq10-plain", "eq10-json", "all-plain", "all-json"],
+    )
+    def test_failing_runs_pinned(self, capsys, monkeypatch, suite, flags, digest):
+        self.wrong_derivative_every_fifth_call(monkeypatch)
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--max-ell", "2", "--trials", "2", *flags)
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("suite,wrong", [("remark5", False), ("all", True)], ids=["remark5-notes", "all-failing"])
+    def test_text_and_json_carry_the_same_fields(self, capsys, monkeypatch, suite, wrong):
+        outputs = []
+        for flags in ([], ["--json"]):
+            if wrong:
+                self.wrong_derivative_every_fifth_call(monkeypatch)
+            code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--max-ell", "2", "--trials", "2", *flags)
+            assert code == (1 if wrong else 0)
+            outputs.append(out)
+        text, document = outputs[0], json.loads(outputs[1])
+        reports, summary = document["reports"], document["summary"]
+        assert any(report["notes"] for report in reports)
+        assert any(report["failures"] for report in reports) == wrong
+
+        # each report's block holds exactly its JSON fields, one per line,
+        # plus the failure count
+        blocks = [block.splitlines() for block in text.rstrip("\n").split("\n\n")]
+        assert len(blocks) == len(reports) + (len(reports) > 1)
+        for report, block in zip(reports, blocks):
+            lines = [f"failures: {len(report['failures'])}"]
+            for key, value in report.items():
+                if key == "notes":
+                    lines += [f"note[{i}]: {note}" for i, note in enumerate(value)]
+                elif key == "failures":
+                    lines += [f"failure[{i}].{field}: {part}"
+                              for i, failure in enumerate(value) for field, part in failure.items()]
+                else:
+                    lines.append(f"{key}: {value}")
+            assert sorted(block) == sorted(lines)
+        assert summary == {"suites_run": len(reports), "status": "FAIL" if wrong else "PASS",
+                           "suites_passed": sum(report["status"] == "PASS" for report in reports)}
+        if len(reports) > 1:
+            assert blocks[-1] == ["summary: all", *(f"{key}: {summary[key]}"
+                                                    for key in ("suites_run", "suites_passed", "status"))]
 
     def test_report_fields(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "prop6", "--max-ell", "4")
