@@ -92,42 +92,6 @@ class VerifyReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_lines(self) -> list[str]:
-        """Line-oriented serialization; deliberately excludes elapsed_ms so
-        that output bytes are stable across runs with identical inputs."""
-        lines = [
-            f"suite: {self.suite}",
-            f"seed: {self.seed}",
-            f"max_ell: {self.max_ell}",
-            f"trials: {self.trials}",
-            f"cases_run: {self.cases_run}",
-            f"cases_passed: {self.cases_passed}",
-            f"failures: {len(self.failures)}",
-        ]
-        for i, note in enumerate(self.notes):
-            lines.append(f"note[{i}]: {note}")
-        for i, failure in enumerate(self.failures):
-            lines.append(f"failure[{i}].inputs: {failure.inputs}")
-            lines.append(f"failure[{i}].expected: {failure.expected}")
-            lines.append(f"failure[{i}].actual: {failure.actual}")
-        lines.append(f"status: {'PASS' if self.passed else 'FAIL'}")
-        return lines
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "max_ell": self.max_ell,
-            "trials": self.trials,
-            "cases_run": self.cases_run,
-            "cases_passed": self.cases_passed,
-            "notes": list(self.notes),
-            "failures": [
-                {"inputs": f.inputs, "expected": f.expected, "actual": f.actual} for f in self.failures
-            ],
-            "status": "PASS" if self.passed else "FAIL",
-        }
-
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -242,6 +206,10 @@ def _affine_inputs(data: AffineData, trial: int) -> str:
             f" beta={_csv(data.beta)} r={_csv(data.r)}")
 
 
+def _problem_inputs(problem: EquidistantProblem) -> str:
+    return f"xi={format_rational(problem.xi)} h={format_rational(problem.h)} a={_csv(problem.a)}"
+
+
 def _expansion_cases(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int,
                      expansion: Callable[[AffineData], Rational], nonzero_beta: bool) -> None:
     """det B by elimination (det_B) against an expansion, for every 1 <= k <= ell."""
@@ -275,8 +243,7 @@ def _suite_eq10(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int
                 problem = _random_problem(rng, ell)
                 oracle = newton_from_integer_form(*problem.integer_form).derivative(ell - s)(problem.xi)
                 report.case(
-                    lambda: f"ell={ell} s={s} trial={trial} xi={format_rational(problem.xi)}"
-                    f" h={format_rational(problem.h)} a={_csv(problem.a)}",
+                    lambda: f"ell={ell} s={s} trial={trial} {_problem_inputs(problem)}",
                     oracle,
                     derivative_at_left_node(problem, s),
                 )
@@ -288,8 +255,7 @@ def _suite_eq14(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int
             problem = _random_problem(rng, ell)
             shifted = poly_shift_scale(newton_from_integer_form(*problem.integer_form), problem.xi, problem.h)
             report.case(
-                lambda: f"ell={ell} trial={trial} xi={format_rational(problem.xi)}"
-                f" h={format_rational(problem.h)} a={_csv(problem.a)}",
+                lambda: f"ell={ell} trial={trial} {_problem_inputs(problem)}",
                 shifted,
                 interpolate_eq14(problem),
             )
@@ -305,8 +271,7 @@ def _suite_theorem1(report: VerifyReport, rng: SplitMix64, max_ell: int, trials:
                 h = rng.nonzero_rational()
                 problem = EquidistantProblem(ell, xi, h, [poly(x) for x in equidistant_nodes(ell, xi, h)])
                 report.case(
-                    lambda: f"constructed-degree ell={ell} target={target} trial={trial}"
-                    f" xi={format_rational(xi)} h={format_rational(h)} a={_csv(problem.a)}",
+                    lambda: f"constructed-degree ell={ell} target={target} trial={trial} {_problem_inputs(problem)}",
                     target,
                     detect_degree(problem).degree,
                 )

@@ -899,7 +899,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(owner, name, one_wrong)
         report = run_suite(suite, max_ell=2, trials=2, seed=DEFAULT_SEED)
         assert report.cases_run - report.cases_passed == 1
-        assert report.to_dict()["failures"] == [{"inputs": label, "expected": expected, "actual": actual}]
+        assert [(f.inputs, f.expected, f.actual) for f in report.failures] == [(label, expected, actual)]
 
     @pytest.mark.parametrize("suite,trials", [("prop2", 1), ("prop3", None)])
     def test_one_elimination_per_ell(self, monkeypatch, suite, trials):
