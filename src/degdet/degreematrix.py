@@ -138,10 +138,21 @@ class AlternatingSums:
     each sum; a read further on takes ell + 1 powers j^s and keeps nothing."""
 
     def __init__(self, ell: int, a):
-        self.ell = ell
-        self.values = _checked_values(ell, 0, a)
-        self.common, self.numerators = over_common_denominator(self.values)
-        self._weights = self._base = list(map(operator.mul, _signed_binomials(ell), self.numerators))
+        values = _checked_values(ell, 0, a)
+        self._set(ell, values, *over_common_denominator(values))
+
+    @classmethod
+    def _trusted(cls, ell: int, values: tuple[Rational, ...], common: int, numerators: list[int]) -> "AlternatingSums":
+        """The AlternatingSums of values a drawer made valid, given with the
+        lcm of their denominators and their numerators over it: nothing is
+        converted or re-checked."""
+        sums = object.__new__(cls)
+        sums._set(ell, values, common, numerators)
+        return sums
+
+    def _set(self, ell, values, common, numerators):
+        self.ell, self.values, self.common, self.numerators = ell, values, common, numerators
+        self._weights = self._base = list(map(operator.mul, _signed_binomials(ell), numerators))
         self._sums = [sum(self._weights)]
         self._sigma = None  # sigma_ell(ell), set by the first nonzero det
 

@@ -281,10 +281,11 @@ def det_fraction_free(rows: Sequence[Sequence[Rational]]) -> Rational:
 # gcd of their entries) to the row's scale.  The power rows of the degree
 # matrix cross it at step 2 to 6 for ell 16..64 and then share thousands of
 # bits; the content step halves their elimination time at ell 28..48 (2-vCPU
-# x86-64 VM).  verify's 7,969 eliminations per `--suite all` at seed 42 (its
-# other 9,831 determinants are 1x1 or 2x2 and skip _bareiss), with pivots of
-# at most 161 bits, never reach it; a 64-bit gate, which fired on about 1,100
-# of the 17,800 eliminations before those base cases, gained nothing.
+# x86-64 VM).  verify's 3,724 eliminations per `--suite all` at seed 42 (its
+# other 14,076 determinants are 1x1, 2x2 or 3x3 and skip _bareiss), with
+# pivots of at most 161 bits, never reach it; a 64-bit gate, which fired on
+# about 1,100 of the 17,800 eliminations before those base cases, gained
+# nothing.
 CONTENT_BITS = 512
 
 
@@ -307,13 +308,15 @@ def _bareiss(rows: list[list[int]], width: int) -> tuple[int, list[int], int] | 
     takes u = row * pivot - head * top on the stored values, and its true
     Bareiss row is s_i s_k u / P, an integer.  With c = gcd(P, s_i s_k),
     s_i s_k / c and P / c are coprime, so P / c divides u: the stored row
-    becomes u // (P / c) and s_i <- s_i s_k / c.  Until a content step
-    fires every scale is 1 and the divisor is P, as in plain Bareiss.  On
+    becomes u // (P / c) and s_i <- s_i s_k / c.  The rows below the pivot
+    all start at scale 1 and every step updates them alike, so they share
+    one scale, and each step takes one gcd, none while that scale and the
+    pivot row's are 1: then the divisor is P, as in plain Bareiss.  On
     return the rows hold these stored rows, each a nonzero multiple of the
     true one.
     """
     perm = list(range(width))
-    scales = None  # every scale is 1 until the first content step
+    below = 1  # the one scale of the rows not yet used as pivots
     sign = 1
     prev = 1
     for k, top in enumerate(rows):
@@ -327,41 +330,44 @@ def _bareiss(rows: list[list[int]], width: int) -> tuple[int, list[int], int] | 
                     break
             else:
                 return None
+        scale = below  # the pivot row's
         if top[k].bit_length() > CONTENT_BITS:
             g = math.gcd(*top[k:])
             if g > 1:
                 top[k:] = [x // g for x in top[k:]]
-                if scales is None:
-                    scales = [1] * len(rows)
-                scales[k] *= g
+                scale *= g
         pivot = top[k]
+        divisor = prev
+        if scale != 1:
+            product = below * scale
+            c = math.gcd(prev, product)
+            divisor = prev // c
+            below = product // c
         for i in range(k + 1, len(rows)):
             row = rows[i]
             head = row[k]
-            divisor = prev
-            if scales is not None:
-                scale = scales[i] * scales[k]
-                c = math.gcd(prev, scale)
-                divisor = prev // c
-                scales[i] = scale // c
             for j in range(k + 1, width):
                 row[j] = (row[j] * pivot - head * top[j]) // divisor
             row[k] = 0  # frees the eliminated entry, which is never read again
-        prev = pivot if scales is None else scales[k] * pivot
+        prev = scale * pivot
     return sign, perm, prev
 
 
 def det_integer_rows(rows: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix by Bareiss elimination.
     The rows are modified in place: they are left holding _bareiss's stored
-    rows, each a nonzero multiple of its eliminated row.  A 1x1 or 2x2
-    matrix is its own base case, a or ad - bc, and is left unmodified."""
+    rows, each a nonzero multiple of its eliminated row.  A 1x1, 2x2 or 3x3
+    matrix is its own base case, a, ad - bc or the cofactor expansion along
+    the first row, and is left unmodified."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
     if n == 2:
         (a, b), (c, d) = rows
         return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     eliminated = _bareiss(rows, n)
     if eliminated is None:
         return 0

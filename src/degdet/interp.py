@@ -64,9 +64,23 @@ class EquidistantProblem(Record):
         if step == 0:
             raise ValueError("problem needs a nonzero step h")
         sums = AlternatingSums(ell, a)
+        self._set(ell, rat(xi), step, sums)
+
+    @classmethod
+    def _trusted(cls, ell: int, xi: Rational, h: Rational, a: tuple[Rational, ...], common: int,
+                 numerators: list[int]) -> "EquidistantProblem":
+        """The problem of data a drawer made valid: ell >= 1, xi and h
+        Fractions with h nonzero, and the ell + 1 values a as Fractions, with
+        the lcm of their denominators and their numerators over it; nothing
+        is converted or re-checked."""
+        problem = object.__new__(cls)
+        problem._set(ell, xi, h, AlternatingSums._trusted(ell, a, common, numerators))
+        return problem
+
+    def _set(self, ell, xi, h, sums):
         object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "xi", rat(xi))
-        object.__setattr__(self, "h", step)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "h", h)
         object.__setattr__(self, "a", sums.values)
         object.__setattr__(self, "sums", sums)
 

@@ -24,6 +24,7 @@ rationals are numerator/denominator pairs with the numerator uniform in
 
 from __future__ import annotations
 
+import math
 import struct
 from fractions import Fraction
 
@@ -44,6 +45,8 @@ _BLOCK_STEP = (_BLOCK * _GAMMA) & _MASK64
 # Every value a random rational can take, built once: _RATIONALS[n + 9][d - 1]
 # is Fraction(n, d) for n in [-9, 9] and d in [1, 4].
 _RATIONALS = tuple(tuple(Fraction(n, d) for d in range(1, 5)) for n in range(-9, 10))
+# The integer form of each: _PAIRS[i][j] is _RATIONALS[i][j].as_integer_ratio().
+_PAIRS = tuple(tuple(q.as_integer_ratio() for q in row) for row in _RATIONALS)
 # How many distinct values rational() and positive_rational() can take: 51
 # and 25.
 _DISTINCT_SIGNED = len({q for row in _RATIONALS for q in row})
@@ -128,21 +131,47 @@ class SplitMix64:
             if z < _LIMIT_9:
                 return _RATIONALS[10 + z % 9][(buffer or self._fill()).pop() % 4]
 
+    def rationals(self, count: int, nonzero: bool = False, positive: bool = False,
+                  distinct: bool = False) -> tuple[tuple[Fraction, ...], int, list[int], list[tuple[int, int]]]:
+        """count draws of rational(), or of nonzero_rational() or
+        positive_rational(), the same stream output for output, in integer
+        form: (values, L, N, pairs), with values the drawn _RATIONALS
+        entries, L the lcm of their denominators, values[i] = N[i] / L, and
+        pairs[i] = (p, q), values[i] in lowest terms, read off _PAIRS.  With
+        distinct, a draw equal to an earlier one is redrawn; the draws can
+        take only 51 distinct values (25 positive), so a larger count would
+        redraw forever and is refused."""
+        if positive:
+            limit, bound, offset, pool = _LIMIT_9, 9, 10, _DISTINCT_POSITIVE
+        else:
+            limit, bound, offset, pool = _LIMIT_19, 19, 0, _DISTINCT_SIGNED
+        if distinct and count > pool:
+            raise ValueError(f"cannot draw {count} distinct values from a pool of {pool}")
+        buffer = self._buffer
+        zero = 9 if nonzero else -1  # the index of numerator 0, redrawn when nonzero
+        values, pairs = [], []
+        common = 1
+        while len(values) < count:
+            z = (buffer or self._fill()).pop()
+            if z < limit:
+                d = (buffer or self._fill()).pop() % 4
+                n = offset + z % bound
+                if n != zero:
+                    pair = _PAIRS[n][d]
+                    if distinct and pair in pairs:
+                        continue
+                    values.append(_RATIONALS[n][d])
+                    pairs.append(pair)
+                    if common % pair[1]:
+                        common = math.lcm(common, pair[1])
+        numerators = []
+        for p, q in pairs:
+            numerators.append(p * (common // q))
+        return tuple(values), common, numerators, pairs
+
     def distinct_rationals(self, count: int) -> tuple[Fraction, ...]:
         """Pairwise distinct rationals by redrawing collisions."""
-        return self._distinct(self.rational, _DISTINCT_SIGNED, count)
+        return self.rationals(count, distinct=True)[0]
 
     def distinct_positive_rationals(self, count: int) -> tuple[Fraction, ...]:
-        return self._distinct(self.positive_rational, _DISTINCT_POSITIVE, count)
-
-    @staticmethod
-    def _distinct(draw, pool: int, count: int) -> tuple[Fraction, ...]:
-        """count pairwise distinct draws; the draw can take only pool distinct
-        values, so a larger count would redraw forever and is refused."""
-        if count > pool:
-            raise ValueError(f"cannot draw {count} distinct values from a pool of {pool}")
-        seen: dict[tuple[int, int], Fraction] = {}
-        while len(seen) < count:
-            value = draw()
-            seen.setdefault((value.numerator, value.denominator), value)
-        return tuple(seen.values())
+        return self.rationals(count, positive=True, distinct=True)[0]

@@ -26,6 +26,15 @@ class HypothesisViolation(ValueError):
         self.hypothesis = hypothesis
 
 
+def affine_row(a: Rational, b: Rational, pair_a: tuple[int, int], pair_b: tuple[int, int]):
+    """The row (alpha_i, beta_i, A_i, B_i, D_i) of AffineData's integer form
+    for alpha_i = a and beta_i = b, given with their (numerator,
+    denominator) pairs: D_i is the lcm of the two denominators."""
+    (p, da), (q, db) = pair_a, pair_b
+    d = math.lcm(da, db)
+    return a, b, p * (d // da), q * (d // db), d
+
+
 class AffineData(Record):
     """Input triple (alpha, beta, r) for a k x k matrix of (ell-1)-th powers
     of the affine combinations alpha_i + r_j beta_i.  r must be injective.
@@ -51,19 +60,16 @@ class AffineData(Record):
         Q, R = over_common_denominator(r_t)
         if len(set(R)) != k:
             raise ValueError(f"r must be injective, got {tuple(map(format_rational, r_t))}")
-        rows = []
-        for a, b in zip(alpha_t, beta_t):
-            (p, da), (q, db) = a.as_integer_ratio(), b.as_integer_ratio()
-            d = math.lcm(da, db)
-            rows.append((a, b, p * (d // da), q * (d // db), d))
-        self._set(k, ell, rows, r_t, Q, R)
+        pairs_a, pairs_b = map(Fraction.as_integer_ratio, alpha_t), map(Fraction.as_integer_ratio, beta_t)
+        self._set(k, ell, map(affine_row, alpha_t, beta_t, pairs_a, pairs_b), r_t, Q, R)
 
     @classmethod
-    def _trusted(cls, k: int, ell: int, rows, r) -> "AffineData":
+    def _trusted(cls, k: int, ell: int, rows, r, Q: int, R: list[int]) -> "AffineData":
         """The AffineData of data a drawer made valid, given as its rows
-        (alpha_i, beta_i, A_i, B_i, D_i) and r: nothing is converted or re-checked."""
+        (alpha_i, beta_i, A_i, B_i, D_i), r, and r's integer form Q and R:
+        nothing is converted or re-checked."""
         data = object.__new__(cls)
-        data._set(k, ell, rows, r, *over_common_denominator(r))
+        data._set(k, ell, rows, r, Q, R)
         return data
 
     def _set(self, k, ell, rows, r, Q, R):

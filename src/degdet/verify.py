@@ -53,6 +53,7 @@ from .interp import (
 from .rng import _DISTINCT_POSITIVE, _DISTINCT_SIGNED, _RATIONALS, SplitMix64
 from .vandermonde import (
     AffineData,
+    affine_row,
     det_B,
     det_B_expansion,
     det_B_expansion_complement,
@@ -109,12 +110,8 @@ def _csv(values) -> str:
     return ",".join(format_rational(v) for v in values)
 
 
-def _random_vector(rng: SplitMix64, count: int) -> tuple[Rational, ...]:
-    return tuple(rng.rational() for _ in range(count))
-
-
 def _random_problem(rng: SplitMix64, ell: int) -> EquidistantProblem:
-    return EquidistantProblem(ell, rng.rational(), rng.nonzero_rational(), _random_vector(rng, ell + 1))
+    return EquidistantProblem._trusted(ell, rng.rational(), rng.nonzero_rational(), *rng.rationals(ell + 1)[:3])
 
 
 def _random_exact_degree_poly(rng: SplitMix64, degree: Degree) -> Poly:
@@ -124,27 +121,26 @@ def _random_exact_degree_poly(rng: SplitMix64, degree: Degree) -> Poly:
 
 
 def _random_affine(rng: SplitMix64, k: int, ell: int, nonzero_alpha: bool, nonzero_beta: bool) -> AffineData:
-    alpha = [rng.nonzero_rational() if nonzero_alpha else rng.rational() for _ in range(k)]
-    beta = [rng.nonzero_rational() if nonzero_beta else rng.rational() for _ in range(k)]
-    return AffineData(k, ell, alpha, beta, rng.distinct_rationals(k))
+    alpha, _, _, alpha_pairs = rng.rationals(k, nonzero=nonzero_alpha)
+    beta, _, _, beta_pairs = rng.rationals(k, nonzero=nonzero_beta)
+    rows = map(affine_row, alpha, beta, alpha_pairs, beta_pairs)
+    return AffineData._trusted(k, ell, rows, *rng.rationals(k, distinct=True)[:3])
 
 
 def _random_regular_data(rng: SplitMix64, k: int, ell: int) -> AffineData:
     """Data satisfying the regularity hypotheses: each ratio alpha_i/beta_i
     positive, ratios pairwise distinct (so all cross products are nonzero),
     r positive and injective; each row is built in integer form as it is
-    drawn, its values read from rng's table of rationals."""
+    drawn, its values and their integer forms read from rng's tables."""
     drawn = {}  # reduced alpha_i / beta_i -> (alpha_i, beta_i, A_i, B_i, D_i)
     while len(drawn) < k:
         sign = -1 if rng.below(2) else 1
-        (p, da), (q, db) = rng.positive_rational().as_integer_ratio(), rng.positive_rational().as_integer_ratio()
-        d = math.lcm(da, db)
-        x, y = p * (d // da), q * (d // db)
+        _, d, (x, y), ((p, da), (q, db)) = rng.rationals(2, positive=True)
         g = math.gcd(x, y)
         if (x // g, y // g) not in drawn:
             drawn[x // g, y // g] = (_RATIONALS[9 + sign * p][da - 1], _RATIONALS[9 + sign * q][db - 1],
                                      sign * x, sign * y, d)
-    return AffineData._trusted(k, ell, drawn.values(), rng.distinct_positive_rationals(k))
+    return AffineData._trusted(k, ell, drawn.values(), *rng.rationals(k, positive=True, distinct=True)[:3])
 
 
 def _suite_prop3(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
@@ -172,17 +168,17 @@ def _suite_prop2(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: in
         cofactors = power_row_cofactors(ell)
         for s in range(ell + 1):
             for trial in range(trials):
-                a = _random_vector(rng, ell + 1)
+                a, common, numerators, _ = rng.rationals(ell + 1)
                 if s == trial == 0:
                     rows = build_A(ell, s, a)
-                    common, rows[-1] = over_common_denominator(rows[-1])
-                    direct = Fraction(det_integer_rows(rows), common)
+                    scale, rows[-1] = over_common_denominator(rows[-1])
+                    direct = Fraction(det_integer_rows(rows), scale)
                 else:
                     direct = det_A_from_cofactors(cofactors, s, a)
                 report.case(
                     lambda: f"ell={ell} s={s} trial={trial} a={_csv(a)}",
                     direct,
-                    AlternatingSums(ell, a).det(s),
+                    AlternatingSums._trusted(ell, a, common, numerators).det(s),
                 )
 
 
@@ -304,7 +300,7 @@ def _suite_remark5(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: 
         for _ in range(trials):
             grids.append(rng.distinct_rationals(ell + 1))
         for grid_index, nodes in enumerate(grids):
-            a = _random_vector(rng, ell + 1)
+            a = rng.rationals(ell + 1)[0]
             problem = GeneralProblem(nodes, a)
             comparison = compare_general_expansion(problem)
             inputs = f"ell={ell} grid={grid_index} nodes={_csv(nodes)} a={_csv(a)}"

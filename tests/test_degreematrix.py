@@ -341,6 +341,26 @@ class TestAlternatingSums:
             AlternatingSums(2, [1, 2])
 
 
+class TestDrawnSums:
+    def test_the_drawn_sums_are_the_checked_constructors(self):
+        # prop2 draws its value vectors with their integer form and builds
+        # their sums on a trusted path that checks nothing; the checked
+        # constructor must give the same values, the same sums, from the same
+        # stream, left in the same state
+        drawing, reference = SplitMix64(2026), SplitMix64(2026)
+        for ell in range(1, 9):
+            for _ in range(40):
+                a, common, numerators, _ = drawing.rationals(ell + 1)
+                drawn = AlternatingSums._trusted(ell, a, common, numerators)
+                expected = AlternatingSums(ell, [reference.rational() for _ in range(ell + 1)])
+                assert drawn.values == expected.values and hash(drawn.values) == hash(expected.values)
+                assert (drawn.common, drawn.numerators) == (expected.common, expected.numerators)
+                assert all(type(x) is Fraction for x in drawn.values)
+                for s in range(ell + 2):
+                    assert drawn[s] == expected[s] and drawn.det(s) == expected.det(s)
+                assert drawing.next_u64() == reference.next_u64()
+
+
 class TestFullDeterminant:
     @pytest.mark.parametrize(
         "ell,s,a,expected",

@@ -390,9 +390,28 @@ class TestDetIntegerRows:
         # negative entries, against the permutation expansion
         self.assert_matches_cofactor(rows)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 0, 0], [1, 2, 3], [4, 5, 6]], [[0, 2, 1], [3, 1, 4], [1, 5, 9]], [[1, 2, 3], [2, 4, 7], [5, 1, 0]],
+            [[-3, 0, 7], [0, 0, 5], [2, -9, -1]], [[2**100, 3, -(2**90)], [5, -(2**80), 7], [2**70, 1, 2**60]],
+        ],
+    )
+    def test_three_by_three(self, rows):
+        # the base case, the cofactor expansion along the first row, with
+        # zero pivots, negative and wide entries; the rows are left as given
+        given = [list(r) for r in rows]
+        self.assert_matches_cofactor(rows)
+        det_integer_rows(given)
+        assert given == rows
+
     def test_zero_pivot_needs_a_swap(self):
+        # 3x3 is a base case, so Bareiss's column swaps need 4x4: the first
+        # pivot is 0, then the second pivot vanishes after the first step
         assert self.assert_matches_cofactor([[0, 2, 1], [3, 1, 4], [1, 5, 9]]) != 0
         assert self.assert_matches_cofactor([[1, 2, 3], [2, 4, 7], [5, 1, 0]]) != 0
+        assert self.assert_matches_cofactor([[0, 2, 1, 3], [3, 1, 4, 1], [1, 5, 9, 2], [6, 5, 3, 5]]) != 0
+        assert self.assert_matches_cofactor([[1, 2, 3, 4], [2, 4, 7, 1], [5, 1, 0, 2], [3, 3, 1, 1]]) != 0
 
     def test_permutation_matrices_give_their_sign(self):
         # every 4x4 permutation matrix, so pivots vanish in every position
@@ -552,6 +571,21 @@ class TestContentStep:
                 ]
                 last_row_cofactors(head)
                 assert math.gcd(*head[0]) == 1
+
+    def test_content_steps_at_consecutive_pivots(self):
+        # each row is its own wide factor times small entries, and every
+        # elimination step keeps a row's factor in the rows below the pivot:
+        # each pivot row still carries it when its step comes and loses it
+        # there, so content steps fire at every pivot in turn
+        rng = SplitMix64(73)
+        for n in (4, 5, 6):
+            factors = [self.wide(rng) for _ in range(n)]
+            rows = [[f * rng.int_between(1, 9) * (-1) ** rng.below(2) for _ in range(n)] for f in factors]
+            assert self.det_and_cofactors_match_oracle(rows) != 0
+            stored = [list(r) for r in rows]
+            det_integer_rows(stored)
+            for k in range(n - 1):
+                assert math.gcd(*stored[k][k:]) == 1
 
     def test_wide_dependent_rows(self):
         rng = SplitMix64(71)

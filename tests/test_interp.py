@@ -34,7 +34,7 @@ from degdet.interp import (
     poly_K,
 )
 from degdet.rng import SplitMix64
-from degdet.verify import run_suite
+from degdet.verify import _random_problem, run_suite
 
 from oracles import divide_linear, lagrange_basis_hat, sigma_lsk
 
@@ -301,6 +301,25 @@ class TestIntegerForm:
         monkeypatch.setattr(EquidistantProblem, "nodes", forbidden)
         for suite in ("eq10", "eq14", "theorem1"):
             assert run_suite(suite, max_ell=4, trials=2, seed=6).passed
+
+
+class TestDrawnProblem:
+    def test_the_drawn_problem_is_the_checked_constructors(self):
+        # eq10, eq14 and theorem1's converse half draw their problems on a
+        # trusted path that checks nothing; the checked constructor must give
+        # the same value, the same sums, from the same stream, left in the
+        # same state
+        drawing, reference = SplitMix64(2025), SplitMix64(2025)
+        for ell in range(1, 9):
+            for _ in range(40):
+                drawn = _random_problem(drawing, ell)
+                expected = random_problem(reference, ell)
+                assert drawn == expected and hash(drawn) == hash(expected)
+                assert (drawn.sums.common, drawn.sums.numerators) == (expected.sums.common, expected.sums.numerators)
+                assert drawn.integer_form == expected.integer_form
+                assert [drawn.sums[s] for s in range(ell + 2)] == [expected.sums[s] for s in range(ell + 2)]
+                assert all(type(x) is Fraction for x in (drawn.xi, drawn.h, *drawn.a))
+                assert drawing.next_u64() == reference.next_u64()
 
 
 # distinct integer nodes in any order, so grids come unsorted, negative and

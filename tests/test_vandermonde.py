@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from degdet.combinat import binomial
 from degdet.exactnum import det_fraction_free
 from degdet.rng import SplitMix64
-from degdet.verify import _random_regular_data, run_suite
+from degdet.verify import _random_affine, _random_regular_data, run_suite
 from degdet.vandermonde import (
     AffineData,
     HypothesisViolation,
@@ -446,6 +446,25 @@ class TestDrawnRegularData:
                     assert rebuilt == drawn and rebuilt.integer_form == drawn.integer_form
                     assert all(type(x) is Fraction for x in drawn.alpha + drawn.beta + drawn.r)
                     assert regularity_check(drawn) is (k <= ell)
+                    assert drawing.next_u64() == reference.next_u64()
+
+
+class TestDrawnAffineData:
+    @pytest.mark.parametrize("nonzero_alpha", [True, False])
+    @pytest.mark.parametrize("nonzero_beta", [True, False])
+    def test_the_drawn_data_is_the_checked_constructors(self, nonzero_alpha, nonzero_beta):
+        # eq5, eq5c and eq5's zero band draw their AffineData on the trusted
+        # path too; the checked constructor must give the same value, the
+        # same integer form, from the same stream, left in the same state
+        drawing, reference = SplitMix64(2027), SplitMix64(2027)
+        for k in range(1, 9):
+            for ell in range(1, 6):
+                for _ in range(12):
+                    drawn = _random_affine(drawing, k, ell, nonzero_alpha, nonzero_beta)
+                    expected = random_affine(reference, k, ell, nonzero_alpha, nonzero_beta)
+                    assert drawn == expected and hash(drawn) == hash(expected)
+                    assert drawn.integer_form == expected.integer_form
+                    assert all(type(x) is Fraction for x in drawn.alpha + drawn.beta + drawn.r)
                     assert drawing.next_u64() == reference.next_u64()
 
 

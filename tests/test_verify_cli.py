@@ -653,6 +653,26 @@ class TestNoFractionMatrix:
         assert [run_cli(capsys, *argv)[:2] for argv in runs] == expected
 
 
+class TestDrawnDataSkipsTheCheckedConstructors:
+    """verify's drawers build their problems and affine data on trusted
+    paths: with the checked constructors forbidden, the suites that draw
+    them still run every case and pass."""
+
+    def test_reports_unchanged_with_the_checked_constructors_forbidden(self, monkeypatch):
+        suites = ("eq10", "eq14", "eq5", "eq5c")
+        expected = [run_suite(name, seed=31) for name in suites]
+        assert all(report.passed for report in expected)
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("a drawer went through a checked constructor")
+
+        monkeypatch.setattr(EquidistantProblem, "__init__", forbidden)
+        monkeypatch.setattr(AffineData, "__init__", forbidden)
+        for name, report in zip(suites, expected):
+            patched = run_suite(name, seed=31)
+            assert patched.passed and (patched.cases_run, patched.notes) == (report.cases_run, report.notes)
+
+
 class TestVerifyCommand:
     def test_suite_case_count_example(self):
         report = run_suite("prop3", max_ell=6)
@@ -1029,6 +1049,54 @@ class TestSplitMix64Stream:
             "68a8870846842f9c64dddba02f6af3585e62630e72c5fbb8220767db102835a8"
         )
 
+    @pytest.mark.parametrize("seed", [0, 42, 2024])
+    def test_rationals_are_the_single_draws(self, seed):
+        # each kind of rationals() draw against count single draws from a
+        # second generator: the same _RATIONALS objects, with their integer
+        # forms, and both generators at the same stream position after
+        from degdet.exactnum import over_common_denominator
+
+        def distinct(draw, count):
+            drawn = []
+            while len(drawn) < count:
+                value = draw()
+                if value not in drawn:
+                    drawn.append(value)
+            return drawn
+
+        drawing, reference = SplitMix64(seed), SplitMix64(seed)
+        kinds = [
+            ({}, reference.rational),
+            ({"nonzero": True}, reference.nonzero_rational),
+            ({"positive": True}, reference.positive_rational),
+        ]
+        for count in range(1, 10):
+            for options, single in kinds:
+                for distinct_draws in (False, True):
+                    values, common, numerators, pairs = drawing.rationals(count, distinct=distinct_draws, **options)
+                    expected = distinct(single, count) if distinct_draws else [single() for _ in range(count)]
+                    assert type(values) is tuple and len(values) == count
+                    assert all(v is e for v, e in zip(values, expected))
+                    assert pairs == [v.as_integer_ratio() for v in values]
+                    assert (common, numerators) == over_common_denominator(values)
+        assert (drawing._state, drawing._buffer) == (reference._state, reference._buffer)
+
+    def test_rationals_skip_planted_rejections(self):
+        # outputs at the rejection limit and zero numerators (z % 19 == 9)
+        # planted ahead of a nonzero draw, and outputs at the positive
+        # limit ahead of a positive one: skipped as the single draws skip them
+        from degdet.rng import _LIMIT_9, _LIMIT_19
+
+        drawing, reference = SplitMix64(17), SplitMix64(17)
+        planted = [_LIMIT_19, 9, 2, 19 * 5 + 9, 3, 4, 1, 0, _LIMIT_9, (1 << 64) - 1, 7, 3, 5, 2]
+        for rng in (drawing, reference):
+            rng._buffer.extend(reversed(planted))
+        values = drawing.rationals(2, nonzero=True)[0] + drawing.rationals(2, positive=True)[0]
+        expected = (reference.nonzero_rational(), reference.nonzero_rational(),
+                    reference.positive_rational(), reference.positive_rational())
+        assert all(v is e for v, e in zip(values, expected, strict=True))
+        assert drawing._buffer == reference._buffer == []
+
     def test_bounded_draws_cover_range_uniformly_enough(self):
         from degdet.rng import SplitMix64
 
@@ -1051,20 +1119,18 @@ class TestSplitMix64Stream:
         rng = SplitMix64(5)
         assert len(set(rng.distinct_rationals(51))) == 51
         assert len(set(rng.distinct_positive_rationals(25))) == 25
-        # bound the draws, so a count past the pool fails here instead of
+        # bound the outputs, so a count past the pool fails here instead of
         # redrawing forever
-        draws = 0
+        fills = 0
+        fill = rng._fill
 
-        def bounded(draw):
-            def counted():
-                nonlocal draws
-                draws += 1
-                assert draws < 10_000, "distinct draws past the pool never end"
-                return draw()
-            return counted
+        def bounded():
+            nonlocal fills
+            fills += 1
+            assert fills < 100, "distinct draws past the pool never end"
+            return fill()
 
-        monkeypatch.setattr(rng, "rational", bounded(rng.rational))
-        monkeypatch.setattr(rng, "positive_rational", bounded(rng.positive_rational))
+        monkeypatch.setattr(rng, "_fill", bounded)
         with pytest.raises(ValueError):
             rng.distinct_rationals(52)
         with pytest.raises(ValueError):
