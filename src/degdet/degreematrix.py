@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import binomial
-from .exactnum import Rational, last_row_cofactors, over_common_denominator, rat
+from .exactnum import Rational, last_row_cofactors, over_common_denominator, rat, trusted
 
 
 def _checked_values(ell: int, s: int, a) -> tuple[Rational, ...]:
@@ -141,14 +141,7 @@ class AlternatingSums:
         values = _checked_values(ell, 0, a)
         self._set(ell, values, *over_common_denominator(values))
 
-    @classmethod
-    def _trusted(cls, ell: int, values: tuple[Rational, ...], common: int, numerators: list[int]) -> "AlternatingSums":
-        """The AlternatingSums of values a drawer made valid, given with the
-        lcm of their denominators and their numerators over it: nothing is
-        converted or re-checked."""
-        sums = object.__new__(cls)
-        sums._set(ell, values, common, numerators)
-        return sums
+    _trusted = classmethod(trusted)  # (ell, values, common, numerators)
 
     def _set(self, ell, values, common, numerators):
         self.ell, self.values, self.common, self.numerators = ell, values, common, numerators

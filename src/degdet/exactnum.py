@@ -123,6 +123,16 @@ class Record:
         raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
 
+def trusted(cls, *parts):
+    """The cls built by cls._set(*parts) alone, from parts a drawer made
+    valid and cleared as the checked constructor would: nothing is converted
+    or re-checked.  A class whose checked constructor checks, clears once and
+    calls _set binds this as _trusted = classmethod(trusted)."""
+    value = object.__new__(cls)
+    value._set(*parts)
+    return value
+
+
 class Poly(Record):
     """Dense univariate polynomial over exact rationals, stored as integer
     numerators over one denominator: t**k has the coefficient nums[k] / den,

@@ -12,7 +12,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .combinat import elementary_symmetric, tau
-from .degreematrix import AlternatingSums, det_A_from_cofactors, power_row_cofactors
+from .degreematrix import AlternatingSums, _checked_values, det_A_from_cofactors, power_row_cofactors
 from .exactnum import (
     NEG_INF,
     Degree,
@@ -23,6 +23,7 @@ from .exactnum import (
     format_rational,
     over_common_denominator,
     rat,
+    trusted,
 )
 
 MODE_CLOSED_FORM = "closed-form"
@@ -63,26 +64,17 @@ class EquidistantProblem(Record):
         step = rat(h)
         if step == 0:
             raise ValueError("problem needs a nonzero step h")
-        sums = AlternatingSums(ell, a)
-        self._set(ell, rat(xi), step, sums)
+        values = _checked_values(ell, 0, a)
+        self._set(ell, rat(xi), step, values, *over_common_denominator(values))
 
-    @classmethod
-    def _trusted(cls, ell: int, xi: Rational, h: Rational, a: tuple[Rational, ...], common: int,
-                 numerators: list[int]) -> "EquidistantProblem":
-        """The problem of data a drawer made valid: ell >= 1, xi and h
-        Fractions with h nonzero, and the ell + 1 values a as Fractions, with
-        the lcm of their denominators and their numerators over it; nothing
-        is converted or re-checked."""
-        problem = object.__new__(cls)
-        problem._set(ell, xi, h, AlternatingSums._trusted(ell, a, common, numerators))
-        return problem
+    _trusted = classmethod(trusted)  # (ell, xi, h, values, common, numerators)
 
-    def _set(self, ell, xi, h, sums):
+    def _set(self, ell, xi, h, values, common, numerators):
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "a", sums.values)
-        object.__setattr__(self, "sums", sums)
+        object.__setattr__(self, "a", values)
+        object.__setattr__(self, "sums", AlternatingSums._trusted(ell, values, common, numerators))
 
     def nodes(self) -> tuple[Rational, ...]:
         return equidistant_nodes(self.ell, self.xi, self.h)

@@ -47,14 +47,15 @@ _BLOCK_STEP = (_BLOCK * _GAMMA) & _MASK64
 _RATIONALS = tuple(tuple(Fraction(n, d) for d in range(1, 5)) for n in range(-9, 10))
 # The integer form of each: _PAIRS[i][j] is _RATIONALS[i][j].as_integer_ratio().
 _PAIRS = tuple(tuple(q.as_integer_ratio() for q in row) for row in _RATIONALS)
-# How many distinct values rational() and positive_rational() can take: 51
-# and 25.
+# How many distinct values rational() and rationals(..., positive=True) can
+# take: 51 and 25.
 _DISTINCT_SIGNED = len({q for row in _RATIONALS for q in row})
 _DISTINCT_POSITIVE = len({q for row in _RATIONALS[10:] for q in row})
 # The rejection limit 2^64 - (2^64 mod bound) of each bound below() has seen.
 _LIMITS: dict[int, int] = {}
-# The limits of the numerator draws of rational() and positive_rational().
-# A denominator draw, below(4), never rejects, since 4 divides 2^64.
+# The limits of the numerator draws of rational() and of
+# rationals(..., positive=True); a denominator draw, below(4), never
+# rejects, since 4 divides 2^64.
 _LIMIT_19 = (1 << 64) - (1 << 64) % 19
 _LIMIT_9 = (1 << 64) - (1 << 64) % 9
 
@@ -95,12 +96,6 @@ class SplitMix64:
             if z < limit:
                 return z % bound
 
-    def int_between(self, lo: int, hi: int) -> int:
-        """Exactly uniform integer in [lo, hi], inclusive."""
-        if hi < lo:
-            raise ValueError(f"empty range [{lo}, {hi}]")
-        return lo + self.below(hi - lo + 1)
-
     def rational(self) -> Fraction:
         """Numerator uniform in [-9, 9], denominator uniform in [1, 4]:
         _RATIONALS[below(19)][below(4)], with both draws inline."""
@@ -122,29 +117,22 @@ class SplitMix64:
                 if z % 19 != 9:
                     return _RATIONALS[z % 19][d]
 
-    def positive_rational(self) -> Fraction:
-        """Same scheme restricted to positive numerators (uniform in [1, 9]):
-        _RATIONALS[10 + below(9)][below(4)], with both draws inline."""
-        buffer = self._buffer
-        while True:
-            z = (buffer or self._fill()).pop()
-            if z < _LIMIT_9:
-                return _RATIONALS[10 + z % 9][(buffer or self._fill()).pop() % 4]
-
     def rationals(self, count: int, nonzero: bool = False, positive: bool = False,
                   distinct: bool = False) -> tuple[tuple[Fraction, ...], int, list[int], list[tuple[int, int]]]:
-        """count draws of rational(), or of nonzero_rational() or
-        positive_rational(), the same stream output for output, in integer
-        form: (values, L, N, pairs), with values the drawn _RATIONALS
-        entries, L the lcm of their denominators, values[i] = N[i] / L, and
-        pairs[i] = (p, q), values[i] in lowest terms, read off _PAIRS.  With
-        distinct, a draw equal to an earlier one is redrawn; the draws can
-        take only 51 distinct values (25 positive), so a larger count would
+        """count draws of rational(), or of nonzero_rational(), the same
+        stream output for output, or with positive of the same scheme
+        restricted to positive numerators (uniform in [1, 9]):
+        _RATIONALS[10 + below(9)][below(4)].  They come in integer form:
+        (values, L, N, pairs), with values the drawn _RATIONALS entries, L
+        the lcm of their denominators, values[i] = N[i] / L, and pairs[i] =
+        (p, q), values[i] in lowest terms, read off _PAIRS.  With distinct, a
+        draw equal to an earlier one is redrawn; the draws can take only 51
+        distinct values (50 nonzero, 25 positive), so a larger count would
         redraw forever and is refused."""
         if positive:
             limit, bound, offset, pool = _LIMIT_9, 9, 10, _DISTINCT_POSITIVE
-        else:
-            limit, bound, offset, pool = _LIMIT_19, 19, 0, _DISTINCT_SIGNED
+        else:  # nonzero leaves zero out of the pool
+            limit, bound, offset, pool = _LIMIT_19, 19, 0, _DISTINCT_SIGNED - nonzero
         if distinct and count > pool:
             raise ValueError(f"cannot draw {count} distinct values from a pool of {pool}")
         buffer = self._buffer
@@ -172,6 +160,3 @@ class SplitMix64:
     def distinct_rationals(self, count: int) -> tuple[Fraction, ...]:
         """Pairwise distinct rationals by redrawing collisions."""
         return self.rationals(count, distinct=True)[0]
-
-    def distinct_positive_rationals(self, count: int) -> tuple[Fraction, ...]:
-        return self.rationals(count, positive=True, distinct=True)[0]

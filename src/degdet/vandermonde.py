@@ -15,6 +15,7 @@ from .exactnum import (
     format_rational,
     over_common_denominator,
     rat,
+    trusted,
 )
 
 
@@ -63,14 +64,7 @@ class AffineData(Record):
         pairs_a, pairs_b = map(Fraction.as_integer_ratio, alpha_t), map(Fraction.as_integer_ratio, beta_t)
         self._set(k, ell, map(affine_row, alpha_t, beta_t, pairs_a, pairs_b), r_t, Q, R)
 
-    @classmethod
-    def _trusted(cls, k: int, ell: int, rows, r, Q: int, R: list[int]) -> "AffineData":
-        """The AffineData of data a drawer made valid, given as its rows
-        (alpha_i, beta_i, A_i, B_i, D_i), r, and r's integer form Q and R:
-        nothing is converted or re-checked."""
-        data = object.__new__(cls)
-        data._set(k, ell, rows, r, Q, R)
-        return data
+    _trusted = classmethod(trusted)  # (k, ell, rows (alpha_i, beta_i, A_i, B_i, D_i), r, Q, R)
 
     def _set(self, k, ell, rows, r, Q, R):
         alpha, beta, A, B, D = zip(*rows)

@@ -10,6 +10,7 @@ from typing import Iterator, Sequence
 from degdet.combinat import binomial, tau
 from degdet.exactnum import Poly, Rational, RationalLike, det_fraction_free, format_rational, rat
 from degdet.interp import poly_K
+from degdet.rng import _RATIONALS
 
 
 def sym_sums_subset(ell: int, j: int) -> tuple[int, ...]:
@@ -184,3 +185,16 @@ def nonzero_rational_reference(rng) -> Fraction:
         value = rng.rational()
         if value != 0:
             return value
+
+
+def positive_rational_reference(rng) -> Fraction:
+    """A positive numerator uniform in [1, 9] over a denominator uniform in
+    [1, 4], as two bounded draws: the two-step definition of what
+    SplitMix64.rationals(..., positive=True) draws inline, the same
+    _RATIONALS entry."""
+    return _RATIONALS[10 + rng.below(9)][rng.below(4)]
+
+
+def int_between(rng, lo: int, hi: int) -> int:
+    """An exactly uniform integer in [lo, hi], inclusive, from one bounded draw."""
+    return lo + rng.below(hi - lo + 1)

@@ -14,7 +14,7 @@ from degdet.combinat import (
 )
 from degdet.rng import SplitMix64
 
-from oracles import sym_sums_subset
+from oracles import int_between, sym_sums_subset
 
 
 class TestBinomial:
@@ -86,7 +86,7 @@ class TestElementarySymmetric:
         rng = SplitMix64(29)
         for n in range(8):
             rationals = [rng.rational() for _ in range(n)]
-            integers = [rng.int_between(-9, 9) for _ in range(n)]
+            integers = [int_between(rng, -9, 9) for _ in range(n)]
             for values in (rationals, integers):
                 expected = [sum(math.prod(c) for c in itertools.combinations(values, m)) for m in range(n + 1)]
                 assert elementary_symmetric(values) == expected

@@ -19,7 +19,7 @@ from degdet.degreematrix import (
 from degdet.exactnum import det_fraction_free
 from degdet.rng import SplitMix64
 
-from oracles import det_cofactor, vandermonde_product
+from oracles import det_cofactor, int_between, vandermonde_product
 
 
 def forward_difference(values, order):
@@ -213,7 +213,7 @@ class TestAlternatingSums:
     @pytest.mark.parametrize("ell", [*range(1, 41), 64, 96, 128])
     def test_mixed_denominators(self, ell):
         rng = SplitMix64(3000 + ell)
-        a = [Fraction(rng.int_between(-50, 50), rng.int_between(1, 12)) if j % 4 else rng.rational()
+        a = [Fraction(int_between(rng, -50, 50), int_between(rng, 1, 12)) if j % 4 else rng.rational()
              for j in range(ell + 1)]
         self.assert_matches_single_sums(ell, a)
 
@@ -232,7 +232,7 @@ class TestAlternatingSums:
         big = 7**6000
         assert big > 10**5000
         rng = SplitMix64(4000 + ell)
-        a = [Fraction(rng.int_between(-9, 9) * big + rng.below(10), rng.int_between(1, 5)) for _ in range(ell + 1)]
+        a = [Fraction(int_between(rng, -9, 9) * big + rng.below(10), int_between(rng, 1, 5)) for _ in range(ell + 1)]
         self.assert_matches_single_sums(ell, a)
 
     def test_matches_the_reference_past_ell(self):

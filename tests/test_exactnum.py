@@ -29,6 +29,7 @@ from oracles import (
     coeffs_value,
     det_cofactor,
     divide_linear,
+    int_between,
     trimmed,
 )
 
@@ -374,7 +375,7 @@ class TestDetIntegerRows:
         for n in range(1, 7):
             for _ in range(12):
                 # a third of the entries are 0, so pivots vanish and rows swap
-                rows = [[0 if rng.below(3) == 0 else rng.int_between(-9, 9) for _ in range(n)] for _ in range(n)]
+                rows = [[0 if rng.below(3) == 0 else int_between(rng, -9, 9) for _ in range(n)] for _ in range(n)]
                 self.assert_matches_cofactor(rows)
 
     @pytest.mark.parametrize(
@@ -563,11 +564,11 @@ class TestContentStep:
         factor = self.wide(rng)
         for n in range(1, 7):
             for _ in range(8):
-                rows = [[factor * rng.int_between(-9, 9) for _ in range(n)] for _ in range(n)]
+                rows = [[factor * int_between(rng, -9, 9) for _ in range(n)] for _ in range(n)]
                 self.det_and_cofactors_match_oracle(rows)
                 # g > 1 at step 0: the pivot row is left without its content
-                head = [[factor * rng.int_between(1, 9) for _ in range(n + 1)]] + [
-                    [factor * rng.int_between(-9, 9) for _ in range(n + 1)] for _ in range(n - 1)
+                head = [[factor * int_between(rng, 1, 9) for _ in range(n + 1)]] + [
+                    [factor * int_between(rng, -9, 9) for _ in range(n + 1)] for _ in range(n - 1)
                 ]
                 last_row_cofactors(head)
                 assert math.gcd(*head[0]) == 1
@@ -580,7 +581,7 @@ class TestContentStep:
         rng = SplitMix64(73)
         for n in (4, 5, 6):
             factors = [self.wide(rng) for _ in range(n)]
-            rows = [[f * rng.int_between(1, 9) * (-1) ** rng.below(2) for _ in range(n)] for f in factors]
+            rows = [[f * int_between(rng, 1, 9) * (-1) ** rng.below(2) for _ in range(n)] for f in factors]
             assert self.det_and_cofactors_match_oracle(rows) != 0
             stored = [list(r) for r in rows]
             det_integer_rows(stored)

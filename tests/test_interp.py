@@ -36,7 +36,7 @@ from degdet.interp import (
 from degdet.rng import SplitMix64
 from degdet.verify import _random_problem, run_suite
 
-from oracles import divide_linear, lagrange_basis_hat, sigma_lsk
+from oracles import divide_linear, int_between, lagrange_basis_hat, sigma_lsk
 
 
 def random_problem(rng, ell):
@@ -271,7 +271,7 @@ def integer_form_problems():
             ell, rng.rational() + Fraction(1, 3), -abs(rng.nonzero_rational()) - Fraction(1, 7), values))
         problems.append(EquidistantProblem(ell, rng.rational(), rng.nonzero_rational(), [0] * (ell + 1)))
         problems.append(EquidistantProblem(
-            ell, Fraction(2 * rng.int_between(-4, 4) + 1, 2), Fraction(2 * rng.int_between(-4, 4) + 1, 2), values))
+            ell, Fraction(2 * int_between(rng, -4, 4) + 1, 2), Fraction(2 * int_between(rng, -4, 4) + 1, 2), values))
     return problems
 
 

@@ -1,8 +1,9 @@
 """Every module-level function or class in the degdet package, `_`-prefixed
 or not, must have a use inside the package, outside its own definition and
 outside `__init__.py`, or be named in the benchmark's span tracer
-(perfbench/spans.py TRACED).  A definition that only tests call is a test
-oracle, and belongs in tests/oracles.py."""
+(perfbench/spans.py TRACED); so must every method of a package class that
+Python does not call by itself (a dunder).  A definition that only tests
+call is a test oracle, and belongs in tests/oracles.py."""
 
 import ast
 from collections import Counter
@@ -46,5 +47,36 @@ def test_every_definition_is_used_in_the_package_or_traced():
         f"{module}:{name}"
         for module, name, own in definitions
         if (module, name) not in traced and uses[name] == own[name]
+    ]
+    assert not unused
+
+
+# Methods kept without a package caller.  SplitMix64.next_u64 is the
+# reference stream: one raw output at a time, which the tests read to check
+# every bounded and table draw against.
+UNCALLED_METHODS = {("rng", "SplitMix64", "next_u64")}
+
+
+def test_every_method_is_used_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    uses: Counter = Counter()
+    methods = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        uses += referenced_names(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods += [
+                    (module, node.name, item.name, referenced_names(item))
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+    assert ("rng", "SplitMix64", "rationals") in [m[:3] for m in methods]
+    unused = [
+        f"{module}:{cls}.{name}"
+        for module, cls, name, own in methods
+        if (module, cls, name) not in UNCALLED_METHODS and uses[name] == own[name]
     ]
     assert not unused

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from degdet.exactnum import NEG_INF, Poly
+from degdet.degreematrix import AlternatingSums
+from degdet.exactnum import NEG_INF, Poly, trusted
 from degdet.interp import (
     DegreeDetection,
     EquidistantProblem,
@@ -148,6 +149,16 @@ class TestValueRecords:
         y = pickle.loads(pickle.dumps(x))
         assert [y.sums[k] for k in range(3)] == [x.sums[k] for k in range(3)]
         assert y.integer_form == x.integer_form
+
+    def test_one_trusted_construction(self):
+        # the drawers' constructors are all exactnum.trusted, each class's
+        # _set taking the parts its checked constructor clears
+        for cls in (AlternatingSums, EquidistantProblem, AffineData):
+            assert cls.__dict__["_trusted"].__func__ is trusted
+        x = EquidistantProblem(2, Fraction(1, 2), -3, ["1/2", 4, 9])
+        y = EquidistantProblem._trusted(2, x.xi, x.h, x.a, x.sums.common, x.sums.numerators)
+        assert type(y) is EquidistantProblem and type(y.sums) is AlternatingSums
+        assert y == x and y.integer_form == x.integer_form
 
 
 class TestVerifyReport:

@@ -24,7 +24,7 @@ from degdet.vandermonde import (
     regularity_check,
 )
 
-from oracles import det_cofactor, gen_vandermonde_det, schur_eval, vandermonde_product
+from oracles import det_cofactor, gen_vandermonde_det, positive_rational_reference, schur_eval, vandermonde_product
 
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -364,9 +364,10 @@ class TestRegularity:
         with pytest.raises(HypothesisViolation) as exc:
             regularity_check(AffineData(2, 2, [1, 2], [1, 2], [1, 2]))
         assert exc.value.hypothesis == "pairwise-independence"
-        with pytest.raises(HypothesisViolation) as exc:
-            regularity_check(AffineData(2, 2, [1, 2], [1, 1], [-1, 2]))
-        assert exc.value.hypothesis == "r-positive"
+        for r in ([-1, 2], [0, 2], [1, 0]):  # r_i = 0 is not positive either
+            with pytest.raises(HypothesisViolation) as exc:
+                regularity_check(AffineData(2, 2, [1, 2], [1, 1], r))
+            assert exc.value.hypothesis == "r-positive"
 
     def test_equal_ratios_over_different_denominators(self):
         # alpha_1/beta_1 = (1/2)/(1/4) = 2 = alpha_2/beta_2
@@ -418,15 +419,15 @@ def regular_data_by_the_checked_constructor(rng, k, ell):
     every value converted and checked again by the constructor."""
     alpha, beta, ratios = [], [], set()
     while len(alpha) < k:
-        negative = rng.int_between(0, 1) == 1
-        a = rng.positive_rational()
-        b = rng.positive_rational()
+        negative = rng.below(2) == 1
+        a = positive_rational_reference(rng)
+        b = positive_rational_reference(rng)
         if a / b in ratios:
             continue
         ratios.add(a / b)
         alpha.append(-a if negative else a)
         beta.append(-b if negative else b)
-    return AffineData(k, ell, alpha, beta, rng.distinct_positive_rationals(k))
+    return AffineData(k, ell, alpha, beta, rng.rationals(k, positive=True, distinct=True)[0])
 
 
 class TestDrawnRegularData:

@@ -27,7 +27,7 @@ from degdet.interp import EquidistantProblem, newton_interpolate
 from degdet.rng import SplitMix64
 from degdet.vandermonde import AffineData, build_B
 from degdet.verify import DEFAULT_SEED, SUITES, VerifyReport, run_suite
-from oracles import nonzero_rational_reference, splitmix64_scalar
+from oracles import int_between, nonzero_rational_reference, positive_rational_reference, splitmix64_scalar
 
 
 def run_cli(capsys, *argv):
@@ -226,9 +226,10 @@ class TestDegreeCommand:
         single_sums = []
 
         class CountingSums(AlternatingSums):
-            def __init__(self, ell, a):
+            # both constructors, checked and trusted, build through _set
+            def _set(self, ell, *parts):
                 vectors.append(ell)
-                super().__init__(ell, a)
+                super()._set(ell, *parts)
 
         def counting_single_sum(ell, s, a):
             single_sums.append(s)
@@ -295,8 +296,8 @@ class TestDegreeCommand:
         rng = SplitMix64(31)
         problems = []
         for ell in range(1, 13):
-            xi = Fraction(rng.int_between(-9, 9), 2 * rng.int_between(1, 4) + 1)
-            h = -rng.positive_rational() if ell % 2 else rng.positive_rational()
+            xi = Fraction(int_between(rng, -9, 9), 2 * int_between(rng, 1, 4) + 1)
+            h = -positive_rational_reference(rng) if ell % 2 else positive_rational_reference(rng)
             problems.append(EquidistantProblem(ell, xi, h, [rng.rational() for _ in range(ell + 1)]))
             drop = Poly([rng.rational() for _ in range(ell // 2)] + [rng.nonzero_rational()])
             problems.append(EquidistantProblem(ell, xi, h, [drop(node) for node in problems[-1].nodes()]))
@@ -1002,6 +1003,8 @@ class TestSplitMix64Stream:
         # 2**64 a denominator output is never skipped
         from degdet.rng import _RATIONALS
 
+        draw = {"rational": SplitMix64.rational,
+                "positive_rational": lambda rng: rng.rationals(1, positive=True)[0][0]}[draw]
         limit = (1 << 64) - (1 << 64) % bound
         inline, reference = SplitMix64(11), SplitMix64(11)
         for rng in (inline, reference):
@@ -1010,7 +1013,7 @@ class TestSplitMix64Stream:
             for rng in (inline, reference):
                 rng._buffer.extend(reversed(planted))
             for _ in range(3):
-                assert getattr(inline, draw)() is _RATIONALS[offset + reference.below(bound)][reference.below(4)]
+                assert draw(inline) is _RATIONALS[offset + reference.below(bound)][reference.below(4)]
             assert inline._buffer == reference._buffer
 
     @pytest.mark.parametrize("seed", [0, 1, 2024, 12345, 2**64 - 1])
@@ -1042,7 +1045,7 @@ class TestSplitMix64Stream:
         draws = (
             [rng.rational() for _ in range(5000)]
             + [rng.nonzero_rational() for _ in range(5000)]
-            + [rng.positive_rational() for _ in range(5000)]
+            + list(rng.rationals(5000, positive=True)[0])
         )
         text = ",".join(map(format_rational, draws))
         assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -1068,7 +1071,7 @@ class TestSplitMix64Stream:
         kinds = [
             ({}, reference.rational),
             ({"nonzero": True}, reference.nonzero_rational),
-            ({"positive": True}, reference.positive_rational),
+            ({"positive": True}, lambda: positive_rational_reference(reference)),
         ]
         for count in range(1, 10):
             for options, single in kinds:
@@ -1093,7 +1096,7 @@ class TestSplitMix64Stream:
             rng._buffer.extend(reversed(planted))
         values = drawing.rationals(2, nonzero=True)[0] + drawing.rationals(2, positive=True)[0]
         expected = (reference.nonzero_rational(), reference.nonzero_rational(),
-                    reference.positive_rational(), reference.positive_rational())
+                    positive_rational_reference(reference), positive_rational_reference(reference))
         assert all(v is e for v, e in zip(values, expected, strict=True))
         assert drawing._buffer == reference._buffer == []
 
@@ -1101,7 +1104,7 @@ class TestSplitMix64Stream:
         from degdet.rng import SplitMix64
 
         rng = SplitMix64(0)
-        draws = [rng.int_between(-9, 9) for _ in range(2000)]
+        draws = [int_between(rng, -9, 9) for _ in range(2000)]
         assert set(draws) == set(range(-9, 10))
         rationals = [rng.rational() for _ in range(200)]
         assert all(-9 <= q <= 9 for q in rationals)
@@ -1112,13 +1115,15 @@ class TestSplitMix64Stream:
         rng = SplitMix64(3)
         values = rng.distinct_rationals(6)
         assert len(set(values)) == 6
-        positives = rng.distinct_positive_rationals(6)
+        positives = rng.rationals(6, positive=True, distinct=True)[0]
         assert all(v > 0 for v in positives)
 
     def test_distinct_draws_exhaust_the_pool_then_refuse(self, monkeypatch):
         rng = SplitMix64(5)
         assert len(set(rng.distinct_rationals(51))) == 51
-        assert len(set(rng.distinct_positive_rationals(25))) == 25
+        assert len(set(rng.rationals(25, positive=True, distinct=True)[0])) == 25
+        nonzero = rng.rationals(50, nonzero=True, distinct=True)[0]
+        assert len(set(nonzero)) == 50 and 0 not in nonzero
         # bound the outputs, so a count past the pool fails here instead of
         # redrawing forever
         fills = 0
@@ -1134,4 +1139,6 @@ class TestSplitMix64Stream:
         with pytest.raises(ValueError):
             rng.distinct_rationals(52)
         with pytest.raises(ValueError):
-            rng.distinct_positive_rationals(26)
+            rng.rationals(26, positive=True, distinct=True)
+        with pytest.raises(ValueError):
+            rng.rationals(51, nonzero=True, distinct=True)
