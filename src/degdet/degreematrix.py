@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import binomial
-from .exactnum import Rational, last_row_cofactors, over_common_denominator, rat, trusted
+from .exactnum import Rational, last_row_cofactors, over_common_denominator, rat
 
 
 def _checked_values(ell: int, s: int, a) -> tuple[Rational, ...]:
@@ -132,19 +132,16 @@ _ZERO = Fraction(0)
 
 class AlternatingSums:
     """self[s], s >= 0, is the integer L * alternating_weighted_sum(ell, s, a),
-    with values the checked rationals a_j, L (common) the lcm of their
-    denominators and numerators the a_j = N_j / L as ints: sum(w) for the weights
+    with L (common) the lcm of the denominators of the checked rationals a_j
+    and numerators the a_j = N_j / L as ints: sum(w) for the weights
     w_j = (-1)^j C(ell, j) L a_j j^s.  In-order reads step w_j <- j w_j and keep
     each sum; a read further on takes ell + 1 powers j^s and keeps nothing."""
 
     def __init__(self, ell: int, a):
-        values = _checked_values(ell, 0, a)
-        self._set(ell, values, *over_common_denominator(values))
+        self._set(ell, *over_common_denominator(_checked_values(ell, 0, a)))
 
-    _trusted = classmethod(trusted)  # (ell, values, common, numerators)
-
-    def _set(self, ell, values, common, numerators):
-        self.ell, self.values, self.common, self.numerators = ell, values, common, numerators
+    def _set(self, ell, common, numerators):
+        self.ell, self.common, self.numerators = ell, common, numerators
         self._weights = self._base = list(map(operator.mul, _signed_binomials(ell), numerators))
         self._sums = [sum(self._weights)]
         self._sigma = None  # sigma_ell(ell), set by the first nonzero det

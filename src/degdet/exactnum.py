@@ -126,8 +126,8 @@ class Record:
 def trusted(cls, *parts):
     """The cls built by cls._set(*parts) alone, from parts a drawer made
     valid and cleared as the checked constructor would: nothing is converted
-    or re-checked.  A class whose checked constructor checks, clears once and
-    calls _set binds this as _trusted = classmethod(trusted)."""
+    or re-checked.  Callers name the class, trusted(AffineData, ...), for a
+    class whose checked constructor checks, clears once and calls _set."""
     value = object.__new__(cls)
     value._set(*parts)
     return value

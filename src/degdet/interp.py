@@ -67,17 +67,12 @@ class EquidistantProblem(Record):
         values = _checked_values(ell, 0, a)
         self._set(ell, rat(xi), step, values, *over_common_denominator(values))
 
-    _trusted = classmethod(trusted)  # (ell, xi, h, values, common, numerators)
-
     def _set(self, ell, xi, h, values, common, numerators):
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "a", values)
-        object.__setattr__(self, "sums", AlternatingSums._trusted(ell, values, common, numerators))
-
-    def nodes(self) -> tuple[Rational, ...]:
-        return equidistant_nodes(self.ell, self.xi, self.h)
+        object.__setattr__(self, "sums", trusted(AlternatingSums, ell, common, numerators))
 
     @property
     def integer_form(self) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:

@@ -84,11 +84,12 @@ class SplitMix64:
         return (self._buffer or self._fill()).pop()
 
     def below(self, bound: int) -> int:
-        """Exactly uniform integer in [0, bound); rejection on the top remainder band."""
+        """Exactly uniform integer in [0, bound); rejection on the top remainder
+        band.  A bound above 2^64 would reject every output, so it is refused."""
         limit = _LIMITS.get(bound)
         if limit is None:
-            if bound < 1:
-                raise ValueError(f"bound must be positive, got {bound}")
+            if not 1 <= bound <= 1 << 64:
+                raise ValueError(f"bound must be in [1, 2^64], got {bound}")
             limit = _LIMITS[bound] = (1 << 64) - ((1 << 64) % bound)
         buffer = self._buffer
         while True:
@@ -96,39 +97,30 @@ class SplitMix64:
             if z < limit:
                 return z % bound
 
-    def rational(self) -> Fraction:
+    def rational(self, nonzero: bool = False) -> Fraction:
         """Numerator uniform in [-9, 9], denominator uniform in [1, 4]:
-        _RATIONALS[below(19)][below(4)], with both draws inline."""
+        _RATIONALS[below(19)][below(4)], with both draws inline.  With
+        nonzero, redrawn until nonzero: a zero numerator (z % 19 == 9) still
+        takes its denominator draw, then redraws."""
         buffer = self._buffer
         while True:
             z = (buffer or self._fill()).pop()
             if z < _LIMIT_19:
-                return _RATIONALS[z % 19][(buffer or self._fill()).pop() % 4]
-
-    def nonzero_rational(self) -> Fraction:
-        """rational() redrawn until nonzero, with both draws inline: a zero
-        numerator (z % 19 == 9) still takes its denominator draw, then
-        redraws."""
-        buffer = self._buffer
-        while True:
-            z = (buffer or self._fill()).pop()
-            if z < _LIMIT_19:
-                d = (buffer or self._fill()).pop() % 4
-                if z % 19 != 9:
-                    return _RATIONALS[z % 19][d]
+                value = _RATIONALS[z % 19][(buffer or self._fill()).pop() % 4]
+                if not nonzero or z % 19 != 9:
+                    return value
 
     def rationals(self, count: int, nonzero: bool = False, positive: bool = False,
                   distinct: bool = False) -> tuple[tuple[Fraction, ...], int, list[int], list[tuple[int, int]]]:
-        """count draws of rational(), or of nonzero_rational(), the same
-        stream output for output, or with positive of the same scheme
-        restricted to positive numerators (uniform in [1, 9]):
-        _RATIONALS[10 + below(9)][below(4)].  They come in integer form:
-        (values, L, N, pairs), with values the drawn _RATIONALS entries, L
-        the lcm of their denominators, values[i] = N[i] / L, and pairs[i] =
-        (p, q), values[i] in lowest terms, read off _PAIRS.  With distinct, a
-        draw equal to an earlier one is redrawn; the draws can take only 51
-        distinct values (50 nonzero, 25 positive), so a larger count would
-        redraw forever and is refused."""
+        """count draws of rational(nonzero), the same stream output for
+        output, or with positive of the same scheme restricted to positive
+        numerators (uniform in [1, 9]): _RATIONALS[10 + below(9)][below(4)].
+        They come in integer form: (values, L, N, pairs), with values the
+        drawn _RATIONALS entries, L the lcm of their denominators, values[i] =
+        N[i] / L, and pairs[i] = (p, q), values[i] in lowest terms, read off
+        _PAIRS.  With distinct, a draw equal to an earlier one is redrawn; the
+        draws can take only 51 distinct values (50 nonzero, 25 positive), so a
+        larger count would redraw forever and is refused."""
         if positive:
             limit, bound, offset, pool = _LIMIT_9, 9, 10, _DISTINCT_POSITIVE
         else:  # nonzero leaves zero out of the pool
@@ -156,7 +148,3 @@ class SplitMix64:
         for p, q in pairs:
             numerators.append(p * (common // q))
         return tuple(values), common, numerators, pairs
-
-    def distinct_rationals(self, count: int) -> tuple[Fraction, ...]:
-        """Pairwise distinct rationals by redrawing collisions."""
-        return self.rationals(count, distinct=True)[0]

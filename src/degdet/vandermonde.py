@@ -15,7 +15,6 @@ from .exactnum import (
     format_rational,
     over_common_denominator,
     rat,
-    trusted,
 )
 
 
@@ -64,9 +63,7 @@ class AffineData(Record):
         pairs_a, pairs_b = map(Fraction.as_integer_ratio, alpha_t), map(Fraction.as_integer_ratio, beta_t)
         self._set(k, ell, map(affine_row, alpha_t, beta_t, pairs_a, pairs_b), r_t, Q, R)
 
-    _trusted = classmethod(trusted)  # (k, ell, rows (alpha_i, beta_i, A_i, B_i, D_i), r, Q, R)
-
-    def _set(self, k, ell, rows, r, Q, R):
+    def _set(self, k, ell, rows, r, Q, R):  # rows (alpha_i, beta_i, A_i, B_i, D_i)
         alpha, beta, A, B, D = zip(*rows)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "ell", ell)

@@ -36,6 +36,7 @@ from .exactnum import (
     format_rational,
     over_common_denominator,
     poly_shift_scale,
+    trusted,
 )
 from .interp import (
     EquidistantProblem,
@@ -111,20 +112,20 @@ def _csv(values) -> str:
 
 
 def _random_problem(rng: SplitMix64, ell: int) -> EquidistantProblem:
-    return EquidistantProblem._trusted(ell, rng.rational(), rng.nonzero_rational(), *rng.rationals(ell + 1)[:3])
+    return trusted(EquidistantProblem, ell, rng.rational(), rng.rational(nonzero=True), *rng.rationals(ell + 1)[:3])
 
 
 def _random_exact_degree_poly(rng: SplitMix64, degree: Degree) -> Poly:
     if isinstance(degree, NegativeInfinity):
         return Poly()
-    return Poly([rng.rational() for _ in range(degree)] + [rng.nonzero_rational()])
+    return Poly([rng.rational() for _ in range(degree)] + [rng.rational(nonzero=True)])
 
 
 def _random_affine(rng: SplitMix64, k: int, ell: int, nonzero_alpha: bool, nonzero_beta: bool) -> AffineData:
     alpha, _, _, alpha_pairs = rng.rationals(k, nonzero=nonzero_alpha)
     beta, _, _, beta_pairs = rng.rationals(k, nonzero=nonzero_beta)
     rows = map(affine_row, alpha, beta, alpha_pairs, beta_pairs)
-    return AffineData._trusted(k, ell, rows, *rng.rationals(k, distinct=True)[:3])
+    return trusted(AffineData, k, ell, rows, *rng.rationals(k, distinct=True)[:3])
 
 
 def _random_regular_data(rng: SplitMix64, k: int, ell: int) -> AffineData:
@@ -140,7 +141,7 @@ def _random_regular_data(rng: SplitMix64, k: int, ell: int) -> AffineData:
         if (x // g, y // g) not in drawn:
             drawn[x // g, y // g] = (_RATIONALS[9 + sign * p][da - 1], _RATIONALS[9 + sign * q][db - 1],
                                      sign * x, sign * y, d)
-    return AffineData._trusted(k, ell, drawn.values(), *rng.rationals(k, positive=True, distinct=True)[:3])
+    return trusted(AffineData, k, ell, drawn.values(), *rng.rationals(k, positive=True, distinct=True)[:3])
 
 
 def _suite_prop3(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
@@ -178,7 +179,7 @@ def _suite_prop2(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: in
                 report.case(
                     lambda: f"ell={ell} s={s} trial={trial} a={_csv(a)}",
                     direct,
-                    AlternatingSums._trusted(ell, a, common, numerators).det(s),
+                    trusted(AlternatingSums, ell, common, numerators).det(s),
                 )
 
 
@@ -264,7 +265,7 @@ def _suite_theorem1(report: VerifyReport, rng: SplitMix64, max_ell: int, trials:
             for trial in range(trials):
                 poly = _random_exact_degree_poly(rng, target)
                 xi = rng.rational()
-                h = rng.nonzero_rational()
+                h = rng.rational(nonzero=True)
                 problem = EquidistantProblem(ell, xi, h, [poly(x) for x in equidistant_nodes(ell, xi, h)])
                 report.case(
                     lambda: f"constructed-degree ell={ell} target={target} trial={trial} {_problem_inputs(problem)}",
@@ -298,7 +299,7 @@ def _suite_remark5(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: 
     for ell in range(1, max_ell + 1):
         grids: list[tuple[Rational, ...]] = [tuple(Fraction(i) for i in range(ell + 1))]
         for _ in range(trials):
-            grids.append(rng.distinct_rationals(ell + 1))
+            grids.append(rng.rationals(ell + 1, distinct=True)[0])
         for grid_index, nodes in enumerate(grids):
             a = rng.rationals(ell + 1)[0]
             problem = GeneralProblem(nodes, a)

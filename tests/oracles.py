@@ -180,7 +180,7 @@ def splitmix64_scalar(seed: int) -> Iterator[int]:
 
 def nonzero_rational_reference(rng) -> Fraction:
     """rng.rational() redrawn until it is nonzero: the two-step definition
-    that SplitMix64.nonzero_rational draws inline."""
+    that SplitMix64.rational(nonzero=True) draws inline."""
     while True:
         value = rng.rational()
         if value != 0:

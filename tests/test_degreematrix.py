@@ -16,7 +16,7 @@ from degdet.degreematrix import (
     sigma_ell,
     sub_column_offsets,
 )
-from degdet.exactnum import det_fraction_free
+from degdet.exactnum import det_fraction_free, trusted
 from degdet.rng import SplitMix64
 
 from oracles import det_cofactor, int_between, vandermonde_product
@@ -326,7 +326,7 @@ class TestAlternatingSums:
             vectors = (
                 [rng.rational() for _ in range(ell + 1)],
                 [Fraction(0)] * (ell + 1),
-                [rng.nonzero_rational()] * (ell + 1),
+                [rng.rational(nonzero=True)] * (ell + 1),
                 [Fraction(j * j, 3) - 1 for j in range(ell + 1)],
             )
             for a in vectors:
@@ -351,11 +351,12 @@ class TestDrawnSums:
         for ell in range(1, 9):
             for _ in range(40):
                 a, common, numerators, _ = drawing.rationals(ell + 1)
-                drawn = AlternatingSums._trusted(ell, a, common, numerators)
-                expected = AlternatingSums(ell, [reference.rational() for _ in range(ell + 1)])
-                assert drawn.values == expected.values and hash(drawn.values) == hash(expected.values)
+                values = tuple(reference.rational() for _ in range(ell + 1))
+                drawn = trusted(AlternatingSums, ell, common, numerators)
+                expected = AlternatingSums(ell, values)
+                assert a == values and hash(a) == hash(values)
                 assert (drawn.common, drawn.numerators) == (expected.common, expected.numerators)
-                assert all(type(x) is Fraction for x in drawn.values)
+                assert all(type(x) is Fraction for x in a)
                 for s in range(ell + 2):
                     assert drawn[s] == expected[s] and drawn.det(s) == expected.det(s)
                 assert drawing.next_u64() == reference.next_u64()

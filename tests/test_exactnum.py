@@ -142,7 +142,7 @@ class TestPoly:
             return Poly([k * c for k, c in enumerate(p.coeffs)][1:])
 
         rng = SplitMix64(41)
-        polys = [Poly()] + [Poly([rng.rational() for _ in range(d)] + [rng.nonzero_rational()]) for d in range(9)]
+        polys = [Poly()] + [Poly([rng.rational() for _ in range(d)] + [rng.rational(nonzero=True)]) for d in range(9)]
         for p in polys:
             top = 0 if p.is_zero else p.degree
             repeated = p
@@ -159,7 +159,7 @@ class TestPoly:
 
         rng = SplitMix64(43)
         polys = [Poly()] + [
-            Poly([rng.rational() for _ in range(d)] + [rng.nonzero_rational()]) for d in range(9) for _ in range(3)
+            Poly([rng.rational() for _ in range(d)] + [rng.rational(nonzero=True)]) for d in range(9) for _ in range(3)
         ]
         points = [Fraction(0), Fraction(1), Fraction(6), Fraction(-4), Fraction(-1, 2), Fraction(-7, 3),
                   Fraction(-9, 4), Fraction(5, 12)] + [rng.rational() for _ in range(8)]
@@ -198,9 +198,9 @@ class TestPoly:
 
     def test_shift_scale_matches_poly_product_horner(self):
         rng = SplitMix64(41)
-        polys = [Poly()] + [Poly([rng.rational() for _ in range(d)] + [rng.nonzero_rational()]) for d in range(41)]
+        polys = [Poly()] + [Poly([rng.rational() for _ in range(d)] + [rng.rational(nonzero=True)]) for d in range(41)]
         for p in polys:
-            xi, h = rng.rational(), rng.nonzero_rational()
+            xi, h = rng.rational(), rng.rational(nonzero=True)
             for step in (h, -h):
                 assert poly_shift_scale(p, xi, step) == shift_scale_by_poly_products(p, xi, step)
 

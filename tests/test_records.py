@@ -151,12 +151,13 @@ class TestValueRecords:
         assert y.integer_form == x.integer_form
 
     def test_one_trusted_construction(self):
-        # the drawers' constructors are all exactnum.trusted, each class's
-        # _set taking the parts its checked constructor clears
+        # the drawers call exactnum.trusted by its name, each class's _set
+        # taking the parts its checked constructor clears; no class keeps an
+        # alias of it
         for cls in (AlternatingSums, EquidistantProblem, AffineData):
-            assert cls.__dict__["_trusted"].__func__ is trusted
+            assert "_trusted" not in vars(cls) and callable(vars(cls)["_set"])
         x = EquidistantProblem(2, Fraction(1, 2), -3, ["1/2", 4, 9])
-        y = EquidistantProblem._trusted(2, x.xi, x.h, x.a, x.sums.common, x.sums.numerators)
+        y = trusted(EquidistantProblem, 2, x.xi, x.h, x.a, x.sums.common, x.sums.numerators)
         assert type(y) is EquidistantProblem and type(y.sums) is AlternatingSums
         assert y == x and y.integer_form == x.integer_form
 

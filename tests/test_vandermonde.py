@@ -30,9 +30,9 @@ small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
 
 def random_affine(rng, k, ell, nonzero_alpha=False, nonzero_beta=False):
-    alpha = [rng.nonzero_rational() if nonzero_alpha else rng.rational() for _ in range(k)]
-    beta = [rng.nonzero_rational() if nonzero_beta else rng.rational() for _ in range(k)]
-    return AffineData(k, ell, alpha, beta, rng.distinct_rationals(k))
+    alpha = [rng.rational(nonzero=True) if nonzero_alpha else rng.rational() for _ in range(k)]
+    beta = [rng.rational(nonzero=True) if nonzero_beta else rng.rational() for _ in range(k)]
+    return AffineData(k, ell, alpha, beta, rng.rationals(k, distinct=True)[0])
 
 
 class TestAffineData:
@@ -180,7 +180,7 @@ class TestGenVandermonde:
     def test_initial_exponents_match_product_formula(self):
         rng = SplitMix64(5)
         for k in range(1, 5):
-            nu = rng.distinct_rationals(k)
+            nu = rng.rationals(k, distinct=True)[0]
             assert gen_vandermonde_det(nu, tuple(range(k))) == vandermonde_product(nu)
 
 
@@ -191,13 +191,13 @@ class TestSchur:
     def test_identity_exponents_give_one(self):
         rng = SplitMix64(6)
         for k in range(1, 5):
-            nu = rng.distinct_rationals(k)
+            nu = rng.rationals(k, distinct=True)[0]
             assert schur_eval(nu, tuple(range(k))) == 1
 
     def test_symmetric_under_all_permutations(self):
         rng = SplitMix64(8)
         for k in (2, 3, 4):
-            nu = rng.distinct_rationals(k)
+            nu = rng.rationals(k, distinct=True)[0]
             mu = tuple(sorted({0, k, k + 1} | set(range(k - 2)))[:k])
             reference = schur_eval(nu, mu)
             for perm in itertools.permutations(nu):
@@ -210,7 +210,7 @@ class TestSchur:
     def test_quotient_times_denominator_recovers_determinant(self):
         rng = SplitMix64(9)
         for entries in ((1, 3), (0, 2, 4), (1, 2, 4)):
-            nu = rng.distinct_rationals(len(entries))
+            nu = rng.rationals(len(entries), distinct=True)[0]
             assert schur_eval(nu, entries) * vandermonde_product(nu) == gen_vandermonde_det(nu, entries)
 
 
@@ -272,7 +272,7 @@ class TestExpansion:
     def test_single_row_reduces_to_matrix_entry(self):
         rng = SplitMix64(10)
         for _ in range(10):
-            alpha, beta, r = rng.nonzero_rational(), rng.rational(), rng.rational()
+            alpha, beta, r = rng.rational(nonzero=True), rng.rational(), rng.rational()
             data = AffineData(1, 2, [alpha], [beta], [r])
             assert det_B_expansion(data) == alpha + r * beta
 
@@ -299,7 +299,7 @@ class TestExpansionComplement:
     def test_single_row_case(self):
         rng = SplitMix64(12)
         for _ in range(10):
-            alpha, beta, r = rng.nonzero_rational(), rng.nonzero_rational(), rng.rational()
+            alpha, beta, r = rng.rational(nonzero=True), rng.rational(nonzero=True), rng.rational()
             data = AffineData(1, 2, [alpha], [beta], [r])
             assert det_B_expansion_complement(data) == alpha + r * beta
 
@@ -498,9 +498,9 @@ class TestExpansionKernel:
         mixed_r = [Fraction(n, d) for n, d in [(1, 2), (-2, 3), (3, 4), (5, 1), (-7, 6), (9, 8)]]
         for k in range(1, ell + 1):
             for trial in range(6):
-                alpha = [rng.nonzero_rational() for _ in range(k)]
-                beta = [rng.nonzero_rational() for _ in range(k)]
-                r = mixed_r[:k] if trial == 0 else rng.distinct_rationals(k)
+                alpha = [rng.rational(nonzero=True) for _ in range(k)]
+                beta = [rng.rational(nonzero=True) for _ in range(k)]
+                r = mixed_r[:k] if trial == 0 else rng.rationals(k, distinct=True)[0]
                 data = AffineData(k, ell, alpha, beta, r)
                 assert det_B_expansion(data) == expansion_as_fraction_sum(data)
                 assert det_B_expansion_complement(data) == complement_as_fraction_sum(data)

@@ -23,7 +23,7 @@ from degdet.exactnum import (
     parse_rational,
     poly_shift_scale,
 )
-from degdet.interp import EquidistantProblem, newton_interpolate
+from degdet.interp import EquidistantProblem, equidistant_nodes, newton_interpolate
 from degdet.rng import SplitMix64
 from degdet.vandermonde import AffineData, build_B
 from degdet.verify import DEFAULT_SEED, SUITES, VerifyReport, run_suite
@@ -187,7 +187,7 @@ class TestProblemFile:
 # ell = 32 problems whose full reports are pinned below
 ALL_EQUAL_32 = EquidistantProblem(32, Fraction(-5, 3), Fraction(7, 4), [Fraction(-11, 6)] * 33)
 _PIN_RNG = SplitMix64(3232)
-RANDOM_32 = EquidistantProblem(32, _PIN_RNG.rational(), _PIN_RNG.nonzero_rational(),
+RANDOM_32 = EquidistantProblem(32, _PIN_RNG.rational(), _PIN_RNG.rational(nonzero=True),
                                [_PIN_RNG.rational() for _ in range(33)])
 
 
@@ -299,14 +299,14 @@ class TestDegreeCommand:
             xi = Fraction(int_between(rng, -9, 9), 2 * int_between(rng, 1, 4) + 1)
             h = -positive_rational_reference(rng) if ell % 2 else positive_rational_reference(rng)
             problems.append(EquidistantProblem(ell, xi, h, [rng.rational() for _ in range(ell + 1)]))
-            drop = Poly([rng.rational() for _ in range(ell // 2)] + [rng.nonzero_rational()])
-            problems.append(EquidistantProblem(ell, xi, h, [drop(node) for node in problems[-1].nodes()]))
+            drop = Poly([rng.rational() for _ in range(ell // 2)] + [rng.rational(nonzero=True)])
+            problems.append(EquidistantProblem(ell, xi, h, [drop(node) for node in equidistant_nodes(ell, xi, h)]))
             problems.append(EquidistantProblem(ell, xi, h, [0] * (ell + 1)))
         for p in problems:
             path = self.write(tmp_path, problem_text(p))
             code, out, _ = run_cli(capsys, "degree", "--input", path)
             fields = out_fields(out)
-            oracle = poly_shift_scale(newton_interpolate(p.nodes(), p.a), p.xi, 1)
+            oracle = poly_shift_scale(newton_interpolate(equidistant_nodes(p.ell, p.xi, p.h), p.a), p.xi, 1)
             assert code == 0
             assert fields["degree"] == str(oracle.degree)
             coeffs = oracle.coeffs + (0,) * (p.ell + 1 - len(oracle.coeffs))
@@ -610,7 +610,7 @@ class TestDetDirectSides:
                         alpha[-1] = Fraction(0)
                     if trial == 2:
                         beta[0] = Fraction(0)
-                    data = AffineData(k, ell, alpha, beta, rng.distinct_rationals(k))
+                    data = AffineData(k, ell, alpha, beta, rng.rationals(k, distinct=True)[0])
                     code, out, _ = run_cli(capsys, *det_B_argv(data))
                     fields = out_fields(out)
                     assert code == 0
@@ -1023,7 +1023,7 @@ class TestSplitMix64Stream:
         # generators stay at the same stream position throughout
         inline, reference = SplitMix64(seed), SplitMix64(seed)
         for _ in range(20_000):
-            assert inline.nonzero_rational() is nonzero_rational_reference(reference)
+            assert inline.rational(nonzero=True) is nonzero_rational_reference(reference)
         assert (inline._state, inline._buffer) == (reference._state, reference._buffer)
         assert [inline.next_u64() for _ in range(300)] == [reference.next_u64() for _ in range(300)]
 
@@ -1035,7 +1035,7 @@ class TestSplitMix64Stream:
         planted = [9, 2, 19 * 5 + 9, 3, limit, 19 + 10, 1, 4]
         for rng in (inline, reference):
             rng._buffer.extend(reversed(planted))
-        assert inline.nonzero_rational() is nonzero_rational_reference(reference) == Fraction(1, 2)
+        assert inline.rational(nonzero=True) is nonzero_rational_reference(reference) == Fraction(1, 2)
         assert inline._buffer == reference._buffer == [4]
 
     def test_rational_draws_pinned(self):
@@ -1044,7 +1044,7 @@ class TestSplitMix64Stream:
         rng = SplitMix64(2024)
         draws = (
             [rng.rational() for _ in range(5000)]
-            + [rng.nonzero_rational() for _ in range(5000)]
+            + [rng.rational(nonzero=True) for _ in range(5000)]
             + list(rng.rationals(5000, positive=True)[0])
         )
         text = ",".join(map(format_rational, draws))
@@ -1070,7 +1070,7 @@ class TestSplitMix64Stream:
         drawing, reference = SplitMix64(seed), SplitMix64(seed)
         kinds = [
             ({}, reference.rational),
-            ({"nonzero": True}, reference.nonzero_rational),
+            ({"nonzero": True}, lambda: reference.rational(nonzero=True)),
             ({"positive": True}, lambda: positive_rational_reference(reference)),
         ]
         for count in range(1, 10):
@@ -1095,7 +1095,7 @@ class TestSplitMix64Stream:
         for rng in (drawing, reference):
             rng._buffer.extend(reversed(planted))
         values = drawing.rationals(2, nonzero=True)[0] + drawing.rationals(2, positive=True)[0]
-        expected = (reference.nonzero_rational(), reference.nonzero_rational(),
+        expected = (reference.rational(nonzero=True), reference.rational(nonzero=True),
                     positive_rational_reference(reference), positive_rational_reference(reference))
         assert all(v is e for v, e in zip(values, expected, strict=True))
         assert drawing._buffer == reference._buffer == []
@@ -1113,14 +1113,36 @@ class TestSplitMix64Stream:
         from degdet.rng import SplitMix64
 
         rng = SplitMix64(3)
-        values = rng.distinct_rationals(6)
+        values = rng.rationals(6, distinct=True)[0]
         assert len(set(values)) == 6
         positives = rng.rationals(6, positive=True, distinct=True)[0]
         assert all(v > 0 for v in positives)
 
+    def test_below_refuses_bounds_past_2_64(self, monkeypatch):
+        # 2^64 is the largest bound with a multiple at or below 2^64: it
+        # rejects nothing and returns the raw output
+        rng, twin = SplitMix64(64), SplitMix64(64)
+        assert [rng.below(1 << 64) for _ in range(300)] == [twin.next_u64() for _ in range(300)]
+        # above it the rejection limit is 0; bound the outputs, so a draw
+        # that rejects everything fails here instead of running forever
+        fills = 0
+        fill = rng._fill
+
+        def bounded():
+            nonlocal fills
+            fills += 1
+            assert fills < 100, "a draw below a bound past 2^64 never ends"
+            return fill()
+
+        monkeypatch.setattr(rng, "_fill", bounded)
+        for bound in ((1 << 64) + 1, 3 << 64, 1 << 100):
+            with pytest.raises(ValueError, match="2\\^64"):
+                rng.below(bound)
+        assert rng.next_u64() == twin.next_u64()
+
     def test_distinct_draws_exhaust_the_pool_then_refuse(self, monkeypatch):
         rng = SplitMix64(5)
-        assert len(set(rng.distinct_rationals(51))) == 51
+        assert len(set(rng.rationals(51, distinct=True)[0])) == 51
         assert len(set(rng.rationals(25, positive=True, distinct=True)[0])) == 25
         nonzero = rng.rationals(50, nonzero=True, distinct=True)[0]
         assert len(set(nonzero)) == 50 and 0 not in nonzero
@@ -1137,7 +1159,7 @@ class TestSplitMix64Stream:
 
         monkeypatch.setattr(rng, "_fill", bounded)
         with pytest.raises(ValueError):
-            rng.distinct_rationals(52)
+            rng.rationals(52, distinct=True)[0]
         with pytest.raises(ValueError):
             rng.rationals(26, positive=True, distinct=True)
         with pytest.raises(ValueError):
