@@ -23,7 +23,13 @@ from degdet.exactnum import (
     parse_rational,
     poly_shift_scale,
 )
-from degdet.interp import EquidistantProblem, equidistant_nodes, newton_interpolate
+from degdet.interp import (
+    DegreeDetection,
+    EquidistantProblem,
+    GeneralExpansionComparison,
+    equidistant_nodes,
+    newton_interpolate,
+)
 from degdet.rng import SplitMix64
 from degdet.vandermonde import AffineData, build_B
 from degdet.verify import DEFAULT_SEED, SUITES, VerifyReport, run_suite
@@ -902,12 +908,36 @@ class TestVerifyCommand:
              "ell=2 s=1 trial=1 xi=7/3 h=-5/3 a=-7/4,1,-7/2", "-153/40", "-113/40"),
             ("theorem4", (verify, "regularity_check"), 6, lambda x: not x,
              "k=2 ell=1 trial=1 alpha=2,-1/2 beta=1,-1 r=5/4,2", "false", "true"),
+            ("prop3", (verify, "det_A_sub_closed_form"), 4, lambda x: x + 1, "ell=2 kappa=2", "-6", "-5"),
+            ("prop6", (verify, "K_quotient_via_tau"), 3, lambda x: x + 1,
+             "quotient ell=2 j=0", "0,2,-3,1", "0,3,-3,1"),
+            ("prop6", (verify, "tau_via_recurrence"), 2, lambda x: x + 1, "recurrence ell=2 m=0 j=1", "1", "2"),
+            ("eq5", (verify, "det_B_expansion"), 3, lambda x: x + 1,
+             "k=1 ell=2 trial=0 alpha=-4/3 beta=3 r=0", "-4/3", "-1/3"),
+            ("eq5", (verify, "det_B_zero_check"), 2, lambda x: not x,
+             "zero-band k=3 ell=1 trial=0 alpha=-2/3,-2,7/3 beta=-5/3,-7/4,1 r=-7/2,-4/3,-7/4", "true", "false"),
+            ("eq5c", (verify, "det_B_expansion_complement"), 4, lambda x: x + 1,
+             "k=1 ell=2 trial=1 alpha=-3 beta=-3 r=-3/2", "3/2", "5/2"),
+            ("eq14", (verify, "interpolate_eq14"), 3, lambda x: x + 1,
+             "ell=2 trial=0 xi=3 h=-3 a=0,-3,-3/2", "0,-21/4,9/4", "1,-21/4,9/4"),
+            ("theorem1", (verify, "detect_degree"), 3,
+             lambda d: DegreeDetection(d.degree + 1, d.witness_m, d.determinants),
+             "constructed-degree ell=1 target=0 trial=0 xi=2 h=-4/3 a=-2,-2", "0", "1"),
+            ("theorem1", (verify, "newton_degree"), 5, lambda x: x + 1,
+             "detector-vs-interpolant ell=1 trial=4 a=-3/2,0", "2", "1"),
+            ("remark5", (verify, "compare_general_expansion"), 2,
+             lambda c: GeneralExpansionComparison(c.formula, c.oracle, c.match, c.ratio, c.difference + 1),
+             "ell=1 grid=1 nodes=0,-5 a=2,-4/3", "-2,-2/3", "-1,-2/3"),
         ],
-        ids=["prop2", "eq10", "theorem4"],
+        ids=["prop2", "eq10", "theorem4", "prop3", "prop6-quotient", "prop6-recurrence", "eq5-expansion",
+             "eq5-zero-band", "eq5c", "eq14", "theorem1-constructed-degree", "theorem1-converse",
+             "remark5-difference"],
     )
     def test_failure_labels_the_failing_case(self, monkeypatch, suite, formula, nth, wrong, label, expected, actual):
-        # the formula side is made wrong on its nth call; the labels were
-        # recorded when every case built its label before it ran
+        # one side is made wrong on its nth call; the labels were recorded
+        # when every case built its label before it ran.  Each failing case
+        # has a later case in its suite, so a label read after the suite moved
+        # on, or expected and actual swapped, fails the comparison
         owner, name = formula
         original = getattr(owner, name)
         calls = []
