@@ -348,6 +348,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_entry() -> None:
+    import signal  # as cmd_verify imports json: importing degdet.cli loads nothing more
+
+    # a closed stdout (`| head -1`) ends the command as it ends cat, by
+    # SIGPIPE, not by a traceback and exit 1, the code of a failed verification
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -1,8 +1,14 @@
 """Named verification suites.
 
 Each suite replays one family of exact identities over seeded random data
-(or exhaustively, where the domain is finite) and records every case in the
-VerifyReport that run_suite hands it.
+(or exhaustively, where the domain is finite).  A suite is a generator over
+(rng, max_ell, trials) that yields its cases and notes in a fixed order: a
+case as (label, expected, actual), where label is a zero-argument callable
+that formats the case's inputs, and a note as a str.  run_suite alone
+counts the cases, compares each expected with its actual for equality and
+records notes and failures in the VerifyReport.  It calls a failing case's
+label before the stream resumes, since labels read the suite's loop
+variables; passing cases format nothing.
 Reports are fully deterministic for a fixed (seed, max_ell, trials): the
 only randomness is the SplitMix64 stream, and cases are generated and
 recorded in a fixed order.
@@ -12,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 
 from .combinat import tau, tau_via_recurrence
@@ -70,25 +76,17 @@ class CaseFailure(Record):
 
 
 class VerifyReport:
-    __slots__ = ("suite", "seed", "max_ell", "trials", "cases_run", "cases_passed", "failures", "notes", "elapsed_ms")
+    __slots__ = ("suite", "seed", "max_ell", "trials", "cases_run", "failures", "notes", "elapsed_ms")
 
     def __init__(self, suite: str, seed: int, max_ell: int, trials: int):
         self.suite, self.seed, self.max_ell, self.trials = suite, seed, max_ell, trials
-        self.cases_run = self.cases_passed = self.elapsed_ms = 0
+        self.cases_run = self.elapsed_ms = 0
         self.failures: list[CaseFailure] = []
         self.notes: list[str] = []
 
-    def case(self, inputs: Callable[[], str], expected, actual) -> None:
-        """Record one case; inputs builds its label, and is called only
-        when the case fails, so passing cases format nothing."""
-        self.cases_run += 1
-        if expected == actual:
-            self.cases_passed += 1
-        else:
-            self.failures.append(CaseFailure(inputs(), _fmt(expected), _fmt(actual)))
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
+    @property
+    def cases_passed(self) -> int:
+        return self.cases_run - len(self.failures)
 
     @property
     def passed(self) -> bool:
@@ -144,7 +142,7 @@ def _random_regular_data(rng: SplitMix64, k: int, ell: int) -> AffineData:
     return trusted(AffineData, k, ell, drawn.values(), *rng.rationals(k, positive=True, distinct=True)[:3])
 
 
-def _suite_prop3(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
+def _suite_prop3(rng: SplitMix64, max_ell: int, trials: int) -> Iterator:
     """det A_sub(ell, kappa) by det_A_sub_from_cofactors, the signed
     last-row cofactors; kappa = 1 is eliminated on its own instead, its
     integer rows by det_integer_rows, so Bareiss stays checked against the
@@ -156,10 +154,10 @@ def _suite_prop3(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: in
                 direct = det_integer_rows(build_A_sub(ell, kappa))
             else:
                 direct = det_A_sub_from_cofactors(cofactors, kappa)
-            report.case(lambda: f"ell={ell} kappa={kappa}", direct, det_A_sub_closed_form(ell, kappa))
+            yield (lambda: f"ell={ell} kappa={kappa}", direct, det_A_sub_closed_form(ell, kappa))
 
 
-def _suite_prop2(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
+def _suite_prop2(rng: SplitMix64, max_ell: int, trials: int) -> Iterator:
     """AlternatingSums.det against the Laplace expansion along the last row,
     det_A_from_cofactors; (s, trial) = (0, 0) is eliminated on its own
     instead, once per ell: build_A's rational value row is cleared over its
@@ -176,26 +174,19 @@ def _suite_prop2(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: in
                     direct = Fraction(det_integer_rows(rows), scale)
                 else:
                     direct = det_A_from_cofactors(cofactors, s, a)
-                report.case(
-                    lambda: f"ell={ell} s={s} trial={trial} a={_csv(a)}",
-                    direct,
-                    trusted(AlternatingSums, ell, common, numerators).det(s),
-                )
+                yield (lambda: f"ell={ell} s={s} trial={trial} a={_csv(a)}", direct,
+                       trusted(AlternatingSums, ell, common, numerators).det(s))
 
 
-def _suite_prop6(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
+def _suite_prop6(rng: SplitMix64, max_ell: int, trials: int) -> Iterator:
     for ell in range(1, max_ell + 1):
         nodal = poly_K(ell)
         for j in range(ell + 1):
             rebuilt = K_quotient_via_tau(ell, j) * Poly.linear_root(j)
-            report.case(lambda: f"quotient ell={ell} j={j}", nodal, rebuilt)
+            yield (lambda: f"quotient ell={ell} j={j}", nodal, rebuilt)
         for m in range(ell):
             for j in range(1, ell + 1):
-                report.case(
-                    lambda: f"recurrence ell={ell} m={m} j={j}",
-                    tau(ell, m, j),
-                    tau_via_recurrence(ell, m, j),
-                )
+                yield (lambda: f"recurrence ell={ell} m={m} j={j}", tau(ell, m, j), tau_via_recurrence(ell, m, j))
 
 
 def _affine_inputs(data: AffineData, trial: int) -> str:
@@ -207,58 +198,51 @@ def _problem_inputs(problem: EquidistantProblem) -> str:
     return f"xi={format_rational(problem.xi)} h={format_rational(problem.h)} a={_csv(problem.a)}"
 
 
-def _expansion_cases(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int,
-                     expansion: Callable[[AffineData], Rational], nonzero_beta: bool) -> None:
+def _expansion_cases(rng: SplitMix64, max_ell: int, trials: int,
+                     expansion: Callable[[AffineData], Rational], nonzero_beta: bool) -> Iterator:
     """det B by elimination (det_B) against an expansion, for every 1 <= k <= ell."""
     for ell in range(1, max_ell + 1):
         for k in range(1, ell + 1):
             for trial in range(trials):
                 data = _random_affine(rng, k, ell, nonzero_alpha=True, nonzero_beta=nonzero_beta)
-                report.case(lambda: _affine_inputs(data, trial), det_B(data), expansion(data))
+                yield (lambda: _affine_inputs(data, trial), det_B(data), expansion(data))
 
 
-def _suite_eq5(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
-    report.note("regime: alpha nonzero, beta unconstrained")
-    _expansion_cases(report, rng, max_ell, trials, det_B_expansion, nonzero_beta=False)
+def _suite_eq5(rng: SplitMix64, max_ell: int, trials: int) -> Iterator:
+    yield "regime: alpha nonzero, beta unconstrained"
+    yield from _expansion_cases(rng, max_ell, trials, det_B_expansion, nonzero_beta=False)
     zero_trials = max(1, trials // 10)
     for ell in range(1, max_ell + 1):
         for k in range(ell + 1, max_ell + 2):
             for trial in range(zero_trials):
                 data = _random_affine(rng, k, ell, nonzero_alpha=False, nonzero_beta=False)
-                report.case(lambda: f"zero-band {_affine_inputs(data, trial)}", True, det_B_zero_check(data))
+                yield (lambda: f"zero-band {_affine_inputs(data, trial)}", True, det_B_zero_check(data))
 
 
-def _suite_eq5c(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
-    report.note("regime: alpha nonzero, beta nonzero")
-    _expansion_cases(report, rng, max_ell, trials, det_B_expansion_complement, nonzero_beta=True)
+def _suite_eq5c(rng: SplitMix64, max_ell: int, trials: int) -> Iterator:
+    yield "regime: alpha nonzero, beta nonzero"
+    yield from _expansion_cases(rng, max_ell, trials, det_B_expansion_complement, nonzero_beta=True)
 
 
-def _suite_eq10(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
+def _suite_eq10(rng: SplitMix64, max_ell: int, trials: int) -> Iterator:
     for ell in range(1, max_ell + 1):
         for s in range(ell + 1):
             for trial in range(trials):
                 problem = _random_problem(rng, ell)
                 oracle = newton_from_integer_form(*problem.integer_form).derivative(ell - s)(problem.xi)
-                report.case(
-                    lambda: f"ell={ell} s={s} trial={trial} {_problem_inputs(problem)}",
-                    oracle,
-                    derivative_at_left_node(problem, s),
-                )
+                yield (lambda: f"ell={ell} s={s} trial={trial} {_problem_inputs(problem)}", oracle,
+                       derivative_at_left_node(problem, s))
 
 
-def _suite_eq14(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
+def _suite_eq14(rng: SplitMix64, max_ell: int, trials: int) -> Iterator:
     for ell in range(1, max_ell + 1):
         for trial in range(trials):
             problem = _random_problem(rng, ell)
             shifted = poly_shift_scale(newton_from_integer_form(*problem.integer_form), problem.xi, problem.h)
-            report.case(
-                lambda: f"ell={ell} trial={trial} {_problem_inputs(problem)}",
-                shifted,
-                interpolate_eq14(problem),
-            )
+            yield (lambda: f"ell={ell} trial={trial} {_problem_inputs(problem)}", shifted, interpolate_eq14(problem))
 
 
-def _suite_theorem1(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
+def _suite_theorem1(rng: SplitMix64, max_ell: int, trials: int) -> Iterator:
     for ell in range(1, max_ell + 1):
         targets: list[Degree] = [NEG_INF, *range(ell + 1)]
         for target in targets:
@@ -267,31 +251,25 @@ def _suite_theorem1(report: VerifyReport, rng: SplitMix64, max_ell: int, trials:
                 xi = rng.rational()
                 h = rng.rational(nonzero=True)
                 problem = EquidistantProblem(ell, xi, h, [poly(x) for x in equidistant_nodes(ell, xi, h)])
-                report.case(
-                    lambda: f"constructed-degree ell={ell} target={target} trial={trial} {_problem_inputs(problem)}",
-                    target,
-                    detect_degree(problem).degree,
-                )
+                yield (lambda: f"constructed-degree ell={ell} target={target} trial={trial} {_problem_inputs(problem)}",
+                       target, detect_degree(problem).degree)
     converse_trials = 20 * trials
     for ell in range(1, max_ell + 1):
         for trial in range(converse_trials):
             problem = _random_problem(rng, ell)
-            report.case(
-                lambda: f"detector-vs-interpolant ell={ell} trial={trial} a={_csv(problem.a)}",
-                newton_degree(*problem.integer_form),
-                detect_degree(problem).degree,
-            )
+            yield (lambda: f"detector-vs-interpolant ell={ell} trial={trial} a={_csv(problem.a)}",
+                   newton_degree(*problem.integer_form), detect_degree(problem).degree)
 
 
-def _suite_theorem4(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
+def _suite_theorem4(rng: SplitMix64, max_ell: int, trials: int) -> Iterator:
     for k in range(1, max_ell + 1):
         for ell in range(1, max_ell + 1):
             for trial in range(trials):
                 data = _random_regular_data(rng, k, ell)
-                report.case(lambda: _affine_inputs(data, trial), k <= ell, regularity_check(data))
+                yield (lambda: _affine_inputs(data, trial), k <= ell, regularity_check(data))
 
 
-def _suite_remark5(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: int) -> None:
+def _suite_remark5(rng: SplitMix64, max_ell: int, trials: int) -> Iterator:
     """Informational: the verbatim general-base-point expansion is compared
     against the interpolation oracle and every outcome is emitted as a note
     (match, exact constant ratio, or exact difference polynomial).  A case
@@ -305,10 +283,10 @@ def _suite_remark5(report: VerifyReport, rng: SplitMix64, max_ell: int, trials: 
             problem = GeneralProblem(nodes, a)
             comparison = compare_general_expansion(problem)
             inputs = f"ell={ell} grid={grid_index} nodes={_csv(nodes)} a={_csv(a)}"
-            report.note(f"{inputs} outcome={comparison.outcome}")
-            report.case(lambda: inputs, comparison.formula, comparison.oracle + comparison.difference)
+            yield f"{inputs} outcome={comparison.outcome}"
+            yield (lambda: inputs, comparison.formula, comparison.oracle + comparison.difference)
             if comparison.ratio is not None:
-                report.case(lambda: f"{inputs} ratio-consistency", comparison.formula, comparison.oracle * comparison.ratio)
+                yield (lambda: f"{inputs} ratio-consistency", comparison.formula, comparison.oracle * comparison.ratio)
 
 
 class _SuiteSpec(Record):
@@ -318,8 +296,8 @@ class _SuiteSpec(Record):
     # default the pairwise distinct draws that rng's rationals can serve
     # (remark5's nodes draw max_ell + 1 of them), above which the draws would
     # repeat forever.
-    def __init__(self, fn: Callable[[VerifyReport, SplitMix64, int, int], None], max_ell: int, trials: int,
-                 summary: str, ell_cap: int | None = None,
+    def __init__(self, fn: Callable[[SplitMix64, int, int], Iterator[tuple[Callable[[], str], object, object] | str]],
+                 max_ell: int, trials: int, summary: str, ell_cap: int | None = None,
                  cap_reason: str = "its pairwise distinct random rationals run out above that"):
         super().__init__(fn, max_ell, trials, summary, ell_cap, cap_reason)
 
@@ -372,9 +350,15 @@ def _settings(name: str, max_ell: int | None, trials: int | None) -> tuple[_Suit
 def run_suite(name: str, max_ell: int | None = None, trials: int | None = None, seed: int = DEFAULT_SEED) -> VerifyReport:
     spec, effective_max_ell, effective_trials = _settings(name, max_ell, trials)
     report = VerifyReport(name, seed, effective_max_ell, effective_trials)
-    rng = SplitMix64(seed)
     started = time.perf_counter()
-    spec.fn(report, rng, effective_max_ell, effective_trials)
+    for item in spec.fn(SplitMix64(seed), effective_max_ell, effective_trials):
+        if isinstance(item, str):
+            report.notes.append(item)
+            continue
+        inputs, expected, actual = item
+        report.cases_run += 1
+        if expected != actual:
+            report.failures.append(CaseFailure(inputs(), _fmt(expected), _fmt(actual)))
     report.elapsed_ms = int(round((time.perf_counter() - started) * 1000))
     return report
 

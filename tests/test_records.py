@@ -27,7 +27,7 @@ from degdet.interp import (
     detect_degree,
 )
 from degdet.vandermonde import AffineData
-from degdet.verify import DEFAULT_SEED, VerifyReport
+from degdet.verify import DEFAULT_SEED, SUITES, VerifyReport, _SuiteSpec, run_suite
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -162,6 +162,16 @@ class TestValueRecords:
         assert y == x and y.integer_form == x.integer_form
 
 
+def run_stream(monkeypatch, *items):
+    """The report of a run whose suite is a stub yielding items."""
+
+    def stub(rng, max_ell, trials):
+        yield from items
+
+    monkeypatch.setitem(SUITES, "prop2", _SuiteSpec(stub, 1, 1, "stub"))
+    return run_suite("prop2")
+
+
 class TestVerifyReport:
     def test_positional_signature(self):
         report = VerifyReport("prop2", 42, 1, 1)
@@ -170,17 +180,14 @@ class TestVerifyReport:
         assert report.failures == [] and report.notes == []
         assert report.passed
 
-    def test_each_report_gets_fresh_lists(self):
-        first = VerifyReport("prop2", DEFAULT_SEED, 1, 1)
+    def test_each_report_gets_fresh_lists(self, monkeypatch):
         second = VerifyReport("prop2", DEFAULT_SEED, 1, 1)
-        first.note("only the first")
-        first.case(lambda: "label", 1, 2)
+        first = run_stream(monkeypatch, "only the first", (lambda: "label", 1, 2))
         assert first.notes == ["only the first"] and len(first.failures) == 1
         assert second.notes == [] and second.failures == []
 
-    def test_a_failure_reads_back_its_fields(self):
-        report = VerifyReport("prop2", DEFAULT_SEED, 1, 1)
-        report.case(lambda: "ell=1", Fraction(1, 2), Poly([3]))
+    def test_a_failure_reads_back_its_fields(self, monkeypatch):
+        report = run_stream(monkeypatch, (lambda: "ell=1", Fraction(1, 2), Poly([3])))
         (failure,) = report.failures
         assert (failure.inputs, failure.expected, failure.actual) == ("ell=1", "1/2", "3")
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -32,7 +33,7 @@ from degdet.interp import (
 )
 from degdet.rng import SplitMix64
 from degdet.vandermonde import AffineData, build_B
-from degdet.verify import DEFAULT_SEED, SUITES, VerifyReport, run_suite
+from degdet.verify import DEFAULT_SEED, SUITES, _SuiteSpec, run_suite
 from oracles import int_between, nonzero_rational_reference, positive_rational_reference, splitmix64_scalar
 
 
@@ -881,6 +882,24 @@ class TestVerifyCommand:
             capture_output=True, text=True, timeout=5, env={**os.environ, "PYTHONPATH": path},
         )
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+    def test_a_closed_stdout_ends_by_sigpipe(self):
+        # the reader is gone before the first byte is written, as after
+        # `degdet verify ... | head -1` has read its line
+        package_root = str(Path(degdet.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "degdet.cli", "verify", "--suite", "prop3"], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == -signal.SIGPIPE
+        assert "Traceback" not in done.stderr
+
     @pytest.mark.parametrize("suite,max_ell", [("theorem4", "26"), ("remark5", "51")])
     def test_max_ell_past_the_rational_pool_exits_2(self, suite, max_ell):
         done = self.verify_in_subprocess(suite, max_ell)
@@ -974,12 +993,29 @@ class TestVerifyCommand:
         assert cofactor_calls == list(range(2, 18))
 
     @pytest.mark.parametrize("value", [(1, 2), [Fraction(1, 2)], 0.5])
-    def test_failure_with_an_unformattable_value_raises(self, value):
+    def test_failure_with_an_unformattable_value_raises(self, monkeypatch, value):
         # a case records ints, Fractions, booleans, degrees and Polys; any
         # other value has no stable text, so recording it as a failure raises
-        report = VerifyReport("prop2", DEFAULT_SEED, 1, 1)
+        def stub(rng, max_ell, trials):
+            yield (lambda: "label", value, None)
+
+        monkeypatch.setitem(SUITES, "prop2", _SuiteSpec(stub, 1, 1, "stub"))
         with pytest.raises(TypeError, match="no stable formatting"):
-            report.case(lambda: "label", value, None)
+            run_suite("prop2")
+
+    def test_passing_cases_format_no_label(self, monkeypatch):
+        # every label formatter raises, so a suite that formats a passing
+        # case's label fails; remark5 is left out, as it formats its inputs
+        # for the note it emits on every grid
+        def no_formatting(*args):
+            raise AssertionError("a passing case formatted its label")
+
+        for name in ("_csv", "_affine_inputs", "_problem_inputs"):
+            monkeypatch.setattr(verify, name, no_formatting)
+        passed = {name: run_suite(name, max_ell=min(spec.max_ell, 3), trials=min(spec.trials, 3)).cases_passed
+                  for name, spec in SUITES.items() if name != "remark5"}
+        assert passed == {"prop2": 27, "prop3": 9, "prop6": 23, "eq5": 24, "eq5c": 18, "eq10": 27, "eq14": 9,
+                          "theorem1": 216, "theorem4": 27}
 
     def test_every_registered_suite_passes_small(self):
         for name, spec in SUITES.items():
