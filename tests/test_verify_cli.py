@@ -33,8 +33,9 @@ from degdet.interp import (
 )
 from degdet.rng import SplitMix64
 from degdet.vandermonde import AffineData, build_B
-from degdet.verify import DEFAULT_SEED, SUITES, _SuiteSpec, run_suite
+from degdet.verify import DEFAULT_SEED, SUITES, run_suite
 from oracles import int_between, nonzero_rational_reference, positive_rational_reference, splitmix64_scalar
+from test_records import run_stream
 
 
 def run_cli(capsys, *argv):
@@ -991,12 +992,8 @@ class TestVerifyCommand:
     def test_failure_with_an_unformattable_value_raises(self, monkeypatch, value):
         # a case records ints, Fractions, booleans, degrees and Polys; any
         # other value has no stable text, so recording it as a failure raises
-        def stub(rng, max_ell, trials):
-            yield (lambda: "label", value, None)
-
-        monkeypatch.setitem(SUITES, "prop2", _SuiteSpec(stub, 1, 1, "stub"))
         with pytest.raises(TypeError, match="no stable formatting"):
-            run_suite("prop2")
+            run_stream(monkeypatch, (lambda: "label", value, None))
 
     def test_passing_cases_format_no_label(self, monkeypatch):
         # every label formatter raises, so a suite that formats a passing
