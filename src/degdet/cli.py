@@ -7,8 +7,9 @@ routes, flagged if they ever disagree).
 
 All rationals cross the I/O boundary as exact "p/q" strings; floats never
 appear.  Exit codes: 0 all good, 1 verification failure, 2 usage or parse
-error.  Report bytes on stdout are stable for fixed inputs and seed; wall
-times go to stderr.
+error, 3 the report could not be written (stdout may hold part of it).
+Report bytes on stdout are stable for fixed inputs and seed; wall times go to
+stderr.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _check_matrix_ell(ell: int, route: str) -> None:
         )
 
 
-def cmd_degree(args: argparse.Namespace) -> int:
+def cmd_degree(args: argparse.Namespace) -> tuple[int, str]:
     problem = load_problem_file(args.input)
     if args.mode == MODE_MATRIX:
         _check_matrix_ell(problem.ell, f"degree --mode {MODE_MATRIX}")
@@ -156,9 +157,6 @@ def cmd_degree(args: argparse.Namespace) -> int:
     normalized = interpolate_eq14(problem)
     nums = normalized.nums + (0,) * (problem.ell + 1 - len(normalized.nums))
     p, q = problem.h.numerator, problem.h.denominator
-
-    # The whole report is built before any of it is written, so a failure
-    # leaves stdout empty rather than holding a partial report.
     lines = [
         f"input: {args.input}",
         f"ell: {problem.ell}",
@@ -171,8 +169,7 @@ def cmd_degree(args: argparse.Namespace) -> int:
     ]
     lines += [f"det[{s}]: {format_rational(value)}" for s, value in enumerate(detection.determinants)]
     lines += [f"b[{k}]: {format_rational(Rational(n * q**k, normalized.den * p**k))}" for k, n in enumerate(nums)]
-    print("\n".join(lines))
-    return 0
+    return 0, "\n".join(lines)
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -218,16 +215,15 @@ def _render_reports(reports: list, as_json: bool) -> str:
     return "\n\n".join(blocks)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     seed = _resolve_seed(args)
     if args.suite == "all":
         reports = run_all(args.max_ell, args.trials, seed)
     else:
         reports = [run_suite(args.suite, args.max_ell, args.trials, seed)]
-    print(_render_reports(reports, args.json))
     for report in reports:
         print(f"# elapsed[{report.suite}]: {report.elapsed_ms} ms", file=sys.stderr)
-    return 0 if all(report.passed for report in reports) else 1
+    return (0 if all(report.passed for report in reports) else 1), _render_reports(reports, args.json)
 
 
 def _require(args: argparse.Namespace, names: list[str], kind: str) -> None:
@@ -236,7 +232,7 @@ def _require(args: argparse.Namespace, names: list[str], kind: str) -> None:
         raise ValueError(f"matrix kind {kind!r} needs {', '.join(missing)}")
 
 
-def cmd_det(args: argparse.Namespace) -> int:
+def cmd_det(args: argparse.Namespace) -> tuple[int, str]:
     lines = [f"matrix: {args.matrix}"]
     closed_form: Rational | None = None
     closed_form_note = None
@@ -295,8 +291,7 @@ def cmd_det(args: argparse.Namespace) -> int:
     value = direct()
     agree = "n/a" if closed_form is None else "true" if closed_form == value else "false"
     lines += [f"det_direct: {format_rational(value)}", closed_line, f"agree: {agree}"]
-    print("\n".join(lines))
-    return 1 if agree == "false" else 0
+    return (1 if agree == "false" else 0), "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,11 +335,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a command returns its whole report unwritten: if it fails, stdout stays empty
     try:
-        return args.func(args)
-    except (ProblemFileError, ValueError) as exc:
+        code, report = args.func(args)
+    except ValueError as exc:
         print(f"degdet: error: {exc}", file=sys.stderr)
         return 2
+    try:
+        print(report, flush=True)
+    except OSError as exc:  # a full disk, say: not a failed verification
+        print(f"degdet: error: cannot write the report: {exc}", file=sys.stderr)
+        return 3
+    return code
 
 
 def console_entry() -> None:

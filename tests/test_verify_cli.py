@@ -1,5 +1,7 @@
 import contextlib
+import errno
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -58,6 +60,17 @@ def digit_limit(digits):
         yield
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def cli_in_subprocess(*argv, stdout=subprocess.PIPE):
+    # with a timeout, so a run that never ends fails the test instead of
+    # hanging it
+    package_root = str(Path(degdet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "degdet.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        text=True, timeout=5, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def out_fields(text):
@@ -663,12 +676,13 @@ class TestNoFractionMatrix:
 
 
 class TestDrawnDataSkipsTheCheckedConstructors:
-    """verify's drawers build their problems and affine data on trusted
-    paths: with the checked constructors forbidden, the suites that draw
-    them still run every case and pass."""
+    """verify's drawers build their problems, affine data and sum vectors on
+    trusted paths: with the checked constructors forbidden, the suites that
+    draw them still run every case and pass.  theorem1 stays out: its
+    constructed-degree half builds through the checked EquidistantProblem."""
 
     def test_reports_unchanged_with_the_checked_constructors_forbidden(self, monkeypatch):
-        suites = ("eq10", "eq14", "eq5", "eq5c")
+        suites = ("eq10", "eq14", "eq5", "eq5c", "prop2", "theorem4")
         expected = [run_suite(name, seed=31) for name in suites]
         assert all(report.passed for report in expected)
 
@@ -677,6 +691,7 @@ class TestDrawnDataSkipsTheCheckedConstructors:
 
         monkeypatch.setattr(EquidistantProblem, "__init__", forbidden)
         monkeypatch.setattr(AffineData, "__init__", forbidden)
+        monkeypatch.setattr(AlternatingSums, "__init__", forbidden)
         for name, report in zip(suites, expected):
             patched = run_suite(name, seed=31)
             assert patched.passed and (patched.cases_run, patched.notes) == (report.cases_run, report.notes)
@@ -874,14 +889,7 @@ class TestVerifyCommand:
 
     @staticmethod
     def verify_in_subprocess(*options, stdout=subprocess.PIPE):
-        # with a timeout, so a run that never ends fails the test instead of
-        # hanging it
-        package_root = str(Path(degdet.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-m", "degdet.cli", "verify", *options], stdout=stdout, stderr=subprocess.PIPE,
-            text=True, timeout=5, env={**os.environ, "PYTHONPATH": path},
-        )
+        return cli_in_subprocess("verify", *options, stdout=stdout)
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
     def test_a_closed_stdout_ends_by_sigpipe(self):
@@ -1013,6 +1021,41 @@ class TestVerifyCommand:
         for name, spec in SUITES.items():
             report = run_suite(name, max_ell=min(spec.max_ell, 3), trials=min(spec.trials, 3))
             assert report.passed, f"{name}: {report.failures[:1]}"
+
+
+class TestReportWrite:
+    """main writes every command's report once; a write that fails exits 3
+    with one error line, not with the code of a failed verification."""
+
+    @pytest.fixture
+    def argvs(self, tmp_path):
+        path = tmp_path / "golden.txt"
+        path.write_text(GOLDEN_PROBLEM)
+        return [["degree", "--input", str(path)], ["verify", "--suite", "prop3"],
+                ["det", "--matrix", "Asub", "--ell", "2", "--kappa", "1"]]
+
+    def test_a_failed_write_exits_3(self, capsys, monkeypatch, argvs):
+        class FullStream(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        for argv in argvs:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", FullStream())
+                code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 3, argv
+            assert [line for line in err.splitlines() if line.startswith("degdet: error:")] == [
+                f"degdet: error: cannot write the report: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="the platform has no /dev/full")
+    def test_a_full_device_exits_3_without_a_traceback(self, argvs):
+        for argv in argvs:
+            with open("/dev/full", "w") as full:
+                done = cli_in_subprocess(*argv, stdout=full)
+            assert done.returncode == 3, argv
+            assert done.stderr.count("degdet: error: cannot write the report:") == 1
+            assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
 
 class TestSplitMix64Stream:
