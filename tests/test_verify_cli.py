@@ -887,10 +887,6 @@ class TestVerifyCommand:
         assert notes, "comparison outcomes must be emitted"
         assert any("outcome=proportional ratio=-1" in n for n in notes)  # odd-size grids show the sign flip
 
-    @staticmethod
-    def verify_in_subprocess(*options, stdout=subprocess.PIPE):
-        return cli_in_subprocess("verify", *options, stdout=stdout)
-
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
     def test_a_closed_stdout_ends_by_sigpipe(self):
         # the reader is gone before the first byte is written, as after
@@ -898,7 +894,7 @@ class TestVerifyCommand:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = self.verify_in_subprocess("--suite", "prop3", stdout=write_end)
+            done = cli_in_subprocess("verify", "--suite", "prop3", stdout=write_end)
         finally:
             os.close(write_end)
         assert done.returncode == -signal.SIGPIPE
@@ -906,7 +902,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("suite,max_ell", [("theorem4", "26"), ("remark5", "51")])
     def test_max_ell_past_the_rational_pool_exits_2(self, suite, max_ell):
-        done = self.verify_in_subprocess("--suite", suite, "--max-ell", max_ell)
+        done = cli_in_subprocess("verify", "--suite", suite, "--max-ell", max_ell)
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr == (f"degdet: error: suite {suite!r} needs max_ell <= {int(max_ell) - 1}: its pairwise"
@@ -917,7 +913,7 @@ class TestVerifyCommand:
         # `all` checks its suites in registry order, and eq5's cost cap (10)
         # is below every pool cap, so an `all` run stops at eq5's
         capped = "eq5" if suite == "all" else suite
-        done = self.verify_in_subprocess("--suite", suite, "--max-ell", max_ell)
+        done = cli_in_subprocess("verify", "--suite", suite, "--max-ell", max_ell)
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr == (f"degdet: error: suite {capped!r} needs max_ell <= 10: its expansion over all"
