@@ -352,11 +352,14 @@ def main(argv: list[str] | None = None) -> int:
 def console_entry() -> None:
     import signal  # as cmd_verify imports json: importing degdet.cli loads nothing more
 
-    # a closed stdout (`| head -1`) ends the command as it ends cat, by
+    # a closed stdout (`| true`) ends the command as it ends cat, by
     # SIGPIPE, not by a traceback and exit 1, the code of a failed verification
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(main())
+    code = main()
+    if code == 3:  # drop the unwritten report, or the flush at exit fails again and exits 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

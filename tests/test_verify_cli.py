@@ -62,14 +62,18 @@ def digit_limit(digits):
         sys.set_int_max_str_digits(old)
 
 
-def cli_in_subprocess(*argv, stdout=subprocess.PIPE):
+def cli_in_subprocess(*argv, stdout=subprocess.PIPE, unbuffered=False):
     # with a timeout, so a run that never ends fails the test instead of
-    # hanging it
+    # hanging it; stdout is buffered, as in a default shell, unless asked
+    # otherwise, whatever the caller's PYTHONUNBUFFERED says
     package_root = str(Path(degdet.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, "-m", "degdet.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
-        text=True, timeout=5, env={**os.environ, "PYTHONPATH": path},
+        text=True, timeout=5, env={**env, "PYTHONPATH": path},
     )
 
 
@@ -889,8 +893,8 @@ class TestVerifyCommand:
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
     def test_a_closed_stdout_ends_by_sigpipe(self):
-        # the reader is gone before the first byte is written, as after
-        # `degdet verify ... | head -1` has read its line
+        # the reader is gone before the first byte is written, as in
+        # `degdet verify ... | true`
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -1045,10 +1049,13 @@ class TestReportWrite:
                 f"degdet: error: cannot write the report: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="the platform has no /dev/full")
-    def test_a_full_device_exits_3_without_a_traceback(self, argvs):
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_full_device_exits_3_without_a_traceback(self, argvs, unbuffered):
+        # buffered, the report is still in stdout's buffer after the failed
+        # write, and the flush at exit must not try it again
         for argv in argvs:
             with open("/dev/full", "w") as full:
-                done = cli_in_subprocess(*argv, stdout=full)
+                done = cli_in_subprocess(*argv, stdout=full, unbuffered=unbuffered)
             assert done.returncode == 3, argv
             assert done.stderr.count("degdet: error: cannot write the report:") == 1
             assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
