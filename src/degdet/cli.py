@@ -21,7 +21,7 @@ import sys
 
 from .degreematrix import (AlternatingSums, _checked_values, det_A_from_cofactors, det_A_sub_closed_form,
                            det_A_sub_from_cofactors, power_row_cofactors)
-from .exactnum import Rational, format_rational, parse_rational
+from .exactnum import Rational, format_rational, parse_integer, parse_rational
 from .interp import (
     DETECTION_MODES,
     MODE_CLOSED_FORM,
@@ -83,34 +83,24 @@ def parse_problem_file(text: str, source: str = "<input>") -> EquidistantProblem
         if field_name not in raw:
             raise ProblemFileError(f"{source}: missing field {field_name!r}")
 
-    def fail(field_name: str, message: str) -> ProblemFileError:
-        lineno = raw[field_name][0]
-        return ProblemFileError(f"{source}: line {lineno}: field {field_name!r}: {message}")
+    def field(name, parse, check=lambda value: ""):
+        """The field parsed; a ValueError from parse or check, or a message
+        from check (false for a good value), raises with the field's line."""
+        lineno, text = raw[name]
+        try:
+            value = parse(text)
+            message = check(value)
+        except ValueError as exc:
+            message = str(exc)
+        if message:
+            raise ProblemFileError(f"{source}: line {lineno}: field {name!r}: {message}")
+        return value
 
-    ell_text = raw["ell"][1]
-    # parse_rational's integer rule: an optional sign, then decimal digits
-    # (int() would also take "0_2")
-    if not (ell_text[1:] if ell_text[:1] in "+-" else ell_text).isdecimal():
-        raise fail("ell", f"not an integer: {ell_text!r}")
-    ell = int(ell_text)
-    if ell < 1:
-        raise fail("ell", f"must be >= 1, got {ell}")
-    try:
-        xi = parse_rational(raw["xi"][1])
-    except ValueError as exc:
-        raise fail("xi", str(exc)) from None
-    try:
-        h = parse_rational(raw["h"][1])
-    except ValueError as exc:
-        raise fail("h", str(exc)) from None
-    if h == 0:
-        raise fail("h", "step must be nonzero")
-    try:
-        values = tuple(parse_rational(tok) for tok in raw["values"][1].split(","))
-    except ValueError as exc:
-        raise fail("values", str(exc)) from None
-    if len(values) != ell + 1:
-        raise fail("values", f"expected ell+1 = {ell + 1} entries, got {len(values)}")
+    ell = field("ell", parse_integer, lambda ell: ell < 1 and f"must be >= 1, got {ell}")
+    xi = field("xi", parse_rational)
+    h = field("h", parse_rational, lambda h: h == 0 and "step must be nonzero")
+    values = field("values", _parse_rationals, lambda values: len(values) != ell + 1
+                   and f"expected ell+1 = {ell + 1} entries, got {len(values)}")
     return EquidistantProblem(ell, xi, h, values)
 
 
@@ -123,11 +113,17 @@ def load_problem_file(path: str) -> EquidistantProblem:
     return parse_problem_file(text, source=path)
 
 
-def _parse_csv_rationals(text: str, option: str) -> tuple[Rational, ...]:
+def _parse_rationals(text: str) -> tuple[Rational, ...]:
+    """Comma-separated rational literals: the file's values and det's --a,
+    --alpha, --beta and --r."""
+    return tuple(map(parse_rational, text.split(",")))
+
+
+def _option_rationals(args: argparse.Namespace, name: str) -> tuple[Rational, ...]:
     try:
-        return tuple(parse_rational(tok) for tok in text.split(","))
+        return _parse_rationals(getattr(args, name))
     except ValueError as exc:
-        raise ValueError(f"option {option}: {exc}") from None
+        raise ValueError(f"option --{name}: {exc}") from None
 
 
 def _count(n: int) -> str:
@@ -178,7 +174,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     env_value = os.environ.get(ENV_SEED)
     if env_value is not None:
         try:
-            return int(env_value)
+            return parse_integer(env_value)
         except ValueError:
             raise ValueError(f"environment variable {ENV_SEED} is not an integer: {env_value!r}") from None
     return DEFAULT_SEED
@@ -242,7 +238,7 @@ def cmd_det(args: argparse.Namespace) -> tuple[int, str]:
         _require(args, ["ell", "s", "a"], "A")
         _check_matrix_ell(args.ell, "det --matrix A")
         # ell, then s, then the length of a, before the vector is built
-        a = _checked_values(args.ell, args.s, _parse_csv_rationals(args.a, "--a"))
+        a = _checked_values(args.ell, args.s, _option_rationals(args, "a"))
         closed_form = AlternatingSums(args.ell, a).det(args.s)
         direct = lambda: det_A_from_cofactors(power_row_cofactors(args.ell), args.s, a)
         lines += [f"ell: {args.ell}", f"s: {args.s}", f"a: {', '.join(map(format_rational, a))}"]
@@ -254,9 +250,9 @@ def cmd_det(args: argparse.Namespace) -> tuple[int, str]:
         lines += [f"ell: {args.ell}", f"kappa: {args.kappa}"]
     else:
         _require(args, ["k", "ell", "alpha", "beta", "r"], "B")
-        alpha = _parse_csv_rationals(args.alpha, "--alpha")
-        beta = _parse_csv_rationals(args.beta, "--beta")
-        r = _parse_csv_rationals(args.r, "--r")
+        alpha = _option_rationals(args, "alpha")
+        beta = _option_rationals(args, "beta")
+        r = _option_rationals(args, "r")
         data = AffineData(args.k, args.ell, alpha, beta, r)
         direct = lambda: det_B(data)
         lines += [
@@ -311,20 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
     suite_help = "; ".join(f"{name}: {spec.summary}" for name, spec in SUITES.items())
     p_verify = sub.add_parser("verify", help="run an identity-verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES, help=suite_help)
-    p_verify.add_argument("--max-ell", type=int, default=None, help="override the suite's grid-size ceiling")
-    p_verify.add_argument("--trials", type=int, default=None, help="override the per-cell random trial count")
-    p_verify.add_argument("--seed", type=int, default=None,
+    p_verify.add_argument("--max-ell", type=parse_integer, default=None, help="override the suite's grid-size ceiling")
+    p_verify.add_argument("--trials", type=parse_integer, default=None, help="override the per-cell random trial count")
+    p_verify.add_argument("--seed", type=parse_integer, default=None,
                           help=f"seed for the trial stream (default: ${ENV_SEED} or {DEFAULT_SEED})")
     p_verify.add_argument("--json", action="store_true", help="emit one JSON document instead of key: value lines")
     p_verify.set_defaults(func=cmd_verify)
 
     p_det = sub.add_parser("det", help="print one exact determinant (direct and closed form)")
     p_det.add_argument("--matrix", required=True, choices=["A", "Asub", "B"])
-    p_det.add_argument("--ell", type=int)
-    p_det.add_argument("--s", type=int)
+    p_det.add_argument("--ell", type=parse_integer)
+    p_det.add_argument("--s", type=parse_integer)
     p_det.add_argument("--a", help="comma-separated rational values (matrix A)")
-    p_det.add_argument("--kappa", type=int, help="removed column, 1-based (matrix Asub)")
-    p_det.add_argument("--k", type=int, help="matrix size (matrix B)")
+    p_det.add_argument("--kappa", type=parse_integer, help="removed column, 1-based (matrix Asub)")
+    p_det.add_argument("--k", type=parse_integer, help="matrix size (matrix B)")
     p_det.add_argument("--alpha", help="comma-separated rationals (matrix B)")
     p_det.add_argument("--beta", help="comma-separated rationals (matrix B)")
     p_det.add_argument("--r", help="comma-separated rationals, pairwise distinct (matrix B)")

@@ -72,19 +72,14 @@ def det_A_sub_from_cofactors(cofactors: list[int], kappa: int) -> int:
     return (-1) ** (ell + 1 + kappa) * cofactors[kappa - 1]
 
 
-def sub_column_offsets(ell: int, kappa: int) -> tuple[int, ...]:
-    """The column labels 1..ell+1 with kappa skipped (the surviving offsets)."""
-    if not 1 <= kappa <= ell + 1:
-        raise ValueError(f"column index kappa={kappa} outside [1, {ell + 1}]")
-    return tuple(j if j <= kappa - 1 else j + 1 for j in range(1, ell + 1))
-
-
 def build_A_sub(ell: int, kappa: int) -> list[list[int]]:
     """The integer rows of the ell x ell submatrix left after removing the
     last row and the kappa-th column; independent of s and a."""
     if ell < 1:
         raise ValueError(f"submatrix needs ell >= 1, got {ell}")
-    return _power_rows(ell, sub_column_offsets(ell, kappa))
+    if not 1 <= kappa <= ell + 1:
+        raise ValueError(f"column index kappa={kappa} outside [1, {ell + 1}]")
+    return _power_rows(ell, [j for j in range(1, ell + 2) if j != kappa])
 
 
 def sigma_ell(ell: int) -> int:

@@ -37,6 +37,15 @@ def rat(value: RationalLike) -> Rational:
     raise TypeError(f"cannot build an exact rational from {type(value).__name__}: {value!r}")
 
 
+def parse_integer(text: str) -> int:
+    """Parse an optional sign, then decimal digits; anything else, such as
+    the "0_2" that int() would take, is an error."""
+    s = text.strip()
+    if not (s[1:] if s[:1] in "+-" else s).isdecimal():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(s)
+
+
 def parse_rational(text: str) -> Rational:
     """Parse "p" or "p/q" (q > 0 after reduction); anything else is an error."""
     s = text.strip()

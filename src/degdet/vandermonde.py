@@ -106,11 +106,9 @@ def det_B(data: AffineData) -> Rational:
     return Fraction(det_integer_rows(_scaled_B_rows(data)), math.prod(d * Q for d in D) ** (data.ell - 1))
 
 
-def _power_table(points: Sequence[Rational], ell: int) -> tuple[int, list[list[int]]]:
-    """With the points written as N_i / Q over the lcm Q of their
-    denominators: Q and the integer powers N_i^e, e < ell."""
-    Q, N = over_common_denominator(points)
-    return Q, [[n**e for e in range(ell)] for n in N]
+def _power_table(N: Sequence[int], ell: int) -> list[list[int]]:
+    """The powers N_i^e, e < ell, of points N_i / Q cleared over their lcm Q."""
+    return [[n**e for e in range(ell)] for n in N]
 
 
 def _power_minor(table: list[list[int]], exponents: Sequence[int]) -> int:
@@ -123,13 +121,14 @@ def _binomial_vandermonde_sum(data: AffineData, lead: Sequence[Rational], second
                               columns: Callable[[int, tuple[int, ...]], tuple[int, ...]]) -> Rational:
     """prod lead_i^(ell-1) * sum_mu prod_j C(ell-1, mu_j) V(r, mu) V(second, columns(ell, mu))
     over all C(ell, k) strictly increasing exponent tuples mu in [0, ell-1]
-    (itertools.combinations), term by term in ints: with r and second over
-    the lcms Q and S of their denominators, each V is a power-table minor
+    (itertools.combinations), term by term in ints: with r over its lcm Q
+    (integer_form's) and second over its lcm S, each V is a power-table minor
     over Q or S to at most top = (ell-1) + ... + (ell-k), so every term is
     an integer over (Q S)^top."""
     ell = data.ell
-    Q, r_table = _power_table(data.r, ell)
-    S, second_table = _power_table(second, ell)
+    _, _, _, Q, R = data.integer_form
+    S, second_nums = over_common_denominator(second)
+    r_table, second_table = _power_table(R, ell), _power_table(second_nums, ell)
     # C(ell-1, e) = C(ell-1, e-1) (ell-e) / e, where a math.comb per e grows with e
     weights = list(itertools.accumulate(range(1, ell), lambda w, e: w * (ell - e) // e, initial=1))
     top = data.k * (2 * ell - data.k - 1) // 2
@@ -152,7 +151,7 @@ def expansion_cost(data: AffineData) -> int:
     each, n the 30-bit digits of top * (bits of r + bits of rho) on a term."""
     ell, k = data.ell, data.k
     bits = sum(max(abs(x).bit_length() for x in (d, *nums))
-               for d, nums in map(over_common_denominator, (data.r, data.rho())))
+               for d, nums in (data.integer_form[3:], over_common_denominator(data.rho())))
     n = 1 + k * (2 * ell - k - 1) // 2 * bits // 30
     return math.comb(ell, k) * (k * k * (k + 3) + 16) * n * math.isqrt(n)
 

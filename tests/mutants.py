@@ -10,7 +10,8 @@ copies the tree to a temporary directory, checks that each named test file
 passes there unmutated, then applies one mutant at a time, runs its test file
 with -x and reports it killed or survived, with the time of each run.  Exit
 status 0 when every mutant is killed.  tests/test_mutants.py checks in
-tier-1 that every fragment still applies; no mutant runs there.
+tier-1 that every fragment still applies, and runs two of the mutants, each
+against the one test that kills it.
 """
 
 from __future__ import annotations
@@ -74,6 +75,47 @@ MUTANTS = (
            "detect_degree(problem).degree, detect_degree(problem).degree)",
            "theorem1's converse half checks the detector against itself",
            "tests/test_interp.py"),
+    Mutant("parse-integer-no-isdecimal", "src/degdet/exactnum.py",
+           '    if not (s[1:] if s[:1] in "+-" else s).isdecimal():\n'
+           '        raise ValueError(f"not an integer: {text!r}")\n', "",
+           "parse_integer takes whatever int() takes, \"0_2\" among it",
+           "tests/test_exactnum.py"),
+    Mutant("seed-flag-by-int", "src/degdet/cli.py",
+           'add_argument("--seed", type=parse_integer', 'add_argument("--seed", type=int',
+           "verify --seed reads \"4_2\" as 42",
+           "tests/test_verify_cli.py"),
+    Mutant("environment-seed-by-int", "src/degdet/cli.py",
+           "return parse_integer(env_value)", "return int(env_value)",
+           "DEGDET_SEED=4_2 reads as 42",
+           "tests/test_verify_cli.py"),
+    Mutant("sub-cofactor-kappa-unchecked", "src/degdet/degreematrix.py",
+           "    ell = len(cofactors) - 1\n    if not 1 <= kappa <= ell + 1:\n"
+           '        raise ValueError(f"column index kappa={kappa} outside [1, {ell + 1}]")\n',
+           "    ell = len(cofactors) - 1\n",
+           "det_A_sub_from_cofactors reads a cofactor for any kappa (kappa = 0 wraps to the last)",
+           "tests/test_degreematrix.py"),
+    Mutant("problem-ell-zero", "src/degdet/interp.py",
+           'if ell < 1:\n            raise ValueError(f"problem needs ell',
+           'if ell < 0:\n            raise ValueError(f"problem needs ell',
+           "EquidistantProblem lets ell = 0 past its own check",
+           "tests/test_interp.py"),
+    Mutant("general-problem-one-node", "src/degdet/interp.py",
+           "if len(node_t) < 2:", "if len(node_t) < 1:",
+           "GeneralProblem takes a single node",
+           "tests/test_interp.py"),
+    Mutant("affine-k-zero", "src/degdet/vandermonde.py",
+           "if k < 1:", "if k < 0:",
+           "AffineData lets k = 0 past its own check",
+           "tests/test_vandermonde.py"),
+    Mutant("complement-zero-alpha", "src/degdet/vandermonde.py",
+           "    if not all(data.alpha):\n"
+           '        raise ValueError("complementary expansion needs every alpha_i nonzero")\n', "",
+           "the complementary expansion runs with a zero alpha_i",
+           "tests/test_vandermonde.py"),
+    Mutant("derivative-negative-order", "src/degdet/exactnum.py",
+           "if n < 0:", "if n < -1:",
+           "Poly.derivative(-1) is not refused by its own check",
+           "tests/test_exactnum.py"),
 )
 
 
@@ -84,19 +126,26 @@ def mutated(text: str, mutant: Mutant) -> str:
     return text.replace(mutant.fragment, mutant.replacement)
 
 
-def run_tests(tree: Path, test_file: str) -> tuple[int, float, str]:
-    """pytest's exit code, the wall time and the first failing test of one
-    -x run of test_file in tree."""
+def start_tests(tree: Path, target: str) -> subprocess.Popen:
+    """One -x pytest run of target, a test file or a test's node id, started
+    in tree, with its report on the run's stdout."""
     # no bytecode: a mutant the size of its fragment, written within the same
     # second, would otherwise run from the stale cached module
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", target],
+                            cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+
+
+def run_tests(tree: Path, test_file: str) -> tuple[int, float, str]:
+    """pytest's exit code, the wall time and the first failing test of one
+    -x run of test_file in tree."""
     started = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", test_file],
-                          cwd=tree, env=env, capture_output=True, text=True)
+    run = start_tests(tree, test_file)
+    stdout, _ = run.communicate()
     elapsed = time.perf_counter() - started
-    failed = next((line.split(" - ")[0].removeprefix("FAILED ") for line in done.stdout.splitlines()
+    failed = next((line.split(" - ")[0].removeprefix("FAILED ") for line in stdout.splitlines()
                    if line.startswith("FAILED ")), "")
-    return done.returncode, elapsed, failed
+    return run.returncode, elapsed, failed
 
 
 def main() -> int:

@@ -12,9 +12,9 @@ from degdet.degreematrix import (
     build_A_sub,
     det_A_from_cofactors,
     det_A_sub_closed_form,
+    det_A_sub_from_cofactors,
     power_row_cofactors,
     sigma_ell,
-    sub_column_offsets,
 )
 from degdet.exactnum import det_fraction_free, trusted
 from degdet.rng import SplitMix64
@@ -141,6 +141,12 @@ class TestSubDeterminant:
         assert det_A_sub_closed_form(ell, kappa) == expected
         assert det_fraction_free(build_A_sub(ell, kappa)) == expected
 
+    @pytest.mark.parametrize("kappa", [0, 4])
+    def test_cofactor_route_checks_kappa(self, kappa):
+        with pytest.raises(ValueError) as exc:
+            det_A_sub_from_cofactors(power_row_cofactors(2), kappa)
+        assert str(exc.value) == f"column index kappa={kappa} outside [1, 3]"
+
     @pytest.mark.parametrize("kappa", [1, 0, 5])
     def test_closed_form_checks_ell_first(self, kappa):
         # the family's own message, as build_A_sub gives it, and not
@@ -172,7 +178,7 @@ class TestSubDeterminant:
                 weight *= binomial(ell - 1, j)
             sign = (-1) ** (ell * (ell - 1) // 2)
             for kappa in range(1, ell + 2):
-                offsets = sub_column_offsets(ell, kappa)
+                offsets = [j for j in range(1, ell + 2) if j != kappa]
                 expected = sign * weight * vandermonde_product(alpha) * vandermonde_product(offsets)
                 assert det_fraction_free(build_A_sub(ell, kappa)) == expected
 

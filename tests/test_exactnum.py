@@ -15,6 +15,7 @@ from degdet.exactnum import (
     format_rational,
     last_row_cofactors,
     over_common_denominator,
+    parse_integer,
     parse_rational,
     poly_shift_scale,
     rat,
@@ -69,6 +70,16 @@ class TestRationals:
         with pytest.raises(ValueError, match="rational literal"):
             parse_rational(text)
 
+    @pytest.mark.parametrize("text,expected", [("3", 3), ("+3", 3), (" 3 ", 3), ("-3", -3), ("007", 7)])
+    def test_parse_integer_takes_a_sign_and_digits(self, text, expected):
+        assert parse_integer(text) == expected
+
+    @pytest.mark.parametrize("text", ["0_2", "1_000", "", "+", "- 3", "+-3", "3.0", "1e3", "0x1f", "3/1", "²"])
+    def test_parse_integer_rejects_anything_else(self, text):
+        with pytest.raises(ValueError) as exc:
+            parse_integer(text)
+        assert str(exc.value) == f"not an integer: {text!r}"
+
     def test_rat_rejects_floats(self):
         with pytest.raises(TypeError):
             rat(0.1)
@@ -122,6 +133,11 @@ class TestPoly:
     def test_derivative_order_zero_is_identity(self):
         p = Poly([5, 0, 7])
         assert p.derivative(0) == p
+
+    def test_derivative_rejects_a_negative_order(self):
+        with pytest.raises(ValueError) as exc:
+            Poly([1, 2, 3]).derivative(-1)
+        assert str(exc.value) == "derivative order must be nonnegative"
 
     def test_derivative_kills_constants(self):
         assert Poly([5]).derivative(1).is_zero

@@ -165,6 +165,17 @@ class TestDirectInterpolation:
         with pytest.raises(ValueError):
             EquidistantProblem(2, 0, 1, [1, 2])
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: EquidistantProblem(0, 0, 1, [1]), "problem needs ell >= 1, got 0"),
+        (lambda: GeneralProblem([0], [1]), "general problem needs at least two nodes"),
+        (lambda: GeneralProblem([0, 1], [1]), "need one value per node: 1 values for 2 nodes"),
+        (lambda: lagrange_interpolate([0, 1], [1]), "need one value per node"),
+    ], ids=["equidistant-ell-0", "general-one-node", "general-lengths", "lagrange-lengths"])
+    def test_problems_name_their_rejection(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
 
 def exact_degree_poly(rng, degree):
     return Poly([rng.rational() for _ in range(degree)] + [rng.rational(nonzero=True)])

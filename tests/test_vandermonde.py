@@ -50,6 +50,15 @@ class TestAffineData:
         with pytest.raises(ValueError):
             AffineData(2, 2, [1], [1, 1], [0, 1])
 
+    @pytest.mark.parametrize("k,ell,message", [
+        (0, 2, "affine data needs k >= 1, got 0"),
+        (1, 0, "affine data needs ell >= 1, got 0"),
+    ], ids=["k-0", "ell-0"])
+    def test_sizes_enforced(self, k, ell, message):
+        with pytest.raises(ValueError) as exc:
+            AffineData(k, ell, [1] * k, [1] * k, list(range(k)))
+        assert str(exc.value) == message
+
     def test_rho_needs_nonzero_alpha(self):
         data = AffineData(2, 2, [0, 1], [1, 1], [0, 1])
         with pytest.raises(ValueError):
@@ -326,6 +335,16 @@ class TestExpansionComplement:
     def test_rejects_zero_beta(self):
         with pytest.raises(ValueError):
             det_B_expansion_complement(AffineData(2, 2, [1, 1], [0, 2], [0, 1]))
+
+    @pytest.mark.parametrize("data,message", [
+        (AffineData(2, 1, [1, 1], [1, 2], [0, 1]),
+         "expansion needs k <= ell (the determinant is 0 for k > ell; see det_B_zero_check)"),
+        (AffineData(2, 2, [0, 1], [1, 2], [0, 1]), "complementary expansion needs every alpha_i nonzero"),
+    ], ids=["k-above-ell", "zero-alpha"])
+    def test_rejections_named(self, data, message):
+        with pytest.raises(ValueError) as exc:
+            det_B_expansion_complement(data)
+        assert str(exc.value) == message
 
 
 class TestZeroBand:

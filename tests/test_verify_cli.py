@@ -12,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import degdet
 from degdet.cli import EXPANSION_MAX_COST, MATRIX_MAX_ELL, ProblemFileError, main, parse_problem_file
@@ -177,6 +179,27 @@ b[10]: 0
 """
 
 
+# literals for the problem-file fuzz: digit strings of up to 5,000 digits,
+# signs, "/", "_" and digits that are not ASCII ("\u0663" is an Arabic-Indic
+# 3, which str.isdecimal and int() take; "\u00b2" is a superscript 2, which
+# they do not)
+_DIGITS = st.builds(lambda pattern, repeat: (pattern * repeat)[:5000],
+                    st.text("0123456789", min_size=1, max_size=6), st.integers(1, 5000))
+_LITERALS = st.lists(
+    _DIGITS | st.integers(-2, 6).map(str) | st.sampled_from(["+", "-", "/", "_", " ", "\u0663", "\u00b2", "\uff13"]),
+    min_size=1, max_size=4).map("".join)
+_VALUE_LISTS = st.lists(_LITERALS, min_size=1, max_size=8).map(", ".join)
+_PROBLEM_LINES = st.sampled_from(["ell", "xi", "h", "values"]).flatmap(
+    lambda name: (_VALUE_LISTS if name == "values" else _LITERALS).map(lambda text: f"{name}: {text}"))
+# every field once, in any order, with values of the drawn size, and each
+# literal most often a valid rational: some of these parse
+_MOSTLY_VALID = st.sampled_from(["0", "-3", "7/2", "+1/9"]) | st.fractions().map(format_rational) | _DIGITS | _LITERALS
+_COMPLETE_PROBLEMS = st.integers(1, 6).flatmap(lambda ell: st.tuples(
+    st.just(f"ell: {ell}"), _MOSTLY_VALID.map("xi: {}".format), _MOSTLY_VALID.map("h: {}".format),
+    st.lists(_MOSTLY_VALID, min_size=ell + 1, max_size=ell + 1).map(lambda values: "values: " + ", ".join(values))))
+_PROBLEM_TEXTS = (st.lists(_PROBLEM_LINES, max_size=6) | _COMPLETE_PROBLEMS.flatmap(st.permutations)).map("\n".join)
+
+
 class TestProblemFile:
     def test_parses_canonical_file(self):
         pf = parse_problem_file("ell: 3\nxi: 0\nh: 1\nvalues: 0, 1, 2, 3\n")
@@ -194,6 +217,10 @@ class TestProblemFile:
             ("ell: 2\nxi: 0\nh: 1\nvalues: 1, 2\n", "expected ell+1 = 3 entries"),
             ("ell: 2\nxi: 0\nvalues: 1, 2, 3\n", "missing field 'h'"),
             ("ell: 2\nxi: 0.5\nh: 1\nvalues: 1, 2, 3\n", "field 'xi'"),
+            ("ell: 2\nxi: 0\nh: 1/0\nvalues: 1, 2, 3\n",
+             "line 3: field 'h': zero denominator in rational literal: '1/0'"),
+            ("ell: 2\nxi: 0\nh: 1\nvalues: 1, 2_0, 3\n",
+             "line 4: field 'values': not a rational literal (expected 'p' or 'p/q'): ' 2_0'"),
             ("ell: two\nxi: 0\nh: 1\nvalues: 1, 2, 3\n", "not an integer"),
             ("ell: 0_2\nxi: 0\nh: 1\nvalues: 1, 2, 3\n", "field 'ell': not an integer: '0_2'"),
             ("ell: 1_0\nxi: 0\nh: 1\nvalues: 1, 2, 3\n", "field 'ell': not an integer: '1_0'"),
@@ -207,6 +234,19 @@ class TestProblemFile:
         with pytest.raises(ProblemFileError) as exc:
             parse_problem_file(text)
         assert fragment in str(exc.value)
+
+    # a 5,000-digit ell, past int()'s digit limit, and one whose ell + 1 has
+    # more digits than the limit prints
+    @example("ell: " + "1" * 5000 + "\nxi: 0\nh: 1\nvalues: 1\n")
+    @example("ell: " + "9" * 4300 + "\nxi: 0\nh: 1\nvalues: 1\n")
+    @given(_PROBLEM_TEXTS)
+    def test_any_text_gives_a_problem_or_a_problem_file_error(self, text):
+        try:
+            problem = parse_problem_file(text)
+        except ProblemFileError as exc:
+            assert str(exc).startswith("<input>: ")
+        else:
+            assert type(problem) is EquidistantProblem
 
 
 # ell = 32 problems whose full reports are pinned below
@@ -1021,6 +1061,52 @@ class TestVerifyCommand:
         for name, spec in SUITES.items():
             report = run_suite(name, max_ell=min(spec.max_ell, 3), trials=min(spec.trials, 3))
             assert report.passed, f"{name}: {report.failures[:1]}"
+
+
+class TestIntegerRule:
+    """Every integer the CLI reads, from a flag, DEGDET_SEED or a problem
+    file's ell, is an optional sign and decimal digits (exactnum.parse_integer):
+    "4_2", which int() reads as 42, is refused."""
+
+    @pytest.mark.parametrize("argv,flag,value", [pytest.param(*run, id=run[1]) for run in [
+        (["det", "--matrix", "Asub", "--kappa", "1"], "--ell", "0_2"),
+        (["det", "--matrix", "A", "--ell", "2", "--a", "1,1,1"], "--s", "0_2"),
+        (["det", "--matrix", "Asub", "--ell", "2"], "--kappa", "0_2"),
+        (["det", "--matrix", "B", "--ell", "2", "--alpha", "1", "--beta", "1", "--r", "1"], "--k", "0_1"),
+        (["verify", "--suite", "prop3"], "--max-ell", "0_2"),
+        (["verify", "--suite", "prop3", "--max-ell", "2"], "--trials", "0_1"),
+        (["verify", "--suite", "prop3", "--max-ell", "2"], "--seed", "4_2"),
+    ]])
+    def test_an_underscore_in_an_integer_flag_exits_2(self, capsys, argv, flag, value):
+        assert main([*argv, flag, value.replace("_", "")]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: " in err and repr(value) in err
+
+    def test_an_underscore_in_the_environment_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("DEGDET_SEED", "4_2")
+        code, out, err = run_cli(capsys, "verify", "--suite", "prop3", "--max-ell", "2")
+        assert (code, out) == (2, "")
+        assert err == "degdet: error: environment variable DEGDET_SEED is not an integer: '4_2'\n"
+
+    @pytest.mark.parametrize("literal", ["3", "+3", " 3 "])
+    def test_a_sign_and_surrounding_blanks_still_read(self, capsys, monkeypatch, literal):
+        _, out, _ = run_cli(capsys, "verify", "--suite", "prop3", "--max-ell", "2", "--seed", literal)
+        assert out_fields(out)["seed"] == "3"
+        monkeypatch.setenv("DEGDET_SEED", literal)
+        _, out, _ = run_cli(capsys, "verify", "--suite", "prop3", "--max-ell", "2")
+        assert out_fields(out)["seed"] == "3"
+        _, out, _ = run_cli(capsys, "det", "--matrix", "Asub", "--ell", literal, "--kappa", "1")
+        assert out_fields(out)["ell"] == "3"
+        assert parse_problem_file(f"ell: {literal}\nxi: 0\nh: 1\nvalues: 1, 2, 3, 4\n").ell == 3
+
+    def test_a_bad_rational_list_names_its_option(self, capsys):
+        code, out, err = run_cli(capsys, "det", "--matrix", "A", "--ell", "2", "--s", "0", "--a", "1,x")
+        assert (code, out) == (2, "")
+        assert err == "degdet: error: option --a: not a rational literal (expected 'p' or 'p/q'): 'x'\n"
 
 
 class TestReportWrite:
