@@ -18,10 +18,11 @@ import argparse
 import math
 import os
 import sys
+from fractions import Fraction
 
 from .degreematrix import (AlternatingSums, _checked_values, det_A_from_cofactors, det_A_sub_closed_form,
                            det_A_sub_from_cofactors, power_row_cofactors)
-from .exactnum import Rational, format_rational, parse_integer, parse_rational
+from .exactnum import format_rational, parse_integer, parse_rational
 from .interp import (
     DETECTION_MODES,
     MODE_CLOSED_FORM,
@@ -100,7 +101,7 @@ def parse_problem_file(text: str, source: str = "<input>") -> EquidistantProblem
     xi = field("xi", parse_rational)
     h = field("h", parse_rational, lambda h: h == 0 and "step must be nonzero")
     values = field("values", _parse_rationals, lambda values: len(values) != ell + 1
-                   and f"expected ell+1 = {ell + 1} entries, got {len(values)}")
+                   and f"expected ell+1 = {_count(ell + 1)} entries, got {len(values)}")
     return EquidistantProblem(ell, xi, h, values)
 
 
@@ -113,17 +114,26 @@ def load_problem_file(path: str) -> EquidistantProblem:
     return parse_problem_file(text, source=path)
 
 
-def _parse_rationals(text: str) -> tuple[Rational, ...]:
+def _parse_rationals(text: str) -> tuple[Fraction, ...]:
     """Comma-separated rational literals: the file's values and det's --a,
     --alpha, --beta and --r."""
     return tuple(map(parse_rational, text.split(",")))
 
 
-def _option_rationals(args: argparse.Namespace, name: str) -> tuple[Rational, ...]:
+def _option_rationals(args: argparse.Namespace, name: str) -> tuple[Fraction, ...]:
     try:
         return _parse_rationals(getattr(args, name))
     except ValueError as exc:
         raise ValueError(f"option --{name}: {exc}") from None
+
+
+def _integer_flag(text: str) -> int:
+    """parse_integer as an argparse type=, so that a bad value's error line
+    carries parse_integer's message and not the function's name."""
+    try:
+        return parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _count(n: int) -> str:
@@ -164,7 +174,7 @@ def cmd_degree(args: argparse.Namespace) -> tuple[int, str]:
         f"witness_m: {'none' if detection.witness_m is None else detection.witness_m}",
     ]
     lines += [f"det[{s}]: {format_rational(value)}" for s, value in enumerate(detection.determinants)]
-    lines += [f"b[{k}]: {format_rational(Rational(n * q**k, normalized.den * p**k))}" for k, n in enumerate(nums)]
+    lines += [f"b[{k}]: {format_rational(Fraction(n * q**k, normalized.den * p**k))}" for k, n in enumerate(nums)]
     return 0, "\n".join(lines)
 
 
@@ -230,7 +240,7 @@ def _require(args: argparse.Namespace, names: list[str], kind: str) -> None:
 
 def cmd_det(args: argparse.Namespace) -> tuple[int, str]:
     lines = [f"matrix: {args.matrix}"]
-    closed_form: Rational | None = None
+    closed_form: Fraction | int | None = None
     closed_form_note = None
 
     # direct() runs last: bad arguments or an unprintable closed form exit first.
@@ -245,7 +255,7 @@ def cmd_det(args: argparse.Namespace) -> tuple[int, str]:
     elif args.matrix == "Asub":
         _require(args, ["ell", "kappa"], "Asub")
         _check_matrix_ell(args.ell, "det --matrix Asub")
-        closed_form = Rational(det_A_sub_closed_form(args.ell, args.kappa))
+        closed_form = det_A_sub_closed_form(args.ell, args.kappa)
         direct = lambda: det_A_sub_from_cofactors(power_row_cofactors(args.ell), args.kappa)
         lines += [f"ell: {args.ell}", f"kappa: {args.kappa}"]
     else:
@@ -277,7 +287,7 @@ def cmd_det(args: argparse.Namespace) -> tuple[int, str]:
                 f"{EXPANSION_MAX_COST:,}"
             )
         if args.k > args.ell:
-            closed_form = Rational(0)
+            closed_form = 0
         elif expand:
             closed_form = det_B_expansion(data)
         else:
@@ -307,20 +317,20 @@ def build_parser() -> argparse.ArgumentParser:
     suite_help = "; ".join(f"{name}: {spec.summary}" for name, spec in SUITES.items())
     p_verify = sub.add_parser("verify", help="run an identity-verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES, help=suite_help)
-    p_verify.add_argument("--max-ell", type=parse_integer, default=None, help="override the suite's grid-size ceiling")
-    p_verify.add_argument("--trials", type=parse_integer, default=None, help="override the per-cell random trial count")
-    p_verify.add_argument("--seed", type=parse_integer, default=None,
+    p_verify.add_argument("--max-ell", type=_integer_flag, default=None, help="override the suite's grid-size ceiling")
+    p_verify.add_argument("--trials", type=_integer_flag, default=None, help="override the per-cell random trial count")
+    p_verify.add_argument("--seed", type=_integer_flag, default=None,
                           help=f"seed for the trial stream (default: ${ENV_SEED} or {DEFAULT_SEED})")
     p_verify.add_argument("--json", action="store_true", help="emit one JSON document instead of key: value lines")
     p_verify.set_defaults(func=cmd_verify)
 
     p_det = sub.add_parser("det", help="print one exact determinant (direct and closed form)")
     p_det.add_argument("--matrix", required=True, choices=["A", "Asub", "B"])
-    p_det.add_argument("--ell", type=parse_integer)
-    p_det.add_argument("--s", type=parse_integer)
+    p_det.add_argument("--ell", type=_integer_flag)
+    p_det.add_argument("--s", type=_integer_flag)
     p_det.add_argument("--a", help="comma-separated rational values (matrix A)")
-    p_det.add_argument("--kappa", type=parse_integer, help="removed column, 1-based (matrix Asub)")
-    p_det.add_argument("--k", type=parse_integer, help="matrix size (matrix B)")
+    p_det.add_argument("--kappa", type=_integer_flag, help="removed column, 1-based (matrix Asub)")
+    p_det.add_argument("--k", type=_integer_flag, help="matrix size (matrix B)")
     p_det.add_argument("--alpha", help="comma-separated rationals (matrix B)")
     p_det.add_argument("--beta", help="comma-separated rationals (matrix B)")
     p_det.add_argument("--r", help="comma-separated rationals, pairwise distinct (matrix B)")

@@ -1,20 +1,11 @@
-"""Integer combinatorics: binomials, elementary symmetric sums and the
-excluded-value symmetric sums (tau) built on them."""
+"""Integer combinatorics: elementary symmetric sums and the excluded-value
+symmetric sums (tau) built on them.  Binomial coefficients are math.comb,
+which every caller asks only for C(n, k) with 0 <= k <= n."""
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from functools import lru_cache
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient; 0 whenever k falls outside [0, n]."""
-    if n < 0:
-        raise ValueError(f"binomial needs n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def _check_tau_indices(ell: int, m: int, j: int) -> None:

@@ -9,11 +9,10 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinat import binomial
-from .exactnum import Rational, last_row_cofactors, over_common_denominator, rat
+from .exactnum import last_row_cofactors, over_common_denominator, rat
 
 
-def _checked_values(ell: int, s: int, a) -> tuple[Rational, ...]:
+def _checked_values(ell: int, s: int, a) -> tuple[Fraction, ...]:
     """The value vector of one determinant instance (ell, s, a) as
     rationals, after checking ell >= 1, s >= 0 and len(a) == ell + 1; s
     above ell is legal, the alternating sum is still well defined."""
@@ -27,7 +26,7 @@ def _checked_values(ell: int, s: int, a) -> tuple[Rational, ...]:
     return values
 
 
-def weighted_value_row(s: int, a) -> list[Rational]:
+def weighted_value_row(s: int, a) -> list[Fraction]:
     """The last row of the degree matrix: j^s * a_j for j = 0..ell, with the
     0^0 = 1 convention."""
     return [j**s * aj for j, aj in enumerate(a)]
@@ -39,7 +38,7 @@ def _power_rows(ell: int, offsets) -> list[list[int]]:
     return [[((i - 1) * (ell + 1) + j) ** (ell - 1) for j in offsets] for i in range(1, ell + 1)]
 
 
-def build_A(ell: int, s: int, a) -> list[list[Rational]]:
+def build_A(ell: int, s: int, a) -> list[list[Fraction]]:
     """The rows of the (ell+1)x(ell+1) matrix: row i in 1..ell holds the
     (ell-1)-th powers of the consecutive integers (i-1)(ell+1)+1 .. i(ell+1),
     as ints; the last row is weighted_value_row(s, a)."""
@@ -55,7 +54,7 @@ def power_row_cofactors(ell: int) -> list[int]:
     return last_row_cofactors(_power_rows(ell, range(1, ell + 2)))
 
 
-def det_A_from_cofactors(cofactors: list[int], s: int, a) -> Rational:
+def det_A_from_cofactors(cofactors: list[int], s: int, a) -> Fraction:
     """det build_A(ell, s, a) by Laplace expansion along the last row, from
     power_row_cofactors(ell): sum_j c_j j^s N_j / L in plain ints, with N / L
     the values a over the lcm L of their denominators."""
@@ -104,22 +103,22 @@ def det_A_sub_closed_form(ell: int, kappa: int) -> int:
         raise ValueError(f"submatrix needs ell >= 1, got {ell}")
     if not 1 <= kappa <= ell + 1:
         raise ValueError(f"column index kappa={kappa} outside [1, {ell + 1}]")
-    return (-1) ** ell * sigma_ell(ell) * binomial(ell, kappa - 1)
+    return (-1) ** ell * sigma_ell(ell) * math.comb(ell, kappa - 1)
 
 
-def alternating_weighted_sum(ell: int, s: int, a) -> Rational:
+def alternating_weighted_sum(ell: int, s: int, a) -> Fraction:
     """The combinatorial core sum_{j=0}^{ell} (-1)^j C(ell, j) j^s a_j,
     with 0^0 = 1, summed term by term in Fractions.  At s = 0 this is
     (-1)^ell times the ell-th forward difference of a.  The reference the
     tests check AlternatingSums against; no production route calls it."""
     values = _checked_values(ell, s, a)
-    return sum((Fraction((-1) ** j * binomial(ell, j) * j**s) * aj for j, aj in enumerate(values)), Fraction(0))
+    return sum((Fraction((-1) ** j * math.comb(ell, j) * j**s) * aj for j, aj in enumerate(values)), Fraction(0))
 
 
 @lru_cache(maxsize=128)
 def _signed_binomials(ell: int) -> tuple[int, ...]:
     """(-1)^j C(ell, j) for j = 0..ell; the last 128 ells are kept."""
-    return tuple((-1) ** j * binomial(ell, j) for j in range(ell + 1))
+    return tuple((-1) ** j * math.comb(ell, j) for j in range(ell + 1))
 
 
 _ZERO = Fraction(0)
@@ -151,7 +150,7 @@ class AlternatingSums:
             self._sums.append(sum(self._weights))
         return self._sums[s]
 
-    def det(self, s: int) -> Rational:
+    def det(self, s: int) -> Fraction:
         """det build_A(ell, s, a) = sigma_ell(ell) * S_s (Theorem 1) as one
         Fraction.  A zero S_s reads _ZERO; sigma_ell is computed on the
         first nonzero read and kept."""

@@ -1,13 +1,14 @@
 """Exact scalar, polynomial, and matrix arithmetic.
 
-Rationals are arbitrary-precision fractions.Fraction values; the kernels
+A rational is a fractions.Fraction and an integer a plain int; the kernels
 clear denominators and work in plain ints, and no floating point enters any
-code path.  Poly is immutable: integer numerators over one denominator.
-A matrix is a list of its rows: the integer Bareiss kernels
-(det_integer_rows, last_row_cofactors) work in place on the integer rows
-they are given, and det_fraction_free, the rational route that only the
-tests call, clears each row of rationals over its lcm first; every other
-function returns new values.
+code path.  Text becomes a number only in parse_integer and parse_rational,
+and a computed value becomes report text only in format_rational.  Poly is
+immutable: integer numerators over one denominator.  A matrix is a list of
+its rows: the integer Bareiss kernels (det_integer_rows, last_row_cofactors)
+work in place on the integer rows they are given, and det_fraction_free, the
+rational route that only the tests call, clears each row of rationals over
+its lcm first; every other function returns new values.
 """
 
 from __future__ import annotations
@@ -17,23 +18,20 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import total_ordering
 
-Rational = Fraction
-
-RationalLike = Fraction | int | str
+RationalLike = Fraction | int
 
 
-def rat(value: RationalLike) -> Rational:
-    """Coerce an int, "p/q" string, or Fraction to an exact rational.
+def rat(value: RationalLike) -> Fraction:
+    """Coerce an int or Fraction to a Fraction.
 
     Floats are rejected: they would smuggle binary rounding into paths
-    whose whole point is exact equality.
+    whose whole point is exact equality.  So is text, which only
+    parse_rational reads.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
     raise TypeError(f"cannot build an exact rational from {type(value).__name__}: {value!r}")
 
 
@@ -46,19 +44,22 @@ def parse_integer(text: str) -> int:
     return int(s)
 
 
-def parse_rational(text: str) -> Rational:
-    """Parse "p" or "p/q" (q > 0 after reduction); anything else is an error."""
+def parse_rational(text: str) -> Fraction:
+    """Parse "p" or "p/q" (q > 0 after reduction); anything else is an error.
+    The Fraction is built from the ints of the checked digits."""
     s = text.strip()
     body = s[1:] if s[:1] in "+-" else s
     num_part, sep, den_part = body.partition("/")
     if not num_part.isdecimal() or (sep and not den_part.isdecimal()):
         raise ValueError(f"not a rational literal (expected 'p' or 'p/q'): {text!r}")
-    if sep and int(den_part) == 0:
+    den = int(den_part) if sep else 1
+    if den == 0:
         raise ValueError(f"zero denominator in rational literal: {text!r}")
-    return Fraction(s)
+    num = int(num_part)
+    return Fraction(-num if s[:1] == "-" else num, den)
 
 
-def format_rational(value: Rational) -> str:
+def format_rational(value: Fraction | int) -> str:
     """Serialize exactly: "p" for integers, "p/q" otherwise."""
     if value.denominator == 1:
         return str(value.numerator)
@@ -173,7 +174,7 @@ class Poly(Record):
         return p
 
     @property
-    def coeffs(self) -> tuple[Rational, ...]:
+    def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __eq__(self, other):
@@ -197,7 +198,7 @@ class Poly(Record):
     def is_zero(self) -> bool:
         return not self.nums
 
-    def __call__(self, x: RationalLike) -> Rational:
+    def __call__(self, x: RationalLike) -> Fraction:
         """Horner's rule in plain ints: with x = X / m, the value is
         sum_k nums[k] X^k m^(n-k) / (den m^n)."""
         point = rat(x)
@@ -209,7 +210,7 @@ class Poly(Record):
         return Fraction(acc * m, self.den * power)
 
     def __add__(self, other):
-        if isinstance(other, (Fraction, int, str)):
+        if isinstance(other, (Fraction, int)):
             other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
@@ -224,7 +225,7 @@ class Poly(Record):
         return -(-self + other)
 
     def __mul__(self, other):
-        if isinstance(other, (Fraction, int, str)):
+        if isinstance(other, (Fraction, int)):
             scalar = rat(other)
             return Poly.over(self.den * scalar.denominator, [n * scalar.numerator for n in self.nums])
         if not isinstance(other, Poly):
@@ -269,7 +270,7 @@ def poly_shift_scale(p: Poly, xi: RationalLike, h: RationalLike) -> Poly:
     return Poly.over(p.den * power, acc)
 
 
-def over_common_denominator(values: Sequence[Rational]) -> tuple[int, list[int]]:
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The lcm d of the denominators and the numerators over d, as plain ints:
     values[i] = nums[i] / d, and gcd(d, *nums) == 1.  An entry p/q becomes
     p * (d // q), exact because q divides d; an entry already over d keeps
@@ -279,7 +280,7 @@ def over_common_denominator(values: Sequence[Rational]) -> tuple[int, list[int]]
     return d, [v.numerator if q == d else v.numerator * (d // q) for v, q in zip(values, denominators)]
 
 
-def det_fraction_free(rows: Sequence[Sequence[Rational]]) -> Rational:
+def det_fraction_free(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a square matrix of rationals, given as its rows,
     by fraction-free (Bareiss) elimination.
 

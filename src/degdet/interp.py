@@ -17,7 +17,6 @@ from .exactnum import (
     NEG_INF,
     Degree,
     Poly,
-    Rational,
     RationalLike,
     Record,
     format_rational,
@@ -31,7 +30,7 @@ MODE_MATRIX = "matrix"
 DETECTION_MODES = (MODE_CLOSED_FORM, MODE_MATRIX)
 
 
-def _integer_grid(ell: int, xi: Rational, h: Rational) -> tuple[int, list[int]]:
+def _integer_grid(ell: int, xi: Fraction, h: Fraction) -> tuple[int, list[int]]:
     """The grid xi + i*h, i = 0..ell, as (Q, X) in plain ints: with xi = p/q
     and h = r/t, node i is X_i / Q for Q = q*t and X_i = p*t + i*r*q.  Q is
     a common denominator of the nodes, not always their least one."""
@@ -41,7 +40,7 @@ def _integer_grid(ell: int, xi: Rational, h: Rational) -> tuple[int, list[int]]:
     return q * t, [start + i * step for i in range(ell + 1)]
 
 
-def equidistant_nodes(ell: int, xi: Rational, h: Rational) -> tuple[Rational, ...]:
+def equidistant_nodes(ell: int, xi: Fraction, h: Fraction) -> tuple[Fraction, ...]:
     """The grid xi + i*h, i = 0..ell, as the Fractions X_i / Q of the
     integer grid (Q, X) from _integer_grid."""
     den, grid = _integer_grid(ell, xi, h)
@@ -248,7 +247,7 @@ def _eq14_double_sum(sym: Sequence, inner: Sequence) -> list:
     return [sum(map(operator.mul, signed[m::-1], inner)) for m in range(ell, -1, -1)]
 
 
-def derivative_at_left_node(problem: EquidistantProblem, s: int) -> Rational:
+def derivative_at_left_node(problem: EquidistantProblem, s: int) -> Fraction:
     """The (ell-s)-th derivative of the interpolant at x = xi by eq. 10,
     h^(s-ell) sum_k (-1)^(ell-s+k) (ell-s)!/ell! tau(ell, s-k, 0) S_k; must
     equal the symbolic derivative of the direct interpolant evaluated at xi.
@@ -270,13 +269,13 @@ class DegreeDetection(Record):
 
     __slots__ = _fields = ("degree", "witness_m", "determinants")
 
-    def __init__(self, degree: Degree, witness_m: int | None, determinants: tuple[Rational, ...]):
+    def __init__(self, degree: Degree, witness_m: int | None, determinants: tuple[Fraction, ...]):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "witness_m", witness_m)
         object.__setattr__(self, "determinants", determinants)
 
 
-def _determinant_route(problem: EquidistantProblem, mode: str) -> Callable[[int], Rational]:
+def _determinant_route(problem: EquidistantProblem, mode: str) -> Callable[[int], Fraction]:
     """The map s -> determinant for one detection.
 
     Closed-form mode reads problem.sums.det, sigma_ell (computed on the
@@ -302,7 +301,7 @@ def detect_degree(problem: EquidistantProblem, mode: str = MODE_CLOSED_FORM) -> 
     interpolant."""
     ell = problem.ell
     determinant = _determinant_route(problem, mode)
-    dets: list[Rational] = []
+    dets: list[Fraction] = []
     for s in range(ell + 1):
         value = determinant(s)
         dets.append(value)

@@ -9,7 +9,6 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .exactnum import (
-    Rational,
     Record,
     det_integer_rows,
     format_rational,
@@ -26,7 +25,7 @@ class HypothesisViolation(ValueError):
         self.hypothesis = hypothesis
 
 
-def affine_row(a: Rational, b: Rational, pair_a: tuple[int, int], pair_b: tuple[int, int]):
+def affine_row(a: Fraction, b: Fraction, pair_a: tuple[int, int], pair_b: tuple[int, int]):
     """The row (alpha_i, beta_i, A_i, B_i, D_i) of AffineData's integer form
     for alpha_i = a and beta_i = b, given with their (numerator,
     denominator) pairs: D_i is the lcm of the two denominators."""
@@ -72,13 +71,13 @@ class AffineData(Record):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "integer_form", (A, B, D, Q, R))
 
-    def rho(self) -> tuple[Rational, ...]:
+    def rho(self) -> tuple[Fraction, ...]:
         """The ratios beta_i / alpha_i; defined only when every alpha_i is nonzero."""
         if not all(self.alpha):
             raise ValueError("rho needs every alpha_i nonzero")
         return tuple(b / a for a, b in zip(self.alpha, self.beta))
 
-    def inverse_rho(self) -> tuple[Rational, ...]:
+    def inverse_rho(self) -> tuple[Fraction, ...]:
         """The ratios alpha_i / beta_i; defined only when every beta_i is nonzero."""
         if not all(self.beta):
             raise ValueError("inverse rho needs every beta_i nonzero")
@@ -91,7 +90,7 @@ def _scaled_B_rows(data: AffineData) -> list[list[int]]:
     return [[(a * Q + rj * b) ** (data.ell - 1) for rj in R] for a, b in zip(A, B)]
 
 
-def build_B(data: AffineData) -> list[list[Rational]]:
+def build_B(data: AffineData) -> list[list[Fraction]]:
     """The rows of the k x k matrix with entries (alpha_i + r_j beta_i)^(ell-1);
     0^0 = 1."""
     _, _, D, Q, _ = data.integer_form
@@ -99,7 +98,7 @@ def build_B(data: AffineData) -> list[list[Rational]]:
     return [[Fraction(e, s) for e in row] for row, s in zip(_scaled_B_rows(data), scales)]
 
 
-def det_B(data: AffineData) -> Rational:
+def det_B(data: AffineData) -> Fraction:
     """det build_B(data) by Bareiss on _scaled_B_rows, over the product of
     their scales (D_i Q)^(ell-1): one Fraction, and no k x k matrix of them."""
     _, _, D, Q, _ = data.integer_form
@@ -117,8 +116,8 @@ def _power_minor(table: list[list[int]], exponents: Sequence[int]) -> int:
     return det_integer_rows([[row[e] for e in exponents] for row in table])
 
 
-def _binomial_vandermonde_sum(data: AffineData, lead: Sequence[Rational], second: Sequence[Rational],
-                              columns: Callable[[int, tuple[int, ...]], tuple[int, ...]]) -> Rational:
+def _binomial_vandermonde_sum(data: AffineData, lead: Sequence[Fraction], second: Sequence[Fraction],
+                              columns: Callable[[int, tuple[int, ...]], tuple[int, ...]]) -> Fraction:
     """prod lead_i^(ell-1) * sum_mu prod_j C(ell-1, mu_j) V(r, mu) V(second, columns(ell, mu))
     over all C(ell, k) strictly increasing exponent tuples mu in [0, ell-1]
     (itertools.combinations), term by term in ints: with r over its lcm Q
@@ -171,7 +170,7 @@ def elimination_cost(data: AffineData) -> int:
     return updates + (k * n) ** 2 + 3 * (min(k, ell) * n) ** 2
 
 
-def det_B_expansion(data: AffineData) -> Rational:
+def det_B_expansion(data: AffineData) -> Fraction:
     """Expansion of det(B) as a binomial-weighted sum over all C(ell, k)
     increasing exponent sequences:
 
@@ -192,7 +191,7 @@ def _complement(ell: int, mu: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(ell - 1 - e for e in reversed(mu))
 
 
-def det_B_expansion_complement(data: AffineData) -> Rational:
+def det_B_expansion_complement(data: AffineData) -> Fraction:
     """Complementary-index expansion of det(B):
 
         (-1)^(k(k-1)/2) * prod beta_i^(ell-1) * sum_mu prod_j C(ell-1, mu_j)

@@ -36,7 +36,6 @@ from .exactnum import (
     Degree,
     NegativeInfinity,
     Poly,
-    Rational,
     Record,
     det_integer_rows,
     format_rational,
@@ -96,9 +95,9 @@ class VerifyReport:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return format_rational(value)
-    if isinstance(value, (int, NegativeInfinity)):
+    if isinstance(value, NegativeInfinity):
         return str(value)
     if isinstance(value, Poly):
         return _csv(value.coeffs) or "0"
@@ -199,7 +198,7 @@ def _problem_inputs(problem: EquidistantProblem) -> str:
 
 
 def _expansion_cases(rng: SplitMix64, max_ell: int, trials: int,
-                     expansion: Callable[[AffineData], Rational], nonzero_beta: bool) -> Iterator:
+                     expansion: Callable[[AffineData], Fraction], nonzero_beta: bool) -> Iterator:
     """det B by elimination (det_B) against an expansion, for every 1 <= k <= ell."""
     for ell in range(1, max_ell + 1):
         for k in range(1, ell + 1):
@@ -275,7 +274,7 @@ def _suite_remark5(rng: SplitMix64, max_ell: int, trials: int) -> Iterator:
     (match, exact constant ratio, or exact difference polynomial).  A case
     only fails if the comparison record is internally inconsistent."""
     for ell in range(1, max_ell + 1):
-        grids: list[tuple[Rational, ...]] = [tuple(Fraction(i) for i in range(ell + 1))]
+        grids: list[tuple[Fraction, ...]] = [tuple(Fraction(i) for i in range(ell + 1))]
         for _ in range(trials):
             grids.append(rng.rationals(ell + 1, distinct=True)[0])
         for grid_index, nodes in enumerate(grids):

@@ -8,16 +8,20 @@ mutants (changes of speed alone) stay out.
 
 copies the tree to a temporary directory, checks that each named test file
 passes there unmutated, then applies one mutant at a time, runs its test file
-with -x and reports it killed or survived, with the time of each run.  Exit
-status 0 when every mutant is killed.  tests/test_mutants.py checks in
-tier-1 that every fragment still applies, and runs two of the mutants, each
-against the one test that kills it.
+with -x and reports it killed or survived, with the time of each run.  A
+mutant run that outlives ten times its test file's unmutated run is killed,
+with every process it started, and counts as "killed by timeout": a mutant
+that loops forever is caught, not waited for.  Exit status 0 when every
+mutant is killed.  tests/test_mutants.py checks in tier-1 that every
+fragment still applies, and runs two of the mutants, each against the one
+test that kills it.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -81,7 +85,7 @@ MUTANTS = (
            "parse_integer takes whatever int() takes, \"0_2\" among it",
            "tests/test_exactnum.py"),
     Mutant("seed-flag-by-int", "src/degdet/cli.py",
-           'add_argument("--seed", type=parse_integer', 'add_argument("--seed", type=int',
+           'add_argument("--seed", type=_integer_flag', 'add_argument("--seed", type=int',
            "verify --seed reads \"4_2\" as 42",
            "tests/test_verify_cli.py"),
     Mutant("environment-seed-by-int", "src/degdet/cli.py",
@@ -116,6 +120,28 @@ MUTANTS = (
            "if n < 0:", "if n < -1:",
            "Poly.derivative(-1) is not refused by its own check",
            "tests/test_exactnum.py"),
+    Mutant("suite-cap-refused", "src/degdet/verify.py",
+           "effective_max_ell > spec.ell_cap", "effective_max_ell >= spec.ell_cap",
+           "a capped suite refuses max_ell equal to its cap",
+           "tests/test_verify_cli.py"),
+    Mutant("expansion-bound-refused", "src/degdet/cli.py",
+           "cost = expansion_cost(data) if expand else 0\n        if cost > EXPANSION_MAX_COST:",
+           "cost = expansion_cost(data) if expand else 0\n        if cost >= EXPANSION_MAX_COST:",
+           "det --matrix B refuses an expansion that costs exactly the bound",
+           "tests/test_verify_cli.py"),
+    Mutant("elimination-bound-refused", "src/degdet/cli.py",
+           "cost = elimination_cost(data)\n        if cost > EXPANSION_MAX_COST:",
+           "cost = elimination_cost(data)\n        if cost >= EXPANSION_MAX_COST:",
+           "det --matrix B refuses an elimination that costs exactly the bound",
+           "tests/test_verify_cli.py"),
+    Mutant("count-prints-its-bound", "src/degdet/cli.py",
+           "if n < 10**30 else", "if n <= 10**30 else",
+           "_count prints the 31 digits of 10^30 instead of the bound",
+           "tests/test_verify_cli.py"),
+    Mutant("below-refuses-one", "src/degdet/rng.py",
+           "if not 1 <= bound <= 1 << 64:", "if not 1 < bound <= 1 << 64:",
+           "SplitMix64.below(1) is refused",
+           "tests/test_verify_cli.py"),
 )
 
 
@@ -132,20 +158,34 @@ def start_tests(tree: Path, target: str) -> subprocess.Popen:
     # no bytecode: a mutant the size of its fragment, written within the same
     # second, would otherwise run from the stale cached module
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    # its own process group, so that a timeout also kills what the tests started
     return subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", target],
-                            cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+                            cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+                            start_new_session=True)
 
 
-def run_tests(tree: Path, test_file: str) -> tuple[int, float, str]:
-    """pytest's exit code, the wall time and the first failing test of one
-    -x run of test_file in tree."""
+def finish(run: subprocess.Popen, timeout: float | None) -> tuple[int | None, str]:
+    """The exit code and stdout of a started run.  A run still going after
+    timeout seconds is killed with its process group and waited for, and
+    its code is None."""
+    try:
+        stdout, _ = run.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(run.pid, signal.SIGKILL)
+        stdout, _ = run.communicate()
+        return None, stdout
+    return run.returncode, stdout
+
+
+def run_tests(tree: Path, test_file: str, timeout: float | None = None) -> tuple[int | None, float, str]:
+    """pytest's exit code (None past timeout seconds), the wall time and the
+    first failing test of one -x run of test_file in tree."""
     started = time.perf_counter()
-    run = start_tests(tree, test_file)
-    stdout, _ = run.communicate()
+    code, stdout = finish(start_tests(tree, test_file), timeout)
     elapsed = time.perf_counter() - started
     failed = next((line.split(" - ")[0].removeprefix("FAILED ") for line in stdout.splitlines()
                    if line.startswith("FAILED ")), "")
-    return run.returncode, elapsed, failed
+    return code, elapsed, failed
 
 
 def main() -> int:
@@ -153,8 +193,10 @@ def main() -> int:
         tree = Path(scratch) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench-*"))
+        timeouts = {}
         for test_file in dict.fromkeys(mutant.killed_by for mutant in MUTANTS):
             code, elapsed, failed = run_tests(tree, test_file)
+            timeouts[test_file] = 10 * elapsed
             print(f"baseline  {test_file}: {'passed' if code == 0 else 'FAILED'} in {elapsed:.1f} s {failed}".rstrip())
             if code != 0:
                 return 1
@@ -164,13 +206,13 @@ def main() -> int:
             original = source.read_text(encoding="utf-8")
             source.write_text(mutated(original, mutant), encoding="utf-8")
             try:
-                code, elapsed, failed = run_tests(tree, mutant.killed_by)
+                code, elapsed, failed = run_tests(tree, mutant.killed_by, timeouts[mutant.killed_by])
             finally:
                 source.write_text(original, encoding="utf-8")
             # pytest exits 1 when a test failed; any other nonzero code is an
             # interrupted or broken run, which kills nothing
-            verdict = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
-            killed += code == 1
+            verdict = {0: "survived", 1: "killed", None: "killed by timeout"}.get(code, f"error (pytest exit {code})")
+            killed += code in (1, None)
             print(f"{verdict:<9} {mutant.name} in {elapsed:.1f} s: {mutant.description}"
                   + (f"; first failure {failed}" if failed else ""))
     print(f"{killed} of {len(MUTANTS)} mutants killed")

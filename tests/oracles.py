@@ -7,8 +7,8 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from degdet.combinat import binomial, tau
-from degdet.exactnum import Poly, Rational, RationalLike, det_fraction_free, format_rational, rat
+from degdet.combinat import tau
+from degdet.exactnum import Poly, RationalLike, det_fraction_free, format_rational, rat
 from degdet.interp import poly_K
 from degdet.rng import _RATIONALS
 
@@ -44,7 +44,7 @@ def divide_linear(p: Poly, root: RationalLike) -> Poly:
     return Poly(quotient)
 
 
-def trimmed(coeffs: Sequence[RationalLike]) -> tuple[Rational, ...]:
+def trimmed(coeffs: Sequence[RationalLike]) -> tuple[Fraction, ...]:
     """coeffs as a tuple of Fractions without its trailing zeros: the
     coefficient tuple every reference below returns."""
     out = [rat(c) for c in coeffs]
@@ -53,13 +53,13 @@ def trimmed(coeffs: Sequence[RationalLike]) -> tuple[Rational, ...]:
     return tuple(out)
 
 
-def coeffs_sum(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Rational, ...]:
+def coeffs_sum(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """The coefficients of a + b, Fraction by Fraction."""
     n = max(len(a), len(b))
     return trimmed([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)])
 
 
-def coeffs_product(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Rational, ...]:
+def coeffs_product(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """The coefficients of a * b by the Cauchy product, Fraction by Fraction."""
     out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
     for i, x in enumerate(a):
@@ -68,17 +68,17 @@ def coeffs_product(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Ration
     return trimmed(out)
 
 
-def coeffs_derivative(a: Sequence[Rational], n: int) -> tuple[Rational, ...]:
+def coeffs_derivative(a: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
     """The coefficients of the n-th derivative: t^k becomes k (k-1) ... (k-n+1) t^(k-n)."""
     return trimmed([math.prod(range(k - n + 1, k + 1)) * c for k, c in enumerate(a) if k >= n])
 
 
-def coeffs_value(a: Sequence[Rational], x: Rational) -> Rational:
+def coeffs_value(a: Sequence[Fraction], x: Fraction) -> Fraction:
     """sum_k a_k x^k, term by term in Fractions."""
     return sum((c * x**k for k, c in enumerate(a)), Fraction(0))
 
 
-def coeffs_shift_scale(a: Sequence[Rational], xi: Rational, h: Rational) -> tuple[Rational, ...]:
+def coeffs_shift_scale(a: Sequence[Fraction], xi: Fraction, h: Fraction) -> tuple[Fraction, ...]:
     """The coefficients of t -> sum_k a_k (xi + h t)^k, each power expanded
     by the binomial theorem, Fraction by Fraction."""
     out = [Fraction(0)] * len(a)
@@ -95,10 +95,10 @@ def lagrange_basis_hat(ell: int, j: int) -> Poly:
         raise ValueError(f"basis index j={j} outside [0, {ell}]")
     quotient = divide_linear(poly_K(ell), j)
     sign = -1 if (ell - j) % 2 else 1
-    return quotient * Fraction(sign * binomial(ell, j), math.factorial(ell))
+    return quotient * Fraction(sign * math.comb(ell, j), math.factorial(ell))
 
 
-def det_cofactor(rows: Sequence[Sequence[Rational]]) -> Rational:
+def det_cofactor(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant of the square matrix with these rows by first-row
     cofactor expansion.
 
@@ -108,7 +108,7 @@ def det_cofactor(rows: Sequence[Sequence[Rational]]) -> Rational:
     if not rows or any(len(r) != len(rows) for r in rows):
         raise ValueError(f"determinant requires a square matrix, got rows of lengths {[len(r) for r in rows]}")
 
-    def expand(rows: Sequence[Sequence[Rational]]) -> Rational:
+    def expand(rows: Sequence[Sequence[Fraction]]) -> Fraction:
         size = len(rows)
         if size == 1:
             return rows[0][0]
@@ -124,7 +124,7 @@ def det_cofactor(rows: Sequence[Sequence[Rational]]) -> Rational:
     return expand(rows)
 
 
-def sigma_lsk(ell: int, s: int, k: int) -> Rational:
+def sigma_lsk(ell: int, s: int, k: int) -> Fraction:
     """The eq. 10 derivative weights as Fractions, the form that
     interp.derivative_at_left_node sums in ints:
 
@@ -138,7 +138,7 @@ def sigma_lsk(ell: int, s: int, k: int) -> Rational:
     return Fraction(sign * math.factorial(ell - s), math.factorial(ell)) * tau(ell, s - k, 0)
 
 
-def gen_vandermonde_det(nu: Sequence[RationalLike], mu: Sequence[int]) -> Rational:
+def gen_vandermonde_det(nu: Sequence[RationalLike], mu: Sequence[int]) -> Fraction:
     """Determinant of the power matrix (nu_i ^ mu_j) by definition: the
     Fraction matrix through det_fraction_free, 1 for an empty mu.  The
     oracle of the eq. 5/5c power-table minors in degdet.vandermonde."""
@@ -147,7 +147,7 @@ def gen_vandermonde_det(nu: Sequence[RationalLike], mu: Sequence[int]) -> Ration
     return det_fraction_free([[rat(x) ** e for e in mu] for x in nu])
 
 
-def vandermonde_product(nu: Sequence[RationalLike]) -> Rational:
+def vandermonde_product(nu: Sequence[RationalLike]) -> Fraction:
     """The classical pairwise-difference product prod_{i<j} (nu_j - nu_i)."""
     points = [rat(x) for x in nu]
     return math.prod(
@@ -156,7 +156,7 @@ def vandermonde_product(nu: Sequence[RationalLike]) -> Rational:
     )
 
 
-def schur_eval(nu: Sequence[RationalLike], mu: Sequence[int]) -> Rational:
+def schur_eval(nu: Sequence[RationalLike], mu: Sequence[int]) -> Fraction:
     """The symmetric quotient gen_vandermonde_det(nu, mu) / vandermonde_product(nu),
     evaluated at pairwise distinct sample points."""
     points = [rat(x) for x in nu]

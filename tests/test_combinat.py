@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from degdet.combinat import (
     _sym_sums_product,
-    binomial,
     elementary_symmetric,
     tau,
     tau_via_recurrence,
@@ -15,27 +14,6 @@ from degdet.combinat import (
 from degdet.rng import SplitMix64
 
 from oracles import int_between, sym_sums_subset
-
-
-class TestBinomial:
-    def test_standard_value(self):
-        assert binomial(5, 2) == 10
-
-    @pytest.mark.parametrize("n", [0, 1, 4, 17])
-    def test_choose_zero(self, n):
-        assert binomial(n, 0) == 1
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(3, 5) == 0
-        assert binomial(4, -1) == 0
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    @given(st.integers(min_value=1, max_value=30), st.integers(min_value=-2, max_value=32))
-    def test_pascal_rule(self, n, k):
-        assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
 class TestTau:

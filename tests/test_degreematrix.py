@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from degdet.combinat import binomial
 from degdet.degreematrix import (
     AlternatingSums,
     alternating_weighted_sum,
@@ -125,7 +124,7 @@ class TestSigmaEll:
             sign = -1 if (ell * (ell + 1) // 2) % 2 else 1
             value = sign * (ell + 1) ** (ell * (ell - 1) // 2)
             for j in range(ell):
-                value *= binomial(ell - 1, j)
+                value *= math.comb(ell - 1, j)
             for j in range(1, ell):
                 value *= math.factorial(j) ** 2
             assert sigma_ell(ell) == value
@@ -175,7 +174,7 @@ class TestSubDeterminant:
             alpha = [(i - 1) * (ell + 1) for i in range(1, ell + 1)]
             weight = 1
             for j in range(ell):
-                weight *= binomial(ell - 1, j)
+                weight *= math.comb(ell - 1, j)
             sign = (-1) ** (ell * (ell - 1) // 2)
             for kappa in range(1, ell + 2):
                 offsets = [j for j in range(1, ell + 2) if j != kappa]
@@ -412,7 +411,7 @@ class TestFullDeterminant:
         # Theorem 1 read off the cofactors: c_j = (-1)^j sigma_ell C(ell, j),
         # checked beyond the ell <= 16 that the prop3 suite reaches
         for ell in range(1, 25):
-            expected = [(-1) ** j * sigma_ell(ell) * binomial(ell, j) for j in range(ell + 1)]
+            expected = [(-1) ** j * sigma_ell(ell) * math.comb(ell, j) for j in range(ell + 1)]
             assert power_row_cofactors(ell) == expected
 
     def test_det_A_from_cofactors_matches_elimination(self):

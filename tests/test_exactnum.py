@@ -80,9 +80,27 @@ class TestRationals:
             parse_integer(text)
         assert str(exc.value) == f"not an integer: {text!r}"
 
+    @given(
+        st.text(" \t\n", max_size=2),
+        st.sampled_from(["", "+", "-"]),
+        st.text("0123456789٣５", min_size=1, max_size=40),
+        st.none() | st.text("0123456789٣５", min_size=1, max_size=40).filter(lambda digits: int(digits)),
+        st.text(" \t\n", max_size=2),
+    )
+    def test_parse_matches_the_fraction_constructor(self, before, sign, num, den, after):
+        # the accepted grammar, Unicode decimal digits among it, read as
+        # Fraction's own string constructor reads it
+        text = before + sign + num + ("" if den is None else "/" + den) + after
+        assert parse_rational(text) == Fraction(text)
+
     def test_rat_rejects_floats(self):
         with pytest.raises(TypeError):
             rat(0.1)
+
+    def test_rat_rejects_text(self):
+        # text becomes a number only through parse_rational and parse_integer
+        with pytest.raises(TypeError):
+            rat("1/2")
 
     @given(small_rationals, small_rationals)
     def test_arithmetic_stays_canonical(self, a, b):
@@ -184,7 +202,8 @@ class TestPoly:
                 value = p(x)
                 assert type(value) is Fraction
                 assert value == horner(p, x)
-        assert Poly([Fraction(1, 2), Fraction(-2, 3), 3])("-3/4") == horner(Poly(["1/2", "-2/3", 3]), Fraction(-3, 4))
+        assert (Poly([Fraction(1, 2), Fraction(-2, 3), 3])(Fraction(-3, 4))
+                == horner(Poly([Fraction(2, 4), Fraction(-4, 6), 3]), Fraction(-3, 4)))
         assert Poly([Fraction(1, 2), 0, 1])(-3) == Fraction(19, 2)
 
     def test_shift_scale_examples(self):
@@ -276,7 +295,8 @@ class TestPolyCanonicalForm:
         assert p == Poly([Fraction(n, den) for n in nums])
 
     def test_equal_values_from_different_spellings_hash_equal(self):
-        values = [Poly([Fraction(1, 2), 1]), Poly.over(2, [1, 2]), Poly.over(-4, [-2, -4, 0]), Poly(["1/2", "2/2", 0])]
+        values = [Poly([Fraction(1, 2), 1]), Poly.over(2, [1, 2]), Poly.over(-4, [-2, -4, 0]),
+                  Poly([Fraction(2, 4), Fraction(2, 2), 0])]
         assert len(set(values)) == 1
         assert Poly.over(2, [1, 2]) != Poly.over(2, [1, 3])
 

@@ -35,38 +35,40 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # value, the field names)
 RECORDS = {
     "Poly": (
-        lambda: Poly([1, "1/2", 0]),
-        lambda: Poly((Fraction(1), Fraction(1, 2))),
-        lambda: Poly([1, "1/3"]),
+        lambda: Poly([1, Fraction(1, 2), 0]),
+        lambda: Poly((Fraction(1), Fraction(2, 4))),
+        lambda: Poly([1, Fraction(1, 3)]),
         ("coeffs",),
     ),
     "EquidistantProblem": (
-        lambda: EquidistantProblem(2, "1/2", 3, [1, 2, "5/4"]),
-        lambda: EquidistantProblem(2, Fraction(1, 2), "3", (Fraction(1), 2, Fraction(5, 4))),
-        lambda: EquidistantProblem(2, "1/2", 3, [1, 2, "5/3"]),
+        lambda: EquidistantProblem(2, Fraction(1, 2), 3, [1, 2, Fraction(5, 4)]),
+        lambda: EquidistantProblem(2, Fraction(2, 4), Fraction(3), (Fraction(1), 2, Fraction(10, 8))),
+        lambda: EquidistantProblem(2, Fraction(1, 2), 3, [1, 2, Fraction(5, 3)]),
         ("ell", "xi", "h", "a"),
     ),
     "GeneralProblem": (
-        lambda: GeneralProblem([0, "1/2", 2], [1, 1, 3]),
-        lambda: GeneralProblem((Fraction(0), Fraction(1, 2), 2), ("1", 1, 3)),
-        lambda: GeneralProblem([0, "1/2", 3], [1, 1, 3]),
+        lambda: GeneralProblem([0, Fraction(1, 2), 2], [1, 1, 3]),
+        lambda: GeneralProblem((Fraction(0), Fraction(2, 4), 2), (Fraction(1), 1, 3)),
+        lambda: GeneralProblem([0, Fraction(1, 2), 3], [1, 1, 3]),
         ("nodes", "a"),
     ),
     "AffineData": (
-        lambda: AffineData(2, 3, [1, "1/2"], [2, 0], ["1/3", 1]),
-        lambda: AffineData(2, 3, ("1", Fraction(1, 2)), (2, 0), (Fraction(1, 3), "1")),
-        lambda: AffineData(2, 4, [1, "1/2"], [2, 0], ["1/3", 1]),
+        lambda: AffineData(2, 3, [1, Fraction(1, 2)], [2, 0], [Fraction(1, 3), 1]),
+        lambda: AffineData(2, 3, (Fraction(1), Fraction(2, 4)), (2, 0), (Fraction(2, 6), Fraction(1))),
+        lambda: AffineData(2, 4, [1, Fraction(1, 2)], [2, 0], [Fraction(1, 3), 1]),
         ("k", "ell", "alpha", "beta", "r"),
     ),
     "DegreeDetection": (
         lambda: detect_degree(EquidistantProblem(2, 0, 1, [1, 1, 1])),
-        lambda: DegreeDetection(0, 2, detect_degree(EquidistantProblem(2, "0", "1", ["1", 1, 1])).determinants),
+        lambda: DegreeDetection(
+            0, 2, detect_degree(EquidistantProblem(2, Fraction(0), Fraction(1), [Fraction(1), 1, 1])).determinants),
         lambda: DegreeDetection(NEG_INF, None, (Fraction(0),) * 3),
         ("degree", "witness_m", "determinants"),
     ),
     "GeneralExpansionComparison": (
         lambda: compare_general_expansion(GeneralProblem([0, 1, 3], [1, 2, 5])),
-        lambda: compare_general_expansion(GeneralProblem(["0", "1", "3"], ["1", "2", "5"])),
+        lambda: compare_general_expansion(
+            GeneralProblem([Fraction(0), Fraction(1), Fraction(3)], [Fraction(1), Fraction(2), Fraction(5)])),
         lambda: compare_general_expansion(GeneralProblem([0, 1, 3], [1, 2, 6])),
         ("formula", "oracle", "match", "ratio", "difference"),
     ),
@@ -114,7 +116,7 @@ class TestValueRecords:
     def test_the_problem_integer_form_takes_no_part_in_equality(self):
         # EquidistantProblem.integer_form is built on each read from the fields
         # and sums, so two equal problems read equal forms
-        x = EquidistantProblem(3, "1/3", "-2", [1, 0, "7/2", 4])
+        x = EquidistantProblem(3, Fraction(2, 6), Fraction(-2), [1, 0, Fraction(14, 4), 4])
         y = EquidistantProblem(3, Fraction(1, 3), -2, [1, 0, Fraction(7, 2), 4])
         assert x == y and x.integer_form == y.integer_form
 
@@ -156,7 +158,7 @@ class TestValueRecords:
         # alias of it
         for cls in (AlternatingSums, EquidistantProblem, AffineData):
             assert "_trusted" not in vars(cls) and callable(vars(cls)["_set"])
-        x = EquidistantProblem(2, Fraction(1, 2), -3, ["1/2", 4, 9])
+        x = EquidistantProblem(2, Fraction(1, 2), -3, [Fraction(1, 2), 4, 9])
         y = trusted(EquidistantProblem, 2, x.xi, x.h, x.a, x.sums.common, x.sums.numerators)
         assert type(y) is EquidistantProblem and type(y.sums) is AlternatingSums
         assert y == x and y.integer_form == x.integer_form

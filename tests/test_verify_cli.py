@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import degdet
 from degdet.cli import EXPANSION_MAX_COST, MATRIX_MAX_ELL, ProblemFileError, main, parse_problem_file
 from degdet.degreematrix import AlternatingSums, alternating_weighted_sum, build_A_sub
-from degdet import interp, verify
+from degdet import cli, interp, verify
 from degdet.exactnum import (
     Poly,
     det_fraction_free,
@@ -37,7 +37,7 @@ from degdet.interp import (
 )
 from degdet.rng import SplitMix64
 from degdet.vandermonde import AffineData, build_B
-from degdet.verify import DEFAULT_SEED, SUITES, run_suite
+from degdet.verify import DEFAULT_SEED, SUITES, _SuiteSpec, run_suite
 from oracles import int_between, nonzero_rational_reference, positive_rational_reference, splitmix64_scalar
 from test_records import run_stream
 
@@ -200,6 +200,10 @@ _COMPLETE_PROBLEMS = st.integers(1, 6).flatmap(lambda ell: st.tuples(
 _PROBLEM_TEXTS = (st.lists(_PROBLEM_LINES, max_size=6) | _COMPLETE_PROBLEMS.flatmap(st.permutations)).map("\n".join)
 
 
+# ell + 1 = 10^4300 has one digit more than int-to-str prints by default
+NINES_ELL = "ell: " + "9" * 4300 + "\nxi: 0\nh: 1\nvalues: 1\n"
+
+
 class TestProblemFile:
     def test_parses_canonical_file(self):
         pf = parse_problem_file("ell: 3\nxi: 0\nh: 1\nvalues: 0, 1, 2, 3\n")
@@ -238,7 +242,7 @@ class TestProblemFile:
     # a 5,000-digit ell, past int()'s digit limit, and one whose ell + 1 has
     # more digits than the limit prints
     @example("ell: " + "1" * 5000 + "\nxi: 0\nh: 1\nvalues: 1\n")
-    @example("ell: " + "9" * 4300 + "\nxi: 0\nh: 1\nvalues: 1\n")
+    @example(NINES_ELL)
     @given(_PROBLEM_TEXTS)
     def test_any_text_gives_a_problem_or_a_problem_file_error(self, text):
         try:
@@ -247,6 +251,14 @@ class TestProblemFile:
             assert str(exc).startswith("<input>: ")
         else:
             assert type(problem) is EquidistantProblem
+
+    def test_an_ell_past_the_digit_limit_is_counted_not_printed(self, capsys, tmp_path):
+        path = tmp_path / "nines.txt"
+        path.write_text(NINES_ELL, encoding="utf-8")
+        with digit_limit(4300):
+            code, out, err = run_cli(capsys, "degree", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"degdet: error: {path}: line 4: field 'values': expected ell+1 = more than 10^30 entries, got 1\n"
 
 
 # ell = 32 problems whose full reports are pinned below
@@ -636,6 +648,22 @@ class TestDetCommand:
                               f"of powers of degree {degree}, an estimated ")
         assert err.endswith(f" digit steps, above the bound {EXPANSION_MAX_COST:,}\n")
 
+    def test_B_at_the_cost_bound_runs_both_sides(self, capsys, monkeypatch):
+        # each estimate exactly at the bound is accepted; stubs stand in for
+        # the estimates and for the work they bound
+        monkeypatch.setattr("degdet.cli.expansion_cost", lambda data: EXPANSION_MAX_COST)
+        monkeypatch.setattr("degdet.cli.elimination_cost", lambda data: EXPANSION_MAX_COST)
+        monkeypatch.setattr("degdet.cli.det_B", lambda data: Fraction(5, 3))
+        monkeypatch.setattr("degdet.cli.det_B_expansion", lambda data: Fraction(5, 3))
+        code, out, _ = run_cli(capsys, *det_B_argv(AffineData(2, 3, [1, 2], [1, 1], [0, 1])))
+        fields = out_fields(out)
+        assert code == 0
+        assert (fields["det_direct"], fields["det_closed_form"], fields["agree"]) == ("5/3", "5/3", "true")
+
+    def test_counts_print_their_digits_below_10_to_the_30(self):
+        assert cli._count(10**30 - 1) == "999" + ",999" * 9
+        assert cli._count(10**30) == "more than 10^30"
+
     # zero alpha means no expansion and k > ell a closed form of 0, so the
     # expansion bound never applies; both print even where C(ell, k) is
     # large, since their eliminations are small
@@ -952,6 +980,19 @@ class TestVerifyCommand:
         assert done.stderr == (f"degdet: error: suite {suite!r} needs max_ell <= {int(max_ell) - 1}: its pairwise"
                                f" distinct random rationals run out above that, got {max_ell}\n")
 
+    @pytest.mark.parametrize("suite", [name for name, spec in SUITES.items() if spec.ell_cap is not None])
+    def test_max_ell_at_the_cap_runs(self, monkeypatch, suite):
+        # a stub stands in for the suite, so that nothing heavy runs
+        spec = SUITES[suite]
+
+        def stub(rng, max_ell, trials):
+            yield (lambda: "stub", spec.ell_cap, max_ell)
+
+        monkeypatch.setitem(SUITES, suite, _SuiteSpec(stub, spec.max_ell, spec.trials, spec.summary,
+                                                      spec.ell_cap, spec.cap_reason))
+        report = run_suite(suite, max_ell=spec.ell_cap)
+        assert (report.max_ell, report.cases_run, report.passed) == (spec.ell_cap, 1, True)
+
     @pytest.mark.parametrize("suite,max_ell", [("eq5", "11"), ("eq5c", "11"), ("eq5", "50"), ("all", "26")])
     def test_max_ell_past_the_expansion_budget_exits_2(self, suite, max_ell):
         # `all` checks its suites in registry order, and eq5's cost cap (10)
@@ -1084,7 +1125,8 @@ class TestIntegerRule:
             main([*argv, flag, value])
         err = capsys.readouterr().err
         assert exc.value.code == 2
-        assert f"error: argument {flag}: " in err and repr(value) in err
+        assert err.endswith(f" error: argument {flag}: not an integer: {value!r}\n")
+        assert "parse_integer" not in err
 
     def test_an_underscore_in_the_environment_seed_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("DEGDET_SEED", "4_2")
@@ -1148,6 +1190,12 @@ class TestReportWrite:
 
 
 class TestSplitMix64Stream:
+    def test_below_one_is_zero(self):
+        # the smallest bound: one value, and every output takes it
+        rng, twin = SplitMix64(1), SplitMix64(1)
+        assert [rng.below(1) for _ in range(5)] == [0] * 5
+        assert [rng.next_u64() for _ in range(3)] == [twin.next_u64() for _ in range(8)][5:]
+
     def test_known_stream_is_stable(self):
         from degdet.rng import SplitMix64
 
